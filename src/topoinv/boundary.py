@@ -27,13 +27,15 @@ from .errors import (
     ProfileNotDecayedError,
     SurfaceBandAmbiguousError,
 )
-from .invariants import (
-    InvariantResult,
-    _make_result,
-    displacement_matrix,
-    global_positions,
+from .invariants import InvariantResult, _make_result, displacement_matrix
+from .models import (
+    OPEN,
+    PERIODIC,
+    HamiltonianSample,
+    ModelDefinition,
+    apply_fiber,
+    build_hamiltonian,
 )
-from .models import OPEN, PERIODIC, HamiltonianSample, ModelDefinition, build_hamiltonian
 from .spectral import EigenData, SwitchFunction, detect_gap, diagonalize
 
 
@@ -60,28 +62,22 @@ class HalfSpaceSample:
 
 def make_half_space(model: ModelDefinition, mu: float, realization_seed: int = 0) -> HalfSpaceSample:
     """Build the torus companion, certify its gap at mu, then open the last axis."""
-    d = model.lattice.dimension
-    torus = model
-    for axis in range(d):
-        torus = torus.with_boundary(axis, PERIODIC)
-    bulk = build_hamiltonian(torus, realization_seed)
+    bulk = build_hamiltonian(model.with_boundaries(PERIODIC), realization_seed)
     gap = detect_gap(diagonalize(bulk), mu)
-    half_model = model.with_boundary(d - 1, OPEN)
+    half_model = model.with_boundary(model.lattice.dimension - 1, OPEN)
     half = build_hamiltonian(half_model, realization_seed)
     return HalfSpaceSample(hamiltonian=half, bulk_gap=gap, mu=mu, companion=bulk)
 
 
 def _layer_indices(sample: HamiltonianSample, layer: int) -> np.ndarray:
     axis = sample.lattice.dimension - 1
-    pos = global_positions(sample)
-    return np.where(pos[:, axis] == layer)[0]
+    return np.where(sample.lattice.positions()[:, axis] == layer)[0]
 
 
 def _near_window(sample: HamiltonianSample) -> np.ndarray:
     """Mask selecting the near half of the open axis (depth < N_d / 2)."""
     axis = sample.lattice.dimension - 1
-    pos = global_positions(sample)
-    return pos[:, axis] < sample.lattice.linear_sizes[axis] / 2
+    return sample.lattice.positions()[:, axis] < sample.lattice.linear_sizes[axis] / 2
 
 
 @dataclass(frozen=True)
@@ -125,11 +121,12 @@ def exp_map(half: HalfSpaceSample, f: SwitchFunction) -> BoundaryUnitary:
 
 def _edge_pairing(eigen: EigenData, f: SwitchFunction, window: np.ndarray,
                   sample: HamiltonianSample, observable: np.ndarray | None = None) -> float:
-    """2 pi T_w(f'(H) . i[X_1, H]) per unit boundary volume; optional extra factor."""
+    """2 pi T_w(f'(H) . i[X_1, H]) per unit boundary volume; optional extra fiber factor."""
     fp = eigen.function_of(f.derivative(eigen.eigenvalues))
     current = 1j * displacement_matrix(sample, 0) * sample.matrix
     if observable is not None:
-        current = 0.5 * (current @ observable + observable @ current)
+        current = 0.5 * (apply_fiber(observable, current, "right")
+                         + apply_fiber(observable, current, "left"))
     dens = np.einsum("ij,ji->i", fp, current)
     transverse = np.prod(sample.lattice.linear_sizes[:-1])
     return float(2 * np.pi * dens[window].sum().real / transverse)
@@ -186,10 +183,10 @@ def spin_edge_current(half: HalfSpaceSample, f: SwitchFunction, s_z: np.ndarray,
     """
     eig = half.eigen()
     sample = half.hamiltonian
-    Sz = np.kron(np.eye(sample.lattice.num_sites), s_z)
     window = _near_window(sample)
-    val = _edge_pairing(eig, f, window, sample, observable=Sz)
-    comm = np.linalg.norm(sample.matrix @ Sz - Sz @ sample.matrix, 2)
+    val = _edge_pairing(eig, f, window, sample, observable=s_z)
+    H = sample.matrix
+    comm = np.linalg.norm(apply_fiber(s_z, H, "right") - apply_fiber(s_z, H, "left"), 2)
     budget = budget_constant * comm * f.c_norm(6)
     return val, float(budget)
 
@@ -262,9 +259,9 @@ def ind_map(half: HalfSpaceSample, f: SwitchFunction, s_ch: np.ndarray,
     sample = half.hamiltonian
     w, v = np.linalg.eigh(s_ch)
     plus_fiber = (v[:, w > 0.5] @ v[:, w > 0.5].conj().T)
-    Pi = np.kron(np.eye(sample.lattice.num_sites), plus_fiber)
+    Pi = np.kron(np.eye(sample.lattice.num_sites), plus_fiber)  # returned as the reference
     A = eig.function_of(np.exp(-0.5j * np.pi * f(eig.eigenvalues)))
-    Q = A @ Pi @ A.conj().T
+    Q = apply_fiber(plus_fiber, A, "right") @ A.conj().T
     window = _near_window(sample)
     trace_diff = float(np.real(np.diag(Q - Pi)[window].sum()))
     sectors = None
@@ -276,8 +273,7 @@ def ind_map(half: HalfSpaceSample, f: SwitchFunction, s_ch: np.ndarray,
         if np.any(np.abs(eig.eigenvalues[inside] - half.mu) < 1e-9):
             raise SurfaceBandAmbiguousError("surface spectrum touches the Fermi level")
         V = eig.eigenvectors[:, inside]
-        Sc = np.kron(np.eye(sample.lattice.num_sites), s_ch)
-        M = V.conj().T @ Sc @ V
+        M = V.conj().T @ apply_fiber(s_ch, V, "left")
         mw, mv = np.linalg.eigh(M)
         if np.abs(mw).min() < sector_gap:
             raise SurfaceBandAmbiguousError(

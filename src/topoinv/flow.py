@@ -15,22 +15,25 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import (
+    BadDimensionError,
     BranchAmbiguityError,
     KernelAtEndpointError,
     MarginTooSmallError,
     PfaffianUnderflowError,
     SymmetryBrokenAtHalfFluxError,
 )
-from .invariants import _pfaffian_sign_logabs, localized_mode_count
+from .invariants import _pfaffian_sign_logabs, chern_projection, localized_mode_count
 from .models import (
     OPEN,
     PERIODIC,
     HamiltonianSample,
     ModelDefinition,
+    apply_fiber,
     build_hamiltonian,
     insert_flux,
+    symmetry_deviation,
 )
-from .spectral import EigenData, detect_gap, diagonalize
+from .spectral import EigenData, detect_gap, diagonalize, fermi_projection
 
 _CAYLEY = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0)
 
@@ -62,24 +65,18 @@ class FluxPath:
         return self._cache[key]
 
 
-def _defect_window(sample: HamiltonianSample, plaquette, radius_frac: float = 0.25) -> np.ndarray:
-    from .invariants import global_positions
+def _companion_half_width(path: FluxPath, mu: float) -> float:
+    """Distance from mu to the nearer edge of the gap of the base model's periodic companion."""
+    torus = path.base.model.with_boundaries(PERIODIC)
+    gap = detect_gap(diagonalize(build_hamiltonian(torus, path.base.realization_seed)), mu)
+    return min(mu - gap[0], gap[1] - mu)
 
-    pos = global_positions(sample)
-    lat = sample.lattice
-    keep = np.ones(pos.shape[0], dtype=bool)
-    center = [plaquette[0] + 0.5]
-    if lat.dimension >= 2:
-        center.append(plaquette[1] + 0.5)
-    if lat.dimension == 1:
-        center = [plaquette[0] + 0.5]
-    for axis in range(lat.dimension):
-        n = lat.linear_sizes[axis]
-        dx = pos[:, axis] - center[axis]
-        if lat.boundary[axis] == PERIODIC:
-            dx = (dx + n / 2) % n - n / 2
-        keep &= np.abs(dx) <= radius_frac * n
-    return keep
+
+def _require_symmetry(H: np.ndarray, op: np.ndarray, kind: str, rel_tol: float, where: str):
+    dev = symmetry_deviation(H, op, kind)
+    if dev > rel_tol * max(1.0, np.abs(H).max()):
+        name = "time reversal" if kind == "tr" else "particle-hole"
+        raise SymmetryBrokenAtHalfFluxError(f"{name} broken {where} (dev {dev:.2e})")
 
 
 @dataclass(frozen=True)
@@ -107,13 +104,8 @@ def spectral_flow(path: FluxPath, mu: float, overlap_floor: float = 0.7,
     model, since the open base sample carries edge spectrum inside the gap.
     """
     if width is None:
-        torus = path.base.model
-        for axis in range(torus.lattice.dimension):
-            torus = torus.with_boundary(axis, PERIODIC)
-        companion = build_hamiltonian(torus, path.base.realization_seed)
-        gap = detect_gap(diagonalize(companion), mu)
-        width = min(mu - gap[0], gap[1] - mu)
-    window = _defect_window(path.base, path.plaquette, radius_frac)
+        width = _companion_half_width(path, mu)
+    window = path.base.lattice.window(np.add(path.plaquette, 0.5), radius_frac)
     ts = list(path.ts)
     dt_floor = 2.0 ** (-max_refine)
 
@@ -178,11 +170,7 @@ def flow_trace(path: FluxPath, mu: float, width: float | None = None) -> list[tu
     window get fresh ids.
     """
     if width is None:
-        torus = path.base.model
-        for axis in range(torus.lattice.dimension):
-            torus = torus.with_boundary(axis, PERIODIC)
-        gap = detect_gap(diagonalize(build_hamiltonian(torus, path.base.realization_seed)), mu)
-        width = min(mu - gap[0], gap[1] - mu)
+        width = _companion_half_width(path, mu)
     rows = []
     prev_sel = prev_vecs = prev_ids = None
     next_id = 0
@@ -228,11 +216,8 @@ def kramers_halfflux_probe(model: ModelDefinition, plaquette, realization_seed: 
         gap = detect_gap(diagonalize(build_hamiltonian(
             model.with_boundary(model.lattice.dimension - 1, PERIODIC), realization_seed)), 0.0)
     half = insert_flux(sample0, 0.5, plaquette)
-    S = np.kron(np.eye(model.lattice.num_sites), sym.s_tr)
     for tag, Ht in (("t=0", sample0.matrix), ("t=1/2", half.matrix)):
-        dev = np.abs(S.conj().T @ Ht.conj() @ S - Ht).max()
-        if dev > 1e-9 * max(1.0, np.abs(Ht).max()):
-            raise SymmetryBrokenAtHalfFluxError(f"time reversal broken at {tag} (dev {dev:.2e})")
+        _require_symmetry(Ht, sym.s_tr, "tr", 1e-9, f"at {tag}")
     eig = diagonalize(half)
     w, v = eig.eigenvalues, eig.eigenvectors
     inside = np.where((w > gap[0] + 1e-12) & (w < gap[1] - 1e-12))[0]
@@ -244,10 +229,8 @@ def kramers_halfflux_probe(model: ModelDefinition, plaquette, realization_seed: 
         cluster = [j for j in inside if abs(w[j] - w[i]) < 1e-8]
         used.update(cluster)
         vecs = v[:, cluster]
-        partner_overlaps = []
-        for c in range(len(cluster)):
-            partner = S @ vecs[:, c].conj()
-            partner_overlaps.append(abs(np.vdot(vecs[:, c], partner)))
+        partners = apply_fiber(sym.s_tr, vecs.conj(), "left")
+        partner_overlaps = [abs(np.vdot(vecs[:, c], partners[:, c])) for c in range(len(cluster))]
         out.append({
             "energy": float(w[i]),
             "multiplicity": len(cluster),
@@ -263,8 +246,9 @@ def kramers_halfflux_probe(model: ModelDefinition, plaquette, realization_seed: 
 
 def majorana_form(H: np.ndarray, num_sites: int) -> np.ndarray:
     """Real skew-symmetric T with C* H C = i T, per-site Cayley rotation."""
-    C = np.kron(np.eye(num_sites), _CAYLEY)
-    M = C.conj().T @ H @ C
+    if H.shape[0] != 2 * num_sites:
+        raise BadDimensionError("the Majorana form needs a two-component fiber")
+    M = apply_fiber(_CAYLEY.conj().T, apply_fiber(_CAYLEY, H, "right"), "left")
     if np.abs(M.real).max() > 1e-9 * max(1.0, np.abs(M).max()):
         raise SymmetryBrokenAtHalfFluxError("Majorana form is not purely imaginary")
     T = M.imag
@@ -285,15 +269,12 @@ def z2_spectral_flow(path: FluxPath, sym=None, kernel_tol: float = 1e-8) -> dict
         raise SymmetryBrokenAtHalfFluxError("path samples must declare a particle-hole operator")
     if path.ts[0] != 0.0 or path.ts[-1] != 1.0:
         raise KernelAtEndpointError("parity flow needs the full cycle t in [0, 1]")
-    S = np.kron(np.eye(num_sites), sym.s_ph)
     signs = []
     touches = []
     logabs_floor = np.log(1e-300)
     for t in path.ts:
         H = path.sample_at(t).matrix
-        dev = np.abs(S.conj().T @ H.conj() @ S + H).max()
-        if dev > 1e-9 * max(1.0, np.abs(H).max()):
-            raise SymmetryBrokenAtHalfFluxError(f"particle-hole broken at t={t} (dev {dev:.2e})")
+        _require_symmetry(H, sym.s_ph, "ph", 1e-9, f"at t={t}")
         T = majorana_form(H, num_sites)
         scale = np.abs(T).max()
         smin = np.abs(np.linalg.eigvalsh(1j * T)).min()
@@ -326,6 +307,18 @@ def _near_zero_cluster(abs_vals: np.ndarray, margin: float, scale_cap: float) ->
     return count
 
 
+def _halfflux_modes(open_model: ModelDefinition, realization_seed: int, plaquette):
+    """Half-flux sample of the open model, particle-hole checked, with its
+    spectrum ordered by |E|: (sample, |E| ascending, eigenvectors in that order)."""
+    half = insert_flux(build_hamiltonian(open_model, realization_seed), 0.5, plaquette)
+    if open_model.symmetry.s_ph is None:
+        raise SymmetryBrokenAtHalfFluxError("model must declare a particle-hole operator")
+    _require_symmetry(half.matrix, open_model.symmetry.s_ph, "ph", 1e-10, "at half flux")
+    w, v = np.linalg.eigh(half.matrix)
+    order = np.argsort(np.abs(w))
+    return half, np.abs(w)[order], v[:, order]
+
+
 def halfflux_kernel_parity(model: ModelDefinition, realization_seed: int = 0,
                            plaquette=None, margin: float = 1e2,
                            scale_cap: float = 1e-2) -> dict:
@@ -336,26 +329,13 @@ def halfflux_kernel_parity(model: ModelDefinition, realization_seed: int = 0,
     counted only when localized at the cell; a topological open chain also
     carries end modes, which the window excludes.
     """
-    open_model = model.with_boundary(0, OPEN)
-    sample = build_hamiltonian(open_model, realization_seed)
     if plaquette is None:
         plaquette = (model.lattice.linear_sizes[0] // 2,)
-    half = insert_flux(sample, 0.5, plaquette)
-    sym = model.symmetry
-    if sym.s_ph is None:
-        raise SymmetryBrokenAtHalfFluxError("model must declare a particle-hole operator")
-    S = np.kron(np.eye(model.lattice.num_sites), sym.s_ph)
-    dev = np.abs(S.conj().T @ half.matrix.conj() @ S + half.matrix).max()
-    if dev > 1e-10 * max(1.0, np.abs(half.matrix).max()):
-        raise SymmetryBrokenAtHalfFluxError(f"particle-hole broken at half flux (dev {dev:.2e})")
-    w, v = np.linalg.eigh(half.matrix)
-    order = np.argsort(np.abs(w))
-    aw = np.abs(w)[order]
-    count = _near_zero_cluster(aw, margin, scale_cap * np.abs(w).max())
+    half, aw, vecs = _halfflux_modes(model.with_boundary(0, OPEN), realization_seed, plaquette)
+    count = _near_zero_cluster(aw, margin, scale_cap * aw[-1])
     if count and aw[count] / max(aw[count - 1], 1e-300) < margin:
         raise MarginTooSmallError("near-zero cluster not separated")
-    window = _defect_window(half, plaquette)
-    loc = localized_mode_count(v[:, order[:count]], window)
+    loc = localized_mode_count(vecs[:, :count], half.lattice.window(np.add(plaquette, 0.5), 0.25))
     if loc % 2:
         raise MarginTooSmallError("odd defect-localized zero count; window unreliable")
     parity = (loc // 2) % 2
@@ -375,35 +355,16 @@ def majorana_zero_mode_parity(model: ModelDefinition, realization_seed: int = 0,
     defect.  Returns the parity together with Ch mod 2 of the periodic
     companion for comparison.
     """
-    from .invariants import chern_projection
-    from .spectral import fermi_projection
-
     if model.lattice.dimension != 2:
         raise SymmetryBrokenAtHalfFluxError("needs a two-dimensional sample")
-    open_model = model.with_boundary(0, OPEN).with_boundary(1, OPEN)
-    sample = build_hamiltonian(open_model, realization_seed)
     n1, n2 = model.lattice.linear_sizes
     if plaquette is None:
         plaquette = (n1 // 2, n2 // 2)
-    half = insert_flux(sample, 0.5, plaquette)
-    sym = model.symmetry
-    if sym.s_ph is None:
-        raise SymmetryBrokenAtHalfFluxError("model must declare a particle-hole operator")
-    S = np.kron(np.eye(model.lattice.num_sites), sym.s_ph)
-    dev = np.abs(S.conj().T @ half.matrix.conj() @ S + half.matrix).max()
-    if dev > 1e-10 * max(1.0, np.abs(half.matrix).max()):
-        raise SymmetryBrokenAtHalfFluxError(f"particle-hole broken at half flux (dev {dev:.2e})")
-    w, v = np.linalg.eigh(half.matrix)
-    order = np.argsort(np.abs(w))
-    aw = np.abs(w)[order]
+    half, aw, vecs = _halfflux_modes(model.with_boundaries(OPEN), realization_seed, plaquette)
     count = _near_zero_cluster(aw, margin, scale_cap)
-    window = _defect_window(half, plaquette)
-    loc = localized_mode_count(v[:, order[:count]], window)
+    loc = localized_mode_count(vecs[:, :count], half.lattice.window(np.add(plaquette, 0.5), 0.25))
     parity = loc % 2
-    torus = model
-    for axis in range(2):
-        torus = torus.with_boundary(axis, PERIODIC)
-    bulk = build_hamiltonian(torus, realization_seed)
+    bulk = build_hamiltonian(model.with_boundaries(PERIODIC), realization_seed)
     P = fermi_projection(diagonalize(bulk), 0.0)
     ch = chern_projection(P, (1, 2))
     return {"parity": int(parity), "chern_mod2": int(ch.rounded % 2),

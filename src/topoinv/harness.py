@@ -25,7 +25,6 @@ from .serialize import (
     model_from_config,
     read_config_file,
     save_spectrum_csv,
-    serialize_config,
     write_json,
 )
 from .spectral import SwitchFunction, detect_gap, diagonalize, fermi_projection
@@ -137,10 +136,7 @@ def _task_winding(model, params, seed):
 
 
 def _task_z2(model, params, seed):
-    open_model = model
-    for axis in range(model.lattice.dimension):
-        open_model = open_model.with_boundary(axis, OPEN)
-    sample = build_hamiltonian(open_model, seed)
+    sample = build_hamiltonian(model.with_boundaries(OPEN), seed)
     eig = diagonalize(sample)
     mu = _resolve_mu(params, eig)
     P = fermi_projection(eig, mu)
@@ -167,10 +163,7 @@ def _task_spin_chern(model, params, seed):
 
 
 def _task_bbc(model, params, seed):
-    companion = model
-    for axis in range(model.lattice.dimension):
-        companion = companion.with_boundary(axis, PERIODIC)
-    eig = diagonalize(build_hamiltonian(companion, seed))
+    eig = diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC), seed))
     mu = _resolve_mu(params, eig)
     half = bd.make_half_space(model, mu, seed)
     P = fermi_projection(diagonalize(half.companion), mu)
@@ -182,10 +175,7 @@ def _task_bbc(model, params, seed):
 
 
 def _task_boundary_current(model, params, seed):
-    companion = model
-    for axis in range(model.lattice.dimension):
-        companion = companion.with_boundary(axis, PERIODIC)
-    eig = diagonalize(build_hamiltonian(companion, seed))
+    eig = diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC), seed))
     mu = _resolve_mu(params, eig)
     half = bd.make_half_space(model, mu, seed)
     f = SwitchFunction("exp", half.bulk_gap)
@@ -204,10 +194,7 @@ def _task_streda(model, params, seed):
 
 
 def _task_laughlin(model, params, seed):
-    open_model = model
-    for axis in range(model.lattice.dimension):
-        open_model = open_model.with_boundary(axis, OPEN)
-    sample = build_hamiltonian(open_model, seed)
+    sample = build_hamiltonian(model.with_boundaries(OPEN), seed)
     n = model.lattice.linear_sizes
     plaq = (n[0] // 2, n[1] // 2)
     mu = float(params.get("mu", 0.0))
@@ -289,9 +276,15 @@ def _run_one(payload):
 
 def worker_count() -> int:
     env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+    return count
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None):

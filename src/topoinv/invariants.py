@@ -51,6 +51,7 @@ from .models import (
     MagneticFieldSpec,
     ModelDefinition,
     SymmetrySpec,
+    apply_fiber,
     build_hamiltonian,
     make_named_model,
 )
@@ -67,19 +68,11 @@ SIGMA = (
 # geometry helpers
 # ---------------------------------------------------------------------------
 
-def global_positions(sample: HamiltonianSample) -> np.ndarray:
-    """Coordinates per global Hilbert-space index, shape (dim, d)."""
-    return sample.position_arrays()
-
-
-def displacement_matrix(sample: HamiltonianSample, axis: int) -> np.ndarray:
+def displacement_matrix(sample: HamiltonianSample, axis: int,
+                        per_site: int | None = None) -> np.ndarray:
     """Signed coordinate differences x_m - x_n, minimal image on periodic axes."""
-    x = global_positions(sample)[:, axis]
-    d = x[:, None] - x[None, :]
-    if sample.lattice.boundary[axis] == PERIODIC:
-        n = sample.lattice.linear_sizes[axis]
-        d = (d + n / 2) % n - n / 2
-    return d
+    x = sample.lattice.positions(per_site)[:, axis]
+    return sample.lattice.minimal_image(x[:, None] - x[None, :], axis)
 
 
 def nc_derivative(A: np.ndarray, sample: HamiltonianSample, axis: int) -> np.ndarray:
@@ -88,22 +81,16 @@ def nc_derivative(A: np.ndarray, sample: HamiltonianSample, axis: int) -> np.nda
 
 
 def core_mask(sample: HamiltonianSample, rho: float = 0.5,
-              center: np.ndarray | None = None) -> np.ndarray:
+              center: np.ndarray | None = None, per_site: int | None = None) -> np.ndarray:
     """Central-window mask per global index.
 
     Open axes keep |x - c| <= rho * N / 2; periodic axes keep everything.
     The default center is the geometric middle.
     """
-    pos = global_positions(sample)
     lat = sample.lattice
-    keep = np.ones(pos.shape[0], dtype=bool)
-    for axis in range(lat.dimension):
-        if lat.boundary[axis] == PERIODIC:
-            continue
-        n = lat.linear_sizes[axis]
-        c = (n - 1) / 2 if center is None else center[axis]
-        keep &= np.abs(pos[:, axis] - c) <= rho * n / 2
-    return keep
+    if center is None:
+        center = [(n - 1) / 2 for n in lat.linear_sizes]
+    return lat.window(center, [rho / 2 if b == OPEN else np.inf for b in lat.boundary], per_site)
 
 
 def trace_per_volume(A: np.ndarray, sample: HamiltonianSample, region: str = "all",
@@ -234,9 +221,6 @@ class FermiUnitary:
     fiber: int           # orbitals per site in the reduced space
     min_singular: float
 
-    def position_arrays(self) -> np.ndarray:
-        return np.repeat(self.sample.site_coords(), self.fiber, axis=0).astype(float)
-
 
 def fermi_unitary(P: FermiProjection, sym: SymmetrySpec,
                   singular_threshold: float = 1e-3) -> FermiUnitary:
@@ -254,10 +238,7 @@ def fermi_unitary(P: FermiProjection, sym: SymmetrySpec,
     minus = v[:, w < -0.5]
     if plus.shape[1] != minus.shape[1]:
         raise NotChiralError("chiral operator sectors have unequal dimension")
-    lift = np.eye(sample.lattice.num_sites)
-    Vp = np.kron(lift, plus)
-    Vm = np.kron(lift, minus)
-    block = 2.0 * (Vm.conj().T @ P.projector @ Vp)
+    block = 2.0 * apply_fiber(minus.conj().T, apply_fiber(plus, P.projector, "right"), "left")
     uu, sv, vv = np.linalg.svd(block)
     if sv.min() < singular_threshold:
         raise BlockSingularError(
@@ -279,15 +260,14 @@ def chern_unitary(U: FermiUnitary | np.ndarray, I, sample: HamiltonianSample | N
     """Odd-cocycle pairing (winding) of an invertible operator."""
     if isinstance(U, FermiUnitary):
         sample = U.sample
-        pos = U.position_arrays()
+        per_site = U.fiber
         mat = U.matrix
         cond_floor = U.min_singular
     else:
         if sample is None:
             raise ValueError("raw matrices need the sample for geometry")
         mat = np.asarray(U)
-        L = fiber if fiber is not None else sample.lattice.fiber
-        pos = np.repeat(sample.site_coords(), L, axis=0).astype(float)
+        per_site = fiber if fiber is not None else sample.lattice.fiber
         sv = np.linalg.svd(mat, compute_uv=False)
         if sv.min() < 1e-8:
             raise SingularInputError("input operator is numerically singular")
@@ -297,24 +277,10 @@ def chern_unitary(U: FermiUnitary | np.ndarray, I, sample: HamiltonianSample | N
     if len(I) % 2 == 0:
         raise EvenIndexSetError("invertible pairing needs an odd index set")
     inv = np.linalg.inv(mat)
-
-    def disp(axis):
-        x = pos[:, axis]
-        d = x[:, None] - x[None, :]
-        if lat.boundary[axis] == PERIODIC:
-            n = lat.linear_sizes[axis]
-            d = (d + n / 2) % n - n / 2
-        return d
-
-    dU = {i: inv @ (1j * disp(i - 1) * mat) for i in I}
+    dU = {i: inv @ (1j * displacement_matrix(sample, i - 1, per_site) * mat) for i in I}
     # windowed site-normalized trace
     if region == "core":
-        keep = np.ones(mat.shape[0], dtype=bool)
-        for axis in range(lat.dimension):
-            if lat.boundary[axis] == PERIODIC:
-                continue
-            n = lat.linear_sizes[axis]
-            keep &= np.abs(pos[:, axis] - (n - 1) / 2) <= rho * n / 2
+        keep = core_mask(sample, rho, per_site=per_site)
         norm = keep.sum() / (mat.shape[0] / lat.num_sites)
     else:
         keep = np.ones(mat.shape[0], dtype=bool)
@@ -485,7 +451,7 @@ def dirac_phase(sample: HamiltonianSample, origin=None) -> DiracPhase:
         origin = np.array([n // 2 + 0.5 for n in lat.linear_sizes], dtype=float)
     else:
         origin = np.asarray(origin, dtype=float)
-    pos = global_positions(sample)
+    pos = sample.lattice.positions()
     rel = pos - origin[None, :]
     if np.any(np.all(np.abs(rel) < 1e-12, axis=1)):
         raise OriginOnLatticeError("Dirac origin coincides with a lattice site")
@@ -519,19 +485,6 @@ def localized_mode_count(vectors: np.ndarray, mask: np.ndarray) -> int:
         return 0
     W = vectors.conj().T @ (mask[:, None] * vectors)
     return int((np.linalg.eigvalsh(W) > 0.5).sum())
-
-
-def _defect_mask(sample: HamiltonianSample, center: np.ndarray, radius_frac: float = 0.25,
-                 spinor: int = 1) -> np.ndarray:
-    pos = global_positions(sample)
-    keep = np.ones(pos.shape[0], dtype=bool)
-    for axis in range(sample.lattice.dimension):
-        n = sample.lattice.linear_sizes[axis]
-        dx = pos[:, axis] - center[axis]
-        if sample.lattice.boundary[axis] == PERIODIC:
-            dx = (dx + n / 2) % n - n / 2
-        keep &= np.abs(dx) <= radius_frac * n
-    return np.repeat(keep, spinor) if spinor > 1 else keep
 
 
 def pair_index(P: FermiProjection, dirac: DiracPhase, power: int = 3,
@@ -594,14 +547,7 @@ def hardy_index(U: FermiUnitary | np.ndarray, dirac: DiracPhase,
     small = sv < threshold
     if np.any((~small) & (sv < 10 * threshold)) or np.any(small & (sv > threshold / 10)):
         raise ThresholdAmbiguityError("singular values within a factor 10 of the threshold")
-    pos_site = np.repeat(sample.site_coords(), per_site * dirac.spinor, axis=0).astype(float)
-    keep = np.ones(pos_site.shape[0], dtype=bool)
-    for axis in range(sample.lattice.dimension):
-        n = sample.lattice.linear_sizes[axis]
-        dx = pos_site[:, axis] - dirac.origin[axis]
-        if sample.lattice.boundary[axis] == PERIODIC:
-            dx = (dx + n / 2) % n - n / 2
-        keep &= np.abs(dx) <= radius_frac * n
+    keep = sample.lattice.window(dirac.origin, radius_frac, per_site * dirac.spinor)
     ker = localized_mode_count(vv.conj().T[:, small], keep)
     cok = localized_mode_count(uu[:, small], keep)
     raw = float(ker - cok)
@@ -624,9 +570,7 @@ def z2_kernel_parity(T: np.ndarray, sym: SymmetrySpec, sample: HamiltonianSample
     singular vectors localize at the origin (the symmetry partner of each
     localized kernel mode lives on the sample boundary at finite volume).
     """
-    L = sample.lattice.fiber
-    S = np.kron(np.eye(sample.lattice.num_sites), sym.s_tr)
-    TS = T @ S
+    TS = apply_fiber(sym.s_tr, T, "right")
     scale = np.abs(TS).max()
     if np.abs(TS + TS.T).max() > 1e-8 * scale:
         raise NotAntisymmetricError("T s_tr is not antisymmetric")
@@ -654,7 +598,7 @@ def z2_kernel_parity(T: np.ndarray, sym: SymmetrySpec, sample: HamiltonianSample
             raise MarginTooSmallError(
                 f"singular-value margin below {margin:.0f}; use the spin route")
     small = sv < sorted_sv[k - 1] * (1 + 1e-12) if k else sv < tol
-    keep = _defect_mask(sample, origin, radius_frac)
+    keep = sample.lattice.window(origin, radius_frac)
     loc = localized_mode_count(vv.conj().T[:, small], keep)
     raw = float(loc % 2)
     return _make_result(raw, (1, 2), "z2-parity", sample, "z2",
@@ -670,8 +614,7 @@ def spin_chern(P: FermiProjection, s_z: np.ndarray, gap_floor: float = 1e-3,
     """
     sample = P.sample
     occ = P.eigen.eigenvectors[:, P.eigen.eigenvalues <= P.mu]
-    Sz = np.kron(np.eye(sample.lattice.num_sites), s_z)
-    M = occ.conj().T @ Sz @ occ
+    M = occ.conj().T @ apply_fiber(s_z, occ, "left")
     mw, mv = np.linalg.eigh(M)
     pos = mw > 0
     neg = mw < 0

@@ -87,6 +87,62 @@ class LatticeSpec:
             idx = idx * self.linear_sizes[j] + int(coord[j]) % self.linear_sizes[j]
         return idx
 
+    def positions(self, per_site: int | None = None) -> np.ndarray:
+        """Site coordinates per index, shape (num_sites * per_site, d).
+
+        per_site defaults to the fiber; the reduced fiber of a chiral half
+        and spinor-extended spaces pass their own number of entries per site.
+        """
+        return np.repeat(self.site_coords(), per_site or self.fiber, axis=0).astype(float)
+
+    def minimal_image(self, dx: np.ndarray, axis: int) -> np.ndarray:
+        """Coordinate differences along one axis, wrapped into [-N/2, N/2) on a periodic axis."""
+        if self.boundary[axis] != PERIODIC:
+            return dx
+        n = self.linear_sizes[axis]
+        return (dx + n / 2) % n - n / 2
+
+    def window(self, center, radius_frac, per_site: int | None = None) -> np.ndarray:
+        """Mask per index of the box |x - center| <= radius_frac * N on every axis.
+
+        radius_frac is one number or one per axis (inf leaves an axis
+        unrestricted); displacements are minimal images on periodic axes.
+        """
+        pos = self.positions(per_site)
+        frac = np.broadcast_to(radius_frac, (self.dimension,))
+        keep = np.ones(len(pos), dtype=bool)
+        for axis, n in enumerate(self.linear_sizes):
+            keep &= np.abs(self.minimal_image(pos[:, axis] - center[axis], axis)) <= frac[axis] * n
+        return keep
+
+
+def apply_fiber(op: np.ndarray, M: np.ndarray, side: str = "left") -> np.ndarray:
+    """(1_N (x) op) M for side="left", M (1_N (x) op) for side="right".
+
+    op (p x q) acts on the fiber of every site; with the fiber index fastest
+    the product is a reshape and N small products, O(dim^2 L), and the
+    dim x dim lift is never formed.  op may be rectangular (a fiber
+    compression): M then has N*q rows (left) or N*p columns (right).
+    """
+    p, q = op.shape
+    if side == "left":
+        return (op @ M.reshape(-1, q, M.shape[1])).reshape(-1, M.shape[1])
+    if side == "right":
+        return (M.reshape(M.shape[0], -1, p) @ op).reshape(M.shape[0], -1)
+    raise ValueError("side must be 'left' or 'right'")
+
+
+_SYMMETRY_SIGN = {"tr": -1.0, "ph": 1.0, "ch": 1.0}
+
+
+def symmetry_deviation(H: np.ndarray, op: np.ndarray, kind: str) -> float:
+    """max |S* conj(H) S - H| (kind "tr"), max |S* conj(H) S + H| ("ph") or
+    max |S* H S + H| ("ch"), where S = 1_N (x) op acts fiber by fiber."""
+    sign = _SYMMETRY_SIGN[kind]
+    X = H if kind == "ch" else H.conj()
+    X = apply_fiber(op.conj().T, apply_fiber(op, X, "right"), "left")
+    return float(np.abs(X + sign * H).max())
+
 
 @dataclass(frozen=True)
 class MagneticFieldSpec:
@@ -254,6 +310,12 @@ class ModelDefinition:
             raise ParamOutOfRangeError("onsite matrix must be L x L")
         if np.abs(onsite - onsite.conj().T).max() > _HERMITICITY_TOL:
             raise NonHermitianHoppingsError("onsite matrix must be self-adjoint")
+        if any(op is not None and op.shape != (L, L)
+               for op in (self.symmetry.s_tr, self.symmetry.s_ph, self.symmetry.s_ch)):
+            raise ParamOutOfRangeError("symmetry operators must be L x L")
+        if self.disorder.constraint is None:
+            # symmetry-constrained disorder respects the model's own symmetry
+            object.__setattr__(self, "disorder", replace(self.disorder, constraint=self.symmetry))
         hop = []
         for a, t in self.hoppings:
             a = tuple(int(c) for c in a)
@@ -300,12 +362,21 @@ class ModelDefinition:
             h.update(np.ascontiguousarray(np.round(t, 14)).tobytes())
         h.update(np.ascontiguousarray(np.round(self.onsite, 14)).tobytes())
         h.update(repr((self.disorder.family, self.disorder.strength, self.disorder.seed)).encode())
+        for sym in (self.symmetry, self.disorder.constraint):
+            h.update(repr((sym.eta_tr, sym.eta_ph)).encode())
+            for op in (sym.s_tr, sym.s_ph, sym.s_ch):
+                h.update(b"none" if op is None else np.ascontiguousarray(np.round(op, 14)).tobytes())
         return h.hexdigest()[:16]
 
     def with_boundary(self, axis: int, flag: str) -> "ModelDefinition":
         boundary = list(self.lattice.boundary)
         boundary[axis] = flag
         lat = replace(self.lattice, boundary=tuple(boundary))
+        return replace(self, lattice=lat)
+
+    def with_boundaries(self, flag: str) -> "ModelDefinition":
+        """The same model with every axis open, or every axis periodic."""
+        lat = replace(self.lattice, boundary=(flag,) * self.lattice.dimension)
         return replace(self, lattice=lat)
 
     def with_sizes(self, sizes: Sequence[int]) -> "ModelDefinition":
@@ -334,7 +405,7 @@ class HamiltonianSample:
 
     def position_arrays(self) -> np.ndarray:
         """Per-global-index coordinates, shape (hilbert_dim, d)."""
-        return np.repeat(self.site_coords(), self.lattice.fiber, axis=0).astype(float)
+        return self.lattice.positions()
 
 
 def _step_phase(coord: np.ndarray, axis: int, direction: int, lattice: LatticeSpec,
@@ -517,18 +588,14 @@ def insert_flux(sample: HamiltonianSample, t: float, plaquette: Sequence[int]) -
                 "flux insertion needs the second axis open so the string can leave the sample")
         px, py = plaquette[0] + 0.5, plaquette[1] + 0.5
         X, Y = coords[:, 0], coords[:, 1]
-        x_from = np.broadcast_to(X[None, :], (len(X), len(X))).copy()
-        x_to = np.broadcast_to(X[:, None], (len(X), len(X))).copy()
-        if lat.boundary[0] == PERIODIC:
-            # unroll wrap bonds by minimal image so the segment geometry is local
-            N1 = lat.linear_sizes[0]
-            dxm = (x_to - x_from + N1 / 2) % N1 - N1 / 2
-            x_to = x_from + dxm
+        x_from = np.broadcast_to(X[None, :], (len(X), len(X)))
+        # unroll wrap bonds by minimal image so the segment geometry is local
+        x_to = x_from + lat.minimal_image(X[:, None] - X[None, :], 0)
         y_from = np.broadcast_to(Y[None, :], x_from.shape)
         y_to = np.broadcast_to(Y[:, None], x_from.shape)
-        active = np.abs(H).reshape(len(X), L, len(X), L).max(axis=(1, 3)) > 0
-        ph = _string_phases(x_from, y_from, x_to, y_to, px, py, t, active)
-        H *= np.kron(ph, np.ones((L, L)))
+        blocks = H.reshape(len(X), L, len(X), L)
+        active = np.abs(blocks).max(axis=(1, 3)) > 0
+        blocks *= _string_phases(x_from, y_from, x_to, y_to, px, py, t, active)[:, None, :, None]
         return HamiltonianSample(matrix=H, model=sample.model,
                                  realization_seed=sample.realization_seed)
 
@@ -539,11 +606,8 @@ def insert_flux(sample: HamiltonianSample, t: float, plaquette: Sequence[int]) -
         N = lat.linear_sizes[0]
         xs = np.repeat(coords[:, 0], 2)
         ys = np.tile(np.array([0.0, 1.0]), N)
-        x_from = np.broadcast_to(xs[None, :], (2 * N, 2 * N)).copy()
-        x_to = np.broadcast_to(xs[:, None], (2 * N, 2 * N)).copy()
-        if lat.boundary[0] == PERIODIC:
-            dxm = (x_to - x_from + N / 2) % N - N / 2
-            x_to = x_from + dxm
+        x_from = np.broadcast_to(xs[None, :], (2 * N, 2 * N))
+        x_to = x_from + lat.minimal_image(xs[:, None] - xs[None, :], 0)
         y_from = np.broadcast_to(ys[None, :], x_from.shape)
         y_to = np.broadcast_to(ys[:, None], x_from.shape)
         active = np.abs(H) > 0
@@ -581,28 +645,12 @@ def classify_caz(sample: HamiltonianSample | np.ndarray, sym: SymmetrySpec,
     label together with its row index in the tenfold classification.
     """
     H = sample.matrix if isinstance(sample, HamiltonianSample) else np.asarray(sample)
-    if isinstance(sample, HamiltonianSample):
-        L = sample.lattice.fiber
-        n_sites = sample.lattice.num_sites
-    else:
-        L = len(sym.s_tr) if sym.s_tr is not None else (
-            len(sym.s_ph) if sym.s_ph is not None else (len(sym.s_ch) if sym.s_ch is not None else H.shape[0]))
-        n_sites = H.shape[0] // L
     scale = max(np.abs(H).max(), 1.0)
 
-    def lift(s):
-        return np.kron(np.eye(n_sites), s)
+    def holds(op, kind):
+        return op is not None and symmetry_deviation(H, op, kind) <= tol * scale
 
-    has_tr = has_ph = has_ch = False
-    if sym.s_tr is not None:
-        S = lift(sym.s_tr)
-        has_tr = np.abs(S.conj().T @ H.conj() @ S - H).max() <= tol * scale
-    if sym.s_ph is not None:
-        S = lift(sym.s_ph)
-        has_ph = np.abs(S.conj().T @ H.conj() @ S + H).max() <= tol * scale
-    if sym.s_ch is not None:
-        S = lift(sym.s_ch)
-        has_ch = np.abs(S.conj().T @ H @ S + H).max() <= tol * scale
+    has_tr, has_ph, has_ch = holds(sym.s_tr, "tr"), holds(sym.s_ph, "ph"), holds(sym.s_ch, "ch")
 
     if has_tr and has_ph and not has_ch and sym.s_ch is not None:
         raise InconsistentSymmetriesError(
@@ -697,8 +745,7 @@ def _kitaev_chain(mu: float, w_strength: float, sizes, boundary,
     sym = SymmetrySpec(s_tr=SIGMA_3.real, eta_tr=+1, s_ph=SIGMA_1.real, eta_ph=+1,
                        s_ch=SIGMA_2)
     if disorder is None:
-        disorder = DisorderSpec(family="symmetry-constrained-matrix", strength=w_strength,
-                                seed=0, constraint=sym)
+        disorder = DisorderSpec(family="symmetry-constrained-matrix", strength=w_strength)
     return ModelDefinition(lat, MagneticFieldSpec.zero(1), hops, mu * SIGMA_3,
                            disorder, sym, name="kitaev_chain",
                            metadata={"mu": mu, "w_strength": w_strength})
@@ -724,7 +771,16 @@ def _chiral_3d(mass: float, sizes, boundary, disorder: DisorderSpec) -> ModelDef
                            name="chiral_3d", metadata={"mass": mass})
 
 
-MODEL_NAMES = ("ssh", "harper", "qwz", "kane_mele_qsh", "kitaev_chain", "chiral_3d")
+# name -> (builder, default parameters, default linear size)
+_ZOO = {
+    "ssh": (_ssh, {"m": 0.0}, 64),
+    "harper": (_harper, {"b12": 2 * np.pi / 3}, 12),
+    "qwz": (_qwz, {"mass": 1.0}, 12),
+    "kane_mele_qsh": (_kane_mele_qsh, {"mass": 1.0, "rashba": 0.0, "zeeman": 0.0}, 12),
+    "kitaev_chain": (_kitaev_chain, {"mu": 0.0, "w_strength": 0.0}, 64),
+    "chiral_3d": (_chiral_3d, {"mass": 2.0}, 6),
+}
+MODEL_NAMES = tuple(_ZOO)
 
 
 def make_named_model(name: str, sizes=None, boundary=None,
@@ -732,21 +788,17 @@ def make_named_model(name: str, sizes=None, boundary=None,
     """Construct one of the shipped models by name.
 
     Size defaults are desk scale; every parameter the model knows is a
-    keyword.  Raises UnknownModelError / ParamOutOfRangeError.
+    keyword.  Raises UnknownModelError, and ParamOutOfRangeError for an
+    unknown parameter or a value the model rejects.
     """
-    dis = disorder if disorder is not None else DisorderSpec()
-    if name == "ssh":
-        return _ssh(float(params.pop("m", 0.0)), sizes or 64, boundary, dis)
-    if name == "harper":
-        return _harper(float(params.pop("b12", 2 * np.pi / 3)), sizes or 12, boundary, dis)
-    if name == "qwz":
-        return _qwz(float(params.pop("mass", 1.0)), sizes or 12, boundary, dis)
-    if name == "kane_mele_qsh":
-        return _kane_mele_qsh(float(params.pop("mass", 1.0)), float(params.pop("rashba", 0.0)),
-                              float(params.pop("zeeman", 0.0)), sizes or 12, boundary, dis)
-    if name == "kitaev_chain":
-        return _kitaev_chain(float(params.pop("mu", 0.0)), float(params.pop("w_strength", 0.0)),
-                             sizes or 64, boundary, disorder)
-    if name == "chiral_3d":
-        return _chiral_3d(float(params.pop("mass", 2.0)), sizes or 6, boundary, dis)
-    raise UnknownModelError(f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}")
+    if name not in _ZOO:
+        raise UnknownModelError(f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}")
+    build, defaults, default_size = _ZOO[name]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ParamOutOfRangeError(f"unknown parameter(s) {', '.join(unknown)} for {name}; "
+                                   f"known: {', '.join(defaults)}")
+    values = {key: float(params.get(key, value)) for key, value in defaults.items()}
+    if disorder is None and name != "kitaev_chain":  # the chain's default disorder is w_strength
+        disorder = DisorderSpec()
+    return build(**values, sizes=sizes or default_size, boundary=boundary, disorder=disorder)

@@ -214,3 +214,31 @@ def test_cli_quantization_exit_code(tmp_path):
     cfg.write_text(text)
     proc = cli("winding", "--config", str(cfg))
     assert proc.returncode == 2
+
+
+def test_named_model_disorder_section_keeps_particle_hole():
+    text = KITAEV_CFG + "\n[disorder]\nfamily = symmetry-constrained-matrix\nstrength = 0.3\nseed = 4\n"
+    records, _, ok = run_experiment(config_of(text), workers=1)
+    assert ok and [r.values["rounded"] for r in records] == [1, 1]
+
+
+def test_cli_unknown_model_key(tmp_path, capsys):
+    from topoinv.cli import main
+
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(SSH_CFG.replace("m = 0.5", "mm = 0.5"))
+    assert main(["winding", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "known: m" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_bad_worker_environment(tmp_path, capsys, monkeypatch, value):
+    from topoinv.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SSH_CFG)
+    monkeypatch.setenv("TOPO_WORKERS", value)
+    assert main(["winding", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "TOPO_WORKERS" in err

@@ -316,3 +316,28 @@ def test_half_space_forces_open_axis():
     model = make_named_model("harper", sizes=6)
     half = restrict_half_space(build_hamiltonian(model))
     assert half.lattice.boundary[-1] == OPEN
+
+
+def test_unknown_model_parameter_rejected():
+    with pytest.raises(ParamOutOfRangeError, match="known: mass"):
+        make_named_model("qwz", mas=1.5)
+    with pytest.raises(ParamOutOfRangeError, match="known: mu, w_strength"):
+        make_named_model("kitaev_chain", mu=0.2, w=0.3)
+
+
+def test_fingerprint_covers_symmetry_and_disorder_constraint():
+    from dataclasses import replace
+
+    model = make_named_model("ssh", sizes=8, m=0.4)
+    assert make_named_model("ssh", sizes=8, m=0.4).fingerprint() == model.fingerprint()
+    flipped = replace(model, symmetry=SymmetrySpec(s_ch=-SIGMA_3))
+    assert flipped.fingerprint() != model.fingerprint()
+    constrained = replace(model, disorder=DisorderSpec(constraint=SymmetrySpec(s_ch=-SIGMA_3)))
+    assert constrained.fingerprint() != model.fingerprint()
+
+
+def test_named_disorder_inherits_model_symmetry():
+    dis = DisorderSpec(family="symmetry-constrained-matrix", strength=0.5, seed=3)
+    model = make_named_model("kitaev_chain", sizes=16, mu=0.2, disorder=dis)
+    assert model.disorder.constraint is model.symmetry
+    assert classify_caz(build_hamiltonian(model, 1), model.symmetry) == ("BDI", 1)

@@ -36,7 +36,7 @@ for lam, seeds in ((0.0, [0]), (LAMBDA, range(N_REALIZATIONS))):
     m = make_named_model("harper", sizes=N, boundary=("periodic", "open"), b12=B12, disorder=dis)
     for seed in seeds:
         half = make_half_space(m, mu, seed)
-        bulk = chern_projection(fermi_projection(diagonalize(half.companion), mu), (1, 2))
+        bulk = chern_projection(fermi_projection(half.companion_eigen, mu), (1, 2))
         edge = boundary_winding(exp_map(half, SwitchFunction("exp", half.bulk_gap)))
         rows.append((lam, seed, bulk.value, edge.value))
         print(f"lam={lam} seed={seed}: bulk {bulk.value:+.5f} edge {edge.value:+.5f}")

@@ -7,7 +7,6 @@ the defect-localized flow against the pair index of the same sample.
 from topoinv import (
     FluxPath,
     build_hamiltonian,
-    diagonalize,
     dirac_phase,
     fermi_projection,
     make_named_model,
@@ -23,7 +22,7 @@ model = make_named_model("qwz", sizes=N, boundary="open", mass=MASS)
 sample = build_hamiltonian(model)
 path = FluxPath(base=sample, plaquette=(N // 2, N // 2))
 flow = spectral_flow(path, 0.0)
-pi = pair_index(fermi_projection(diagonalize(sample), 0.0), dirac_phase(sample))
+pi = pair_index(fermi_projection(path.eigen_at(0.0), 0.0), dirac_phase(sample))
 print(f"spectral flow {flow.net} (raw {flow.raw_net}), pair index {pi.rounded} ({pi.value:+.5f})")
 
 with open("flow.csv", "w") as fh:

@@ -18,12 +18,12 @@ the rapid winding of the edge branch at desk-scale circumferences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     GapMismatchError,
-    NoGapError,
     ProfileNotDecayedError,
     SurfaceBandAmbiguousError,
 )
@@ -41,32 +41,37 @@ from .spectral import EigenData, SwitchFunction, detect_gap, diagonalize
 
 @dataclass(frozen=True)
 class HalfSpaceSample:
-    """Open-axis restriction plus the bulk gap certified on the companion torus."""
+    """Open-axis restriction and its torus companion: certified bulk gap, both decompositions."""
 
     hamiltonian: HamiltonianSample
     bulk_gap: tuple[float, float]
     mu: float
-    companion: HamiltonianSample
+    companion_eigen: EigenData
+
+    @property
+    def companion(self) -> HamiltonianSample:
+        return self.companion_eigen.sample
 
     @property
     def lattice(self):
         return self.hamiltonian.lattice
 
-    @property
-    def open_axis(self) -> int:
-        return self.lattice.dimension - 1
-
+    @cached_property
     def eigen(self) -> EigenData:
         return diagonalize(self.hamiltonian)
 
 
-def make_half_space(model: ModelDefinition, mu: float, realization_seed: int = 0) -> HalfSpaceSample:
-    """Build the torus companion, certify its gap at mu, then open the last axis."""
-    bulk = build_hamiltonian(model.with_boundaries(PERIODIC), realization_seed)
-    gap = detect_gap(diagonalize(bulk), mu)
+def make_half_space(model: ModelDefinition, mu: float, realization_seed: int = 0,
+                    companion: EigenData | None = None) -> HalfSpaceSample:
+    """Certify the gap at mu on the torus companion (diagonalized here unless
+    given as `companion`), then open the last axis."""
+    if companion is None:
+        companion = diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC),
+                                                  realization_seed))
+    gap = detect_gap(companion, mu)
     half_model = model.with_boundary(model.lattice.dimension - 1, OPEN)
     half = build_hamiltonian(half_model, realization_seed)
-    return HalfSpaceSample(hamiltonian=half, bulk_gap=gap, mu=mu, companion=bulk)
+    return HalfSpaceSample(hamiltonian=half, bulk_gap=gap, mu=mu, companion_eigen=companion)
 
 
 def _layer_indices(sample: HamiltonianSample, layer: int) -> np.ndarray:
@@ -87,18 +92,20 @@ class BoundaryUnitary:
     matrix: np.ndarray
     switch: SwitchFunction
     half: HalfSpaceSample
-    eigen: EigenData
     depth_profile: np.ndarray
     decay_length: float
 
 
-def exp_map(half: HalfSpaceSample, f: SwitchFunction) -> BoundaryUnitary:
-    """Boundary unitary of the half-space sample for the given switch."""
-    a, b = f.gap
-    ga, gb = half.bulk_gap
+def _require_switch_in_bulk_gap(half: HalfSpaceSample, f: SwitchFunction) -> None:
+    (a, b), (ga, gb) = f.gap, half.bulk_gap
     if a < ga - 1e-9 or b > gb + 1e-9:
         raise GapMismatchError("switch gap extends beyond the certified bulk gap")
-    eig = half.eigen()
+
+
+def exp_map(half: HalfSpaceSample, f: SwitchFunction) -> BoundaryUnitary:
+    """Boundary unitary of the half-space sample for the given switch."""
+    _require_switch_in_bulk_gap(half, f)
+    eig = half.eigen
     U = eig.function_of(np.exp(2j * np.pi * f(eig.eigenvalues)))
     D = U - np.eye(U.shape[0])
     n_d = half.lattice.linear_sizes[-1]
@@ -115,13 +122,14 @@ def exp_map(half: HalfSpaceSample, f: SwitchFunction) -> BoundaryUnitary:
         xi = -1.0 / slope if slope < 0 else np.inf
     else:
         xi = 0.0
-    return BoundaryUnitary(matrix=U, switch=f, half=half, eigen=eig,
-                           depth_profile=profile, decay_length=float(xi))
+    return BoundaryUnitary(matrix=U, switch=f, half=half, depth_profile=profile,
+                           decay_length=float(xi))
 
 
-def _edge_pairing(eigen: EigenData, f: SwitchFunction, window: np.ndarray,
-                  sample: HamiltonianSample, observable: np.ndarray | None = None) -> float:
+def _edge_pairing(half: HalfSpaceSample, f: SwitchFunction, window: np.ndarray,
+                  observable: np.ndarray | None = None) -> float:
     """2 pi T_w(f'(H) . i[X_1, H]) per unit boundary volume; optional extra fiber factor."""
+    eigen, sample = half.eigen, half.hamiltonian
     fp = eigen.function_of(f.derivative(eigen.eigenvalues))
     current = 1j * displacement_matrix(sample, 0) * sample.matrix
     if observable is not None:
@@ -150,7 +158,7 @@ def boundary_winding(bu: BoundaryUnitary, I=(1,), decay_floor: float = 5e-2) -> 
         raise ProfileNotDecayedError(
             f"deviation {bu.depth_profile[mid]:.2e} at depth {mid} exceeds {decay_floor:.0e}")
     window = _near_window(sample)
-    val = _edge_pairing(bu.eigen, bu.switch, window, sample)
+    val = _edge_pairing(bu.half, bu.switch, window)
     return _make_result(val, (1,), "nc-realspace", sample, "integers",
                         decay_length=bu.decay_length)
 
@@ -162,15 +170,11 @@ def boundary_current(half: HalfSpaceSample, f: SwitchFunction,
     orientation="far" windows the opposite face, which carries the opposite
     chirality and flips the sign.
     """
-    a, b = f.gap
-    ga, gb = half.bulk_gap
-    if a < ga - 1e-9 or b > gb + 1e-9:
-        raise GapMismatchError("switch gap extends beyond the certified bulk gap")
-    eig = half.eigen()
+    _require_switch_in_bulk_gap(half, f)
     window = _near_window(half.hamiltonian)
     if orientation == "far":
         window = ~window
-    return _edge_pairing(eig, f, window, half.hamiltonian)
+    return _edge_pairing(half, f, window)
 
 
 def spin_edge_current(half: HalfSpaceSample, f: SwitchFunction, s_z: np.ndarray,
@@ -181,11 +185,8 @@ def spin_edge_current(half: HalfSpaceSample, f: SwitchFunction, s_z: np.ndarray,
     value approaches the spin pairing of the bulk when the commutator is
     small.
     """
-    eig = half.eigen()
-    sample = half.hamiltonian
-    window = _near_window(sample)
-    val = _edge_pairing(eig, f, window, sample, observable=s_z)
-    H = sample.matrix
+    val = _edge_pairing(half, f, _near_window(half.hamiltonian), observable=s_z)
+    H = half.hamiltonian.matrix
     comm = np.linalg.norm(apply_fiber(s_z, H, "right") - apply_fiber(s_z, H, "left"), 2)
     budget = budget_constant * comm * f.c_norm(6)
     return val, float(budget)
@@ -255,7 +256,7 @@ def ind_map(half: HalfSpaceSample, f: SwitchFunction, s_ch: np.ndarray,
     """
     if f.kind != "ind":
         raise GapMismatchError("ind map needs an odd switch")
-    eig = half.eigen()
+    eig = half.eigen
     sample = half.hamiltonian
     w, v = np.linalg.eigh(s_ch)
     plus_fiber = (v[:, w > 0.5] @ v[:, w > 0.5].conj().T)

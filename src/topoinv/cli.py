@@ -4,7 +4,8 @@
     topo sweep --config FILE --param section.key --values v1,v2,... [...]
     topo models list
 
-Exit codes: 0 success, 2 computed but not quantized, 1 operational error.
+Exit codes: 0 success, 2 computed but some realization (or grid point) fails
+its task's gate, 1 operational error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, TopoError
-from .harness import TASKS, ExperimentConfig, load_config, run_experiment, sweep
+from .harness import TASKS, ExperimentConfig, fails_gate, load_config, run_experiment, sweep
 from .models import MODEL_NAMES
 
 
@@ -71,7 +72,8 @@ def main(argv=None) -> int:
             rows = sweep(config, args.param, values, workers=args.workers)
             for row in rows:
                 print(f"{row[0]}={row[1]} seed={row[2]} {row[3]}={row[4]}")
-            return 0
+            return 2 if any(fails_gate(config.task, key, val, config.quant_tol)
+                            for *_, key, val in rows) else 0
         records, aggregate, quantized_ok = run_experiment(config, workers=args.workers)
         for rec in records:
             shown = {k: v for k, v in rec.values.items() if not k.startswith("_")}

@@ -40,7 +40,7 @@ _CAYLEY = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0)
 
 @dataclass
 class FluxPath:
-    """Family of samples along one flux insertion, lazily built and cached."""
+    """Samples along one flux insertion, their decompositions and the torus companion's, cached."""
 
     base: HamiltonianSample
     plaquette: tuple[int, ...]
@@ -67,8 +67,10 @@ class FluxPath:
 
 def _companion_half_width(path: FluxPath, mu: float) -> float:
     """Distance from mu to the nearer edge of the gap of the base model's periodic companion."""
-    torus = path.base.model.with_boundaries(PERIODIC)
-    gap = detect_gap(diagonalize(build_hamiltonian(torus, path.base.realization_seed)), mu)
+    if "companion" not in path._cache:
+        torus = path.base.model.with_boundaries(PERIODIC)
+        path._cache["companion"] = diagonalize(build_hamiltonian(torus, path.base.realization_seed))
+    gap = detect_gap(path._cache["companion"], mu)
     return min(mu - gap[0], gap[1] - mu)
 
 
@@ -314,9 +316,9 @@ def _halfflux_modes(open_model: ModelDefinition, realization_seed: int, plaquett
     if open_model.symmetry.s_ph is None:
         raise SymmetryBrokenAtHalfFluxError("model must declare a particle-hole operator")
     _require_symmetry(half.matrix, open_model.symmetry.s_ph, "ph", 1e-10, "at half flux")
-    w, v = np.linalg.eigh(half.matrix)
-    order = np.argsort(np.abs(w))
-    return half, np.abs(w)[order], v[:, order]
+    eig = diagonalize(half)
+    order = np.argsort(np.abs(eig.eigenvalues))
+    return half, np.abs(eig.eigenvalues)[order], eig.eigenvectors[:, order]
 
 
 def halfflux_kernel_parity(model: ModelDefinition, realization_seed: int = 0,

@@ -47,7 +47,6 @@ from .models import (
     OPEN,
     PERIODIC,
     HamiltonianSample,
-    LatticeSpec,
     MagneticFieldSpec,
     ModelDefinition,
     SymmetrySpec,
@@ -55,7 +54,7 @@ from .models import (
     build_hamiltonian,
     make_named_model,
 )
-from .spectral import EigenData, FermiProjection, diagonalize, fermi_projection
+from .spectral import FermiProjection, diagonalize, fermi_projection
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -688,12 +687,12 @@ def pfaffian(A: np.ndarray) -> float:
 # field derivatives and resolvent route
 # ---------------------------------------------------------------------------
 
-def _tracked_gap_mu(model: ModelDefinition, state_count: int) -> tuple[float, EigenData]:
+def _tracked_gap_projection(model: ModelDefinition, state_count: int) -> FermiProjection:
     eig = diagonalize(build_hamiltonian(model, 0))
     w = eig.eigenvalues
     if not w[state_count] - w[state_count - 1] > 1e-8:
         raise FluxQuantizationError("tracked gap closed at this field value")
-    return 0.5 * (w[state_count - 1] + w[state_count]), eig
+    return fermi_projection(eig, 0.5 * (w[state_count - 1] + w[state_count]))
 
 
 def streda_derivative(model: ModelDefinition, I, axes=(1, 2), k_step: int = 1,
@@ -727,8 +726,7 @@ def streda_derivative(model: ModelDefinition, I, axes=(1, 2), k_step: int = 1,
             count = int(round(b * n_ij / (2 * np.pi))) * lat.fiber
         else:
             count = state_count_fn(m, b)
-        mu, eig = _tracked_gap_mu(m, count)
-        P = fermi_projection(eig, mu)
+        P = _tracked_gap_projection(m, count)
         values[b] = (P, chern_projection(P, I).raw.real)
     lhs = (values[b0 + delta][1] - values[b0 - delta][1]) / (2 * delta)
     bigI = tuple(sorted(set(I) | {i, j}))
@@ -802,11 +800,8 @@ def pairing_range_check(d: int, b12: float, I, J, sizes: int = 24,
         predicted = 1.0 if I == () else 0.0
         return measured, predicted
     model = make_named_model("harper", sizes=sizes, b12=b12)
-    sample = build_hamiltonian(model, 0)
-    eig = diagonalize(sample)
     count = mu_states if mu_states is not None else int(round(b12 * sizes * sizes / (2 * np.pi)))
-    mu = 0.5 * (eig.eigenvalues[count - 1] + eig.eigenvalues[count])
-    P = fermi_projection(eig, mu)
+    P = _tracked_gap_projection(model, count)
     measured = float(chern_projection(P, I).raw.real)
     setI, setJ = set(I), set(J)
     if setI - setJ:

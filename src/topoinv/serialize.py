@@ -127,6 +127,15 @@ def read_config_file(path) -> dict:
     return parse_config(Path(path).read_text())
 
 
+def config_number(section: str, key: str, value, kind=float):
+    """kind(value) for the config entry section.key; ConfigError when it does not convert."""
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{section}.{key} must be {noun}, got {value!r}") from None
+
+
 def model_from_config(sections: dict) -> ModelDefinition:
     """Build the model a config describes: a named model or a custom one."""
     model_sec = sections.get("model", {})
@@ -134,7 +143,8 @@ def model_from_config(sections: dict) -> ModelDefinition:
     sizes = None
     boundary = None
     if "sizes" in lattice_sec:
-        sizes = tuple(int(x) for x in lattice_sec["sizes"].split())
+        sizes = tuple(config_number("lattice", "sizes", x, int)
+                      for x in lattice_sec["sizes"].split())
     if "boundary" in lattice_sec:
         boundary = tuple(lattice_sec["boundary"].split())
     disorder = None
@@ -142,18 +152,18 @@ def model_from_config(sections: dict) -> ModelDefinition:
         dsec = sections["disorder"]
         disorder = DisorderSpec(
             family=dsec.get("family", "diagonal-scalar"),
-            strength=float(dsec.get("strength", 0.0)),
-            seed=int(dsec.get("seed", 0)),
+            strength=config_number("disorder", "strength", dsec.get("strength", 0.0)),
+            seed=config_number("disorder", "seed", dsec.get("seed", 0), int),
         )
     name = model_sec.get("name", "custom")
     if name != "custom":
-        params = {k: float(v) for k, v in model_sec.items() if k != "name"}
+        params = {k: config_number("model", k, v) for k, v in model_sec.items() if k != "name"}
         return make_named_model(name, sizes=sizes, boundary=boundary,
                                 disorder=disorder, **params)
     # custom model: lattice + field + hoppings + onsite (+ symmetry)
     try:
-        dimension = int(lattice_sec["dimension"])
-        fiber = int(lattice_sec["fiber"])
+        dimension = config_number("lattice", "dimension", lattice_sec["dimension"], int)
+        fiber = config_number("lattice", "fiber", lattice_sec["fiber"], int)
     except KeyError as exc:
         raise ConfigError(f"custom model needs lattice.{exc.args[0]}") from exc
     if sizes is None or boundary is None:

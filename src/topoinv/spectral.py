@@ -33,6 +33,7 @@ class EigenData:
 
 
 def diagonalize(sample: HamiltonianSample) -> EigenData:
+    """The one entry point for eigensolves of sample matrices; checks Hermiticity."""
     H = sample.matrix
     herm_dev = np.abs(H - H.conj().T).max()
     if herm_dev > 1e-10 * max(1.0, np.abs(H).max()):
@@ -66,27 +67,20 @@ def detect_gap(eigen: EigenData, mu: float, min_width: float = _MIN_GAP) -> tupl
         raise NoGapError(f"an eigenvalue lies within {min_width:.0e} of mu={mu}")
     below = w[w <= mu]
     above = w[w > mu]
-    if len(below) == 0 or len(above) == 0:
-        # empty side: gap extends to the spectral edge
-        lo = -np.inf if len(below) == 0 else below[-1]
-        hi = np.inf if len(above) == 0 else above[0]
-        return (float(lo), float(hi))
-    lo, hi = float(below[-1]), float(above[0])
+    # an empty side extends the gap to the spectral edge
+    lo = float(below[-1]) if len(below) else -np.inf
+    hi = float(above[0]) if len(above) else np.inf
     if hi - lo < min_width:
         raise NoGapError(f"gap around mu={mu} has width {hi - lo:.3e} < {min_width:.0e}")
     return (lo, hi)
 
 
 def fermi_projection(eigen: EigenData, mu: float) -> FermiProjection:
-    w = eigen.eigenvalues
-    if np.any(np.abs(w - mu) < _MIN_GAP):
-        raise NoGapError(f"an eigenvalue lies within {_MIN_GAP:.0e} of mu={mu}")
-    occ = w <= mu
-    rank = int(occ.sum())
-    V = eigen.eigenvectors[:, occ]
-    P = V @ V.conj().T
     gap = detect_gap(eigen, mu)
-    return FermiProjection(mu=mu, projector=P, gap=gap, rank=rank, eigen=eigen)
+    occ = eigen.eigenvalues <= mu
+    V = eigen.eigenvectors[:, occ]
+    return FermiProjection(mu=mu, projector=V @ V.conj().T, gap=gap, rank=int(occ.sum()),
+                           eigen=eigen)
 
 
 @dataclass(frozen=True)

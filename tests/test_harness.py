@@ -242,3 +242,67 @@ def test_cli_bad_worker_environment(tmp_path, capsys, monkeypatch, value):
     assert main(["winding", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "TOPO_WORKERS" in err
+
+
+HARPER_BBC_CFG = """
+[model]
+name = harper
+b12 = 2.0943951023931953
+
+[lattice]
+sizes = 24 24
+boundary = periodic open
+
+[task]
+name = bbc
+mu_states = 192
+"""
+
+HARPER_STREDA_CFG = """
+[model]
+name = harper
+b12 = 0.0872664625997165
+
+[lattice]
+sizes = 24 24
+
+[task]
+name = streda
+"""
+
+
+@pytest.mark.parametrize("task", ["bbc", "streda"])
+def test_cli_gate_of_difference_tasks(tmp_path, task):
+    from topoinv.cli import main
+
+    text = {"bbc": HARPER_BBC_CFG, "streda": HARPER_STREDA_CFG}[task]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([task, "--config", str(cfg)]) == 0
+    cfg.write_text(text + "\n[tolerances]\nquantization = 1e-12\n")
+    assert main([task, "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("tolerance, code", [("0.1", 0), ("1e-12", 2)])
+def test_cli_sweep_exit_code(tmp_path, tolerance, code):
+    from topoinv.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    text = SSH_CFG.replace("sizes = 64", "sizes = 8")
+    cfg.write_text(text + f"\n[tolerances]\nquantization = {tolerance}\n")
+    argv = ["sweep", "--config", str(cfg), "--param", "model.m", "--values=-0.5,0.5"]
+    assert main(argv) == code
+
+
+@pytest.mark.parametrize("old, new, entry", [
+    ("m = 0.5", "m = abc", "model.m"),
+    ("realizations = 1", "realizations = two", "ensemble.realizations"),
+])
+def test_cli_non_numeric_config_value(tmp_path, capsys, old, new, entry):
+    from topoinv.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SSH_CFG.replace(old, new))
+    assert main(["winding", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and entry in err and repr(new.split(" = ")[1]) in err

@@ -27,7 +27,7 @@ from .errors import (
     ProfileNotDecayedError,
     SurfaceBandAmbiguousError,
 )
-from .invariants import InvariantResult, _make_result, displacement_matrix
+from .invariants import InvariantResult, _make_result, _window_trace, displacement_matrix
 from .models import (
     OPEN,
     PERIODIC,
@@ -135,9 +135,8 @@ def _edge_pairing(half: HalfSpaceSample, f: SwitchFunction, window: np.ndarray,
     if observable is not None:
         current = 0.5 * (apply_fiber(observable, current, "right")
                          + apply_fiber(observable, current, "left"))
-    dens = np.einsum("ij,ji->i", fp, current)
     transverse = np.prod(sample.lattice.linear_sizes[:-1])
-    return float(2 * np.pi * dens[window].sum().real / transverse)
+    return float(2 * np.pi * _window_trace([fp, current], window).real / transverse)
 
 
 def boundary_winding(bu: BoundaryUnitary, I=(1,), decay_floor: float = 5e-2) -> InvariantResult:
@@ -264,7 +263,7 @@ def ind_map(half: HalfSpaceSample, f: SwitchFunction, s_ch: np.ndarray,
     A = eig.function_of(np.exp(-0.5j * np.pi * f(eig.eigenvalues)))
     Q = apply_fiber(plus_fiber, A, "right") @ A.conj().T
     window = _near_window(sample)
-    trace_diff = float(np.real(np.diag(Q - Pi)[window].sum()))
+    trace_diff = float(np.real(_window_trace([Q - Pi], window)))
     sectors = None
     if surface_split:
         a, b = half.bulk_gap
@@ -279,10 +278,7 @@ def ind_map(half: HalfSpaceSample, f: SwitchFunction, s_ch: np.ndarray,
         if np.abs(mw).min() < sector_gap:
             raise SurfaceBandAmbiguousError(
                 f"chirality spectrum of the surface band not split (min {np.abs(mw).min():.2e})")
-        Vp = V @ mv[:, mw > 0]
-        Vm = V @ mv[:, mw < 0]
-        tp = float(np.real(np.einsum("ij,ij->i", Vp[window], Vp[window].conj()).sum()))
-        tm = float(np.real(np.einsum("ij,ij->i", Vm[window], Vm[window].conj()).sum()))
-        sectors = (tp, tm)
+        sectors = tuple(float(np.real(_window_trace([Vs, Vs.conj().T], window)))
+                        for Vs in (V @ mv[:, mw > 0], V @ mv[:, mw < 0]))
     return IndMapResult(conjugated=Q, reference=Pi, trace_difference=trace_diff,
                         sector_traces=sectors)

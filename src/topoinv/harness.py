@@ -58,9 +58,10 @@ class ExperimentConfig:
         out = sections.get("output", {}).get("dir")
         tol = config_number("tolerances", "quantization",
                             sections.get("tolerances", {}).get("quantization", 0.1))
-        # validate the model section eagerly so config errors surface before work
+        # validate the model and task values eagerly so config errors surface before work
         model_from_config(sections)
-        return cls(sections=sections, task=task, task_params=task_sec,
+        params = {key: _task_value(key, text) for key, text in task_sec.items()}
+        return cls(sections=sections, task=task, task_params=params,
                    realizations=realizations, base_seed=base_seed,
                    out_dir=Path(out) if out else None, quant_tol=tol)
 
@@ -83,18 +84,22 @@ class ResultRecord:
                    "x".join(str(n) for n in self.sizes), key, self.values[key])
 
 
+def _task_value(key: str, text: str):
+    """A [task] value with its number(s) converted; ConfigError if one is not a number."""
+    if key in ("index_set", "generator"):
+        return tuple(config_number("task", key, x, int) for x in text.split())
+    kind = {"mu": float, "mu_states": int, "n_t": int, "k_step": int}.get(key)
+    return text if kind is None else config_number("task", key, text, kind)
+
+
 def _resolve_mu(params: dict, eig) -> float:
     if "mu_states" in params:
-        k = int(params["mu_states"])
+        k = params["mu_states"]
         w = eig.eigenvalues
+        if not 1 <= k <= len(w) - 1:
+            raise ConfigError(f"task.mu_states must be between 1 and {len(w) - 1}, got {k}")
         return float(0.5 * (w[k - 1] + w[k]))
-    return float(params.get("mu", 0.0))
-
-
-def _index_set(params: dict, default=(1, 2)):
-    if "index_set" in params:
-        return tuple(int(x) for x in str(params["index_set"]).split())
-    return default
+    return params.get("mu", 0.0)
 
 
 # --- task implementations ---------------------------------------------------
@@ -130,12 +135,12 @@ def _half_space(model, params, seed):
 def _task_chern(model, params, seed):
     P = _projection(model, params, seed)
     region = "all" if all(b == PERIODIC for b in model.lattice.boundary) else "core"
-    return _values(iv.chern_projection(P, _index_set(params), region=region))
+    return _values(iv.chern_projection(P, params.get("index_set", (1, 2)), region=region))
 
 
 def _task_winding(model, params, seed):
     U = iv.fermi_unitary(_projection(model, params, seed), model.symmetry)
-    return _values(iv.chern_unitary(U, _index_set(params, (1,))))
+    return _values(iv.chern_unitary(U, params.get("index_set", (1,))))
 
 
 def _task_z2(model, params, seed):
@@ -174,9 +179,8 @@ def _task_boundary_current(model, params, seed):
 
 def _task_streda(model, params, seed):
     del seed  # field derivative runs on the clean model
-    I = _index_set(params, ())
-    k_step = int(params.get("k_step", 1))
-    lhs, rhs = iv.streda_derivative(model, I, axes=(1, 2), k_step=k_step)
+    I = params.get("index_set", ())
+    lhs, rhs = iv.streda_derivative(model, I, axes=(1, 2), k_step=params.get("k_step", 1))
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-12)
     return {"lhs": lhs, "rhs": rhs, "difference": abs(lhs - rhs), "relative": rel}
 
@@ -185,7 +189,7 @@ def _task_laughlin(model, params, seed):
     sample = build_hamiltonian(model.with_boundaries(OPEN), seed)
     n = model.lattice.linear_sizes
     plaq = (n[0] // 2, n[1] // 2)
-    mu = float(params.get("mu", 0.0))
+    mu = params.get("mu", 0.0)
     path = fl.FluxPath(base=sample, plaquette=plaq)
     sf = fl.spectral_flow(path, mu)
     # insert_flux(sample, 0) copies the base matrix, so t = 0 is the base decomposition
@@ -207,8 +211,7 @@ def _task_kitaev_halfflux(model, params, seed):
 
 def _task_veg(model, params, seed):
     P = _projection(model, params, seed)
-    n_t = int(params.get("n_t", 64))
-    res = iv.veg_invariant(P.sample, P.mu, n_t=n_t)
+    res = iv.veg_invariant(P, n_t=params.get("n_t", 64))
     direct = iv.chern_projection(P, (1, 2))
     return {"value": res.value, "direct": direct.value,
             "difference": abs(res.value - direct.value),
@@ -217,8 +220,8 @@ def _task_veg(model, params, seed):
 
 def _task_pairing_range(model, params, seed):
     del seed
-    I = _index_set(params, ())
-    J = tuple(int(x) for x in str(params.get("generator", "1 2")).split())
+    I = params.get("index_set", ())
+    J = params.get("generator", (1, 2))
     b12 = model.field.B[0, 1]
     measured, predicted = iv.pairing_range_check(
         model.lattice.dimension, b12, I, J, sizes=model.lattice.linear_sizes[0])

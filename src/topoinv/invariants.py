@@ -38,6 +38,7 @@ from .errors import (
     OddDimensionError,
     OddIndexSetError,
     OriginOnLatticeError,
+    ParamOutOfRangeError,
     SingularInputError,
     SpinSpectrumGaplessError,
     ThresholdAmbiguityError,
@@ -92,6 +93,34 @@ def core_mask(sample: HamiltonianSample, rho: float = 0.5,
     return lat.window(center, [rho / 2 if b == OPEN else np.inf for b in lat.boundary], per_site)
 
 
+def _site_window(sample: HamiltonianSample, region: str, rho: float,
+                 per_site: int | None = None):
+    """(rows summed, number of sites they cover): all rows, or the core window."""
+    if region == "all":
+        return slice(None), sample.lattice.num_sites
+    if region != "core":
+        raise ValueError("region must be 'all' or 'core'")
+    keep = core_mask(sample, rho, per_site=per_site)
+    if not keep.any():
+        raise ParamOutOfRangeError(f"core window of rho={rho} holds no site")
+    return keep, int(keep.sum()) // (per_site or sample.lattice.fiber)
+
+
+def _window_trace(factors, keep=slice(None)) -> complex:
+    """sum_{n in keep} (F_1 ... F_k)_nn.
+
+    Forms only the kept rows of F_1 ... F_{k-1} and closes with the last
+    factor entrywise, rowsum(rows * F_k^T[keep]).
+    """
+    *head, last = factors
+    if not head:
+        return complex(np.diagonal(last)[keep].sum())
+    rows = head[0][keep]
+    for F in head[1:]:
+        rows = rows @ F
+    return complex(np.sum(rows * last[:, keep].T))
+
+
 def trace_per_volume(A: np.ndarray, sample: HamiltonianSample, region: str = "all",
                      rho: float = 0.5) -> complex:
     """Normalized lattice trace (1/#sites) sum_n tr_L <n|A|n>.
@@ -100,15 +129,8 @@ def trace_per_volume(A: np.ndarray, sample: HamiltonianSample, region: str = "al
     to suppress boundary contamination; the normalization is the number of
     sites actually summed.
     """
-    diag = np.diag(A)
-    L = sample.lattice.fiber
-    if region == "all":
-        return complex(diag.sum() / sample.lattice.num_sites)
-    if region != "core":
-        raise ValueError("region must be 'all' or 'core'")
-    keep = core_mask(sample, rho)
-    n_sites = int(keep.sum()) // L
-    return complex(diag[keep].sum() / n_sites)
+    keep, n_sites = _site_window(sample, region, rho)
+    return _window_trace([A], keep) / n_sites
 
 
 def _validate_index_set(I, d: int) -> tuple[int, ...]:
@@ -185,18 +207,13 @@ def _make_result(raw: complex, I, estimator: str, sample: HamiltonianSample,
 
 def _chern_even(P: np.ndarray, sample: HamiltonianSample, I: tuple[int, ...],
                 region: str, rho: float) -> complex:
-    if len(I) == 0:
-        return trace_per_volume(P, sample, region, rho)
     half = len(I) // 2
     coeff = (2j * np.pi) ** half / math.factorial(half)
     dP = {i: nc_derivative(P, sample, i - 1) for i in I}
-    total = 0.0
-    for perm, sgn in _signed_permutations(I):
-        M = P.copy()
-        for i in perm:
-            M = M @ dP[i]
-        total += sgn * trace_per_volume(M, sample, region, rho)
-    return coeff * total
+    keep, n_sites = _site_window(sample, region, rho)
+    total = sum(sgn * _window_trace([P] + [dP[i] for i in perm], keep)
+                for perm, sgn in _signed_permutations(I))
+    return coeff * total / n_sites
 
 
 def chern_projection(P: FermiProjection, I, region: str = "all",
@@ -271,25 +288,14 @@ def chern_unitary(U: FermiUnitary | np.ndarray, I, sample: HamiltonianSample | N
         if sv.min() < 1e-8:
             raise SingularInputError("input operator is numerically singular")
         cond_floor = float(sv.min())
-    lat = sample.lattice
-    I = _validate_index_set(I, lat.dimension)
+    I = _validate_index_set(I, sample.lattice.dimension)
     if len(I) % 2 == 0:
         raise EvenIndexSetError("invertible pairing needs an odd index set")
     inv = np.linalg.inv(mat)
     dU = {i: inv @ (1j * displacement_matrix(sample, i - 1, per_site) * mat) for i in I}
-    # windowed site-normalized trace
-    if region == "core":
-        keep = core_mask(sample, rho, per_site=per_site)
-        norm = keep.sum() / (mat.shape[0] / lat.num_sites)
-    else:
-        keep = np.ones(mat.shape[0], dtype=bool)
-        norm = lat.num_sites
-    total = 0.0
-    for perm, sgn in _signed_permutations(I):
-        M = np.eye(mat.shape[0], dtype=complex)
-        for i in perm:
-            M = M @ dU[i]
-        total += sgn * np.diag(M)[keep].sum() / norm
+    keep, n_sites = _site_window(sample, region, rho, per_site)
+    total = sum(sgn * _window_trace([dU[i] for i in perm], keep)
+                for perm, sgn in _signed_permutations(I)) / n_sites
     raw = _odd_coeff(len(I)) * total
     return _make_result(raw, I, "nc-realspace", sample, "integers",
                         min_singular=cond_floor)
@@ -502,9 +508,8 @@ def pair_index(P: FermiProjection, dirac: DiracPhase, power: int = 3,
         raise BadDimensionError("power must be odd and exceed the dimension")
     g = dirac.G
     D = (g[:, None] * P.projector) * g.conj()[None, :] - P.projector
-    M = np.linalg.matrix_power(D, power)
     keep = core_mask(P.sample, rho, center=dirac.origin)
-    raw = np.diag(M)[keep].sum()
+    raw = _window_trace([D] * power, keep)
     out = _make_result(raw, tuple(range(1, dirac.dimension + 1)), "pair-index",
                        P.sample, "integers")
     if out.error_proxy > 0.1:
@@ -622,12 +627,8 @@ def spin_chern(P: FermiProjection, s_z: np.ndarray, gap_floor: float = 1e-3,
     gap = float(mw[pos].min() - mw[neg].max())
     if gap < gap_floor:
         raise SpinSpectrumGaplessError(f"spin gap {gap:.2e} below {gap_floor:.0e}")
-    Vp = occ @ mv[:, pos]
-    Vm = occ @ mv[:, neg]
-    Pp = Vp @ Vp.conj().T
-    Pm = Vm @ Vm.conj().T
-    ch_p = _chern_even(Pp, sample, (1, 2), region, rho)
-    ch_m = _chern_even(Pm, sample, (1, 2), region, rho)
+    ch_p, ch_m = (_chern_even(V @ V.conj().T, sample, (1, 2), region, rho)
+                  for V in (occ @ mv[:, pos], occ @ mv[:, neg]))
     ch = _chern_even(P.projector, sample, (1, 2), region, rho)
     residue = float(np.real(ch_p + ch_m - ch))
     res = _make_result(ch_p, (1, 2), "spin-chern", sample, "integers",
@@ -734,45 +735,41 @@ def streda_derivative(model: ModelDefinition, I, axes=(1, 2), k_step: int = 1,
     return float(lhs), float(rhs)
 
 
-def veg_invariant(sample: HamiltonianSample, mu: float, I=(1, 2), n_t: int = 64,
+def veg_invariant(P: FermiProjection, I=(1, 2), n_t: int = 64,
                   margin: float = 0.5) -> InvariantResult:
     """Resolvent-loop evaluation of the even pairing.
 
     Discretizes the contour integral over a circle enclosing the occupied
     spectrum with n_t nodes and a forward difference for the loop
-    derivative; first-order accurate in 1/n_t.
+    derivative; first-order accurate in 1/n_t.  Works in the eigenbasis of
+    P.eigen, where the resolvents G and G^-1 d_t G are diagonal.
     """
+    sample, mu = P.sample, P.mu
     I = _validate_index_set(I, sample.lattice.dimension)
     if I != (1, 2):
         raise BadDimensionError("resolvent route implemented for I = (1, 2)")
-    eig = diagonalize(sample)
-    w = eig.eigenvalues
+    w, V = P.eigen.eigenvalues, P.eigen.eigenvectors
     if not (w < mu).any() or not (w > mu).any():
         raise ContourHitsSpectrumError("mu outside the spectrum")
     lo = w.min()
     center = 0.5 * (lo - margin + mu)
     radius = 0.5 * (mu - lo + margin)
-    ts = np.arange(n_t) / n_t
-    zs = center + radius * np.exp(2j * np.pi * ts)
+    zs = center + radius * np.exp(2j * np.pi * np.arange(n_t) / n_t)
     dist = np.abs(w[None, :] - zs[:, None]).min()
     if dist < 1e-6:
         raise ContourHitsSpectrumError(f"contour approaches spectrum to {dist:.1e}")
-    H = sample.matrix
-    Iden = np.eye(H.shape[0])
-    Gs = [np.linalg.solve(H - z * Iden, Iden) for z in zs]
-    d1 = displacement_matrix(sample, 0)
-    d2 = displacement_matrix(sample, 1)
+    g = 1.0 / (w[None, :] - zs[:, None])  # eigenvalues of G, one row per node
+    d = [displacement_matrix(sample, axis) for axis in (0, 1)]
     total = 0.0
-    n_sites = sample.lattice.num_sites
     for k in range(n_t):
-        G = Gs[k]
-        dtG = (Gs[(k + 1) % n_t] - G) * n_t
-        slots = {0: dtG, 1: 1j * d1 * G, 2: 1j * d2 * G}
-        Ginv = H - zs[k] * Iden
-        for perm, sgn in _signed_permutations((0, 1, 2)):
-            M = Ginv @ slots[perm[0]] @ Ginv @ slots[perm[1]] @ Ginv @ slots[perm[2]]
-            total += sgn * np.trace(M) / (n_sites * n_t)
-    raw = total / 6.0
+        ginv = w - zs[k]
+        G = (V * g[k]) @ V.conj().T
+        # G^-1 d_t G (forward difference) and G^-1 i[X_j, G], in the eigenbasis
+        K = ginv * (g[(k + 1) % n_t] - g[k]) * n_t
+        A, B = (ginv[:, None] * (V.conj().T @ (1j * dj * G) @ V) for dj in d)
+        # the six signed slot orders of the full trace are three cyclic copies of two
+        total += _window_trace([K[:, None] * A, B]) - _window_trace([K[:, None] * B, A])
+    raw = total / (2.0 * sample.lattice.num_sites * n_t)
     return _make_result(raw, I, "veg", sample, "integers", n_t=n_t)
 
 

@@ -271,8 +271,9 @@ base_seed = 0
 
 def test_criterion_10_resolvent_formula():
     sample = build_hamiltonian(make_named_model("qwz", sizes=14, mass=1.0))
-    res = veg_invariant(sample, 0.0, n_t=64)
-    direct = chern_projection(fermi_projection(diagonalize(sample), 0.0), (1, 2))
+    P = fermi_projection(diagonalize(sample), 0.0)
+    res = veg_invariant(P, n_t=64)
+    direct = chern_projection(P, (1, 2))
     dev = abs(res.value - direct.value)
     assert dev < 1e-2
     report(10, f"resolvent loop {res.value:.4f} vs direct {direct.value:.4f} "

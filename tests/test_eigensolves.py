@@ -12,8 +12,6 @@ from topoinv.serialize import parse_config
 HARPER_CYLINDER = ("[model]\nname = harper\nb12 = 2.0943951023931953\n"
                    "[lattice]\nsizes = 24 24\nboundary = periodic open\n")
 
-# veg is left out: veg_invariant diagonalizes its sample a second time, and
-# ROADMAP item 3 replaces that kernel.
 CONFIGS = {
     "bbc": HARPER_CYLINDER + "[task]\nname = bbc\nmu_states = 192\n",
     "boundary-current": HARPER_CYLINDER + "[task]\nname = boundary-current\nmu_states = 192\n",
@@ -29,6 +27,8 @@ CONFIGS = {
                   "[lattice]\nsizes = 12 12\n[task]\nname = spin-chern\nmu = 0.0\n",
     "kitaev-halfflux": "[model]\nname = kitaev_chain\nmu = 0.5\nw_strength = 0.3\n"
                        "[lattice]\nsizes = 64\n[task]\nname = kitaev-halfflux\n",
+    "veg": "[model]\nname = qwz\nmass = 1.0\n[lattice]\nsizes = 8 8\n"
+           "[task]\nname = veg\nmu = 0.0\n",
 }
 
 

@@ -297,6 +297,12 @@ def test_cli_sweep_exit_code(tmp_path, tolerance, code):
 @pytest.mark.parametrize("old, new, entry", [
     ("m = 0.5", "m = abc", "model.m"),
     ("realizations = 1", "realizations = two", "ensemble.realizations"),
+    ("mu = 0.0", "mu = abc", "task.mu"),
+    ("mu = 0.0", "mu_states = abc", "task.mu_states"),
+    ("index_set = 1", "index_set = x", "task.index_set"),
+    ("index_set = 1", "n_t = abc", "task.n_t"),
+    ("index_set = 1", "k_step = 1.5", "task.k_step"),
+    ("index_set = 1", "generator = x", "task.generator"),
 ])
 def test_cli_non_numeric_config_value(tmp_path, capsys, old, new, entry):
     from topoinv.cli import main
@@ -306,3 +312,15 @@ def test_cli_non_numeric_config_value(tmp_path, capsys, old, new, entry):
     assert main(["winding", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and entry in err and repr(new.split(" = ")[1]) in err
+
+
+@pytest.mark.parametrize("k", ["0", "64", "-3"])
+def test_cli_mu_states_out_of_range(tmp_path, capsys, k):
+    from topoinv.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    text = SSH_CFG.replace("sizes = 64", "sizes = 32")  # 32 cells, 64 states
+    cfg.write_text(text.replace("mu = 0.0", f"mu_states = {k}"))
+    assert main(["winding", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: task.mu_states must be between 1 and 63")

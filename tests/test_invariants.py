@@ -423,20 +423,21 @@ def test_streda_atomic_insulator_zero():
 def test_veg_matches_direct_pairing():
     from topoinv import make_named_model
     sample = build_hamiltonian(make_named_model("qwz", sizes=14, mass=1.0))
-    eig = diagonalize(sample)
-    res = veg_invariant(sample, 0.0, n_t=64)
-    direct = chern_projection(fermi_projection(eig, 0.0), (1, 2))
+    P = fermi_projection(diagonalize(sample), 0.0)
+    res = veg_invariant(P, n_t=64)
+    direct = chern_projection(P, (1, 2))
     assert abs(res.value - direct.value) < 1e-2
 
 
 def test_veg_trivial_and_convergence_order():
     from topoinv import make_named_model
     triv = build_hamiltonian(make_named_model("qwz", sizes=10, mass=5.0))
-    assert abs(veg_invariant(triv, 0.0, n_t=64).value) < 1e-2
+    assert abs(veg_invariant(fermi_projection(diagonalize(triv), 0.0), n_t=64).value) < 1e-2
     sample = build_hamiltonian(make_named_model("qwz", sizes=10, mass=1.0))
-    direct = chern_projection(fermi_projection(diagonalize(sample), 0.0), (1, 2)).value
-    dev64 = abs(veg_invariant(sample, 0.0, n_t=64).value - direct)
-    dev32 = abs(veg_invariant(sample, 0.0, n_t=32).value - direct)
+    P = fermi_projection(diagonalize(sample), 0.0)
+    direct = chern_projection(P, (1, 2)).value
+    dev64 = abs(veg_invariant(P, n_t=64).value - direct)
+    dev32 = abs(veg_invariant(P, n_t=32).value - direct)
     assert dev32 > 1.5 * dev64
 
 

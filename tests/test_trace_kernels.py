@@ -1,0 +1,266 @@
+"""Windowed-trace kernels against the full-product formulas they replace.
+
+The reference functions below are the invariant kernels as the package had
+them before every trace went through one windowed-trace helper: each formed
+the full dim x dim product (or its powers, or 64 linear solves) and kept
+only the diagonal entries it summed.  Every kernel must reproduce them on
+random small samples, periodic and open, in d = 1, 2 and 3.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from topoinv import (
+    DisorderSpec,
+    HalfSpaceSample,
+    HamiltonianSample,
+    LatticeSpec,
+    MagneticFieldSpec,
+    ModelDefinition,
+    SwitchFunction,
+    boundary_current,
+    build_hamiltonian,
+    chern_projection,
+    chern_unitary,
+    diagonalize,
+    dirac_phase,
+    fermi_projection,
+    make_named_model,
+    pair_index,
+    spin_edge_current,
+    veg_invariant,
+)
+from topoinv.boundary import _near_window
+from topoinv.errors import NotConvergedError, ParamOutOfRangeError
+from topoinv.invariants import _odd_coeff, core_mask, displacement_matrix, nc_derivative
+from topoinv.models import OPEN, PERIODIC, apply_fiber
+
+TOL = 1e-12
+
+
+# --- references --------------------------------------------------------------
+
+def ref_signed_permutations(I):
+    for perm in itertools.permutations(I):
+        inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                  if perm[i] > perm[j])
+        yield perm, -1 if inv % 2 else +1
+
+
+def ref_trace_per_volume(A, sample, region, rho):
+    diag = np.diag(A)
+    if region == "all":
+        return complex(diag.sum() / sample.lattice.num_sites)
+    keep = core_mask(sample, rho)
+    return complex(diag[keep].sum() / (int(keep.sum()) // sample.lattice.fiber))
+
+
+def ref_chern_even(P, sample, I, region, rho):
+    # invariants._chern_even: np.diag of the full products
+    half = len(I) // 2
+    coeff = (2j * np.pi) ** half / math.factorial(half)
+    dP = {i: nc_derivative(P, sample, i - 1) for i in I}
+    total = 0.0
+    for perm, sgn in ref_signed_permutations(I):
+        M = P.copy()
+        for i in perm:
+            M = M @ dP[i]
+        total += sgn * ref_trace_per_volume(M, sample, region, rho)
+    return coeff * total
+
+
+def ref_chern_unitary(mat, I, sample, per_site, region, rho):
+    # invariants.chern_unitary: eye @ products and np.diag(M)[keep]
+    lat = sample.lattice
+    inv = np.linalg.inv(mat)
+    dU = {i: inv @ (1j * displacement_matrix(sample, i - 1, per_site) * mat) for i in I}
+    if region == "core":
+        keep = core_mask(sample, rho, per_site=per_site)
+        norm = keep.sum() / (mat.shape[0] / lat.num_sites)
+    else:
+        keep = np.ones(mat.shape[0], dtype=bool)
+        norm = lat.num_sites
+    total = 0.0
+    for perm, sgn in ref_signed_permutations(I):
+        M = np.eye(mat.shape[0], dtype=complex)
+        for i in perm:
+            M = M @ dU[i]
+        total += sgn * np.diag(M)[keep].sum() / norm
+    return _odd_coeff(len(I)) * total
+
+
+def ref_pair_index(P, dirac, power, rho):
+    # invariants.pair_index: np.linalg.matrix_power
+    g = dirac.G
+    D = (g[:, None] * P.projector) * g.conj()[None, :] - P.projector
+    M = np.linalg.matrix_power(D, power)
+    keep = core_mask(P.sample, rho, center=dirac.origin)
+    return np.diag(M)[keep].sum()
+
+
+def ref_veg(sample, mu, n_t, margin=0.5):
+    # invariants.veg_invariant: n_t linear solves and six traced 6-factor products
+    w = diagonalize(sample).eigenvalues
+    lo = w.min()
+    center = 0.5 * (lo - margin + mu)
+    radius = 0.5 * (mu - lo + margin)
+    zs = center + radius * np.exp(2j * np.pi * np.arange(n_t) / n_t)
+    H = sample.matrix
+    Iden = np.eye(H.shape[0])
+    Gs = [np.linalg.solve(H - z * Iden, Iden) for z in zs]
+    d1 = displacement_matrix(sample, 0)
+    d2 = displacement_matrix(sample, 1)
+    total = 0.0
+    for k in range(n_t):
+        G = Gs[k]
+        dtG = (Gs[(k + 1) % n_t] - G) * n_t
+        slots = {0: dtG, 1: 1j * d1 * G, 2: 1j * d2 * G}
+        Ginv = H - zs[k] * Iden
+        for perm, sgn in ref_signed_permutations((0, 1, 2)):
+            M = Ginv @ slots[perm[0]] @ Ginv @ slots[perm[1]] @ Ginv @ slots[perm[2]]
+            total += sgn * np.trace(M) / (sample.lattice.num_sites * n_t)
+    return total / 6.0
+
+
+def ref_edge_pairing(half, f, window, observable=None):
+    # boundary._edge_pairing: einsum over all rows, then the window
+    eigen, sample = half.eigen, half.hamiltonian
+    fp = eigen.function_of(f.derivative(eigen.eigenvalues))
+    current = 1j * displacement_matrix(sample, 0) * sample.matrix
+    if observable is not None:
+        current = 0.5 * (apply_fiber(observable, current, "right")
+                         + apply_fiber(observable, current, "left"))
+    dens = np.einsum("ij,ji->i", fp, current)
+    transverse = np.prod(sample.lattice.linear_sizes[:-1])
+    return float(2 * np.pi * dens[window].sum().real / transverse)
+
+
+# --- random samples ----------------------------------------------------------
+
+def complex_matrix(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def unitary(rng, n):
+    q, r = np.linalg.qr(complex_matrix(rng, n, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def lattices(draw, dims=(1, 2, 3), last_open=False):
+    d = draw(st.sampled_from(dims))
+    sizes = tuple(draw(st.integers(2, {1: 8, 2: 5, 3: 3}[d])) for _ in range(d))
+    boundary = [draw(st.sampled_from((OPEN, PERIODIC))) for _ in range(d)]
+    if last_open:
+        boundary[-1] = OPEN
+    return LatticeSpec(d, sizes, tuple(boundary), draw(st.integers(1, 3)))
+
+
+def random_sample(lat, rng, spectrum):
+    """Dense Hermitian matrix on the lattice with the given eigenvalues, random eigenvectors."""
+    V = unitary(rng, lat.hilbert_dim)
+    H = (V * spectrum) @ V.conj().T
+    model = ModelDefinition(lat, MagneticFieldSpec.zero(lat.dimension), (),
+                            np.zeros((lat.fiber, lat.fiber)))
+    return HamiltonianSample(matrix=0.5 * (H + H.conj().T), model=model, realization_seed=0)
+
+
+def gapped_projection(lat, rng):
+    """Fermi projection at mu = 0 of a random sample gapped on (-0.5, 0.5)."""
+    n = lat.hilbert_dim
+    w = rng.uniform(0.5, 3.0, n) * np.where(np.arange(n) % 2, 1.0, -1.0)
+    return fermi_projection(diagonalize(random_sample(lat, rng, w)), 0.0)
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+RHOS = st.sampled_from((0.4, 0.5, 0.8, 1.0))
+
+
+# --- cocycles ----------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(lattices(dims=(2, 3)), SEEDS, st.sampled_from(("all", "core")), RHOS, st.data())
+def test_chern_projection_matches_reference(lat, seed, region, rho, data):
+    P = gapped_projection(lat, np.random.default_rng(seed))
+    pairs = [(1, 2)] if lat.dimension == 2 else [(1, 2), (1, 3), (2, 3)]
+    I = data.draw(st.sampled_from(pairs))
+    if region == "core" and not core_mask(P.sample, rho).any():
+        with pytest.raises(ParamOutOfRangeError):
+            chern_projection(P, I, region=region, rho=rho)
+        return
+    got = chern_projection(P, I, region=region, rho=rho).raw
+    assert abs(got - ref_chern_even(P.projector, P.sample, I, region, rho)) < TOL
+    # |I| = 0 is the windowed state density
+    got = chern_projection(P, (), region=region, rho=rho).raw
+    assert abs(got - ref_trace_per_volume(P.projector, P.sample, region, rho)) < TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices(), SEEDS, st.sampled_from(("all", "core")), RHOS, st.data())
+def test_chern_unitary_matches_reference(lat, seed, region, rho, data):
+    rng = np.random.default_rng(seed)
+    # full fiber (fiber=None) or a reduced space of fewer orbitals per site
+    reduced = data.draw(st.one_of(st.none(), st.integers(1, lat.fiber)))
+    per_site = reduced or lat.fiber
+    sample = random_sample(lat, rng, np.zeros(lat.hilbert_dim))
+    n = lat.num_sites * per_site
+    mat = unitary(rng, n) @ np.diag(rng.uniform(0.5, 2.0, n)) @ unitary(rng, n)
+    sets = [(a,) for a in range(1, lat.dimension + 1)] + ([(1, 2, 3)] if lat.dimension == 3 else [])
+    I = data.draw(st.sampled_from(sets))
+    if region == "core" and not core_mask(sample, rho).any():
+        with pytest.raises(ParamOutOfRangeError):
+            chern_unitary(mat, I, sample=sample, fiber=reduced, region=region, rho=rho)
+        return
+    got = chern_unitary(mat, I, sample=sample, fiber=reduced, region=region, rho=rho).raw
+    assert abs(got - ref_chern_unitary(mat, I, sample, per_site, region, rho)) < TOL
+
+
+# --- index pairings ----------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, st.integers(6, 9), st.sampled_from((-1.0, 1.0, 3.0)), st.floats(0.0, 1.5),
+       st.sampled_from((3, 5)), RHOS)
+def test_pair_index_matches_reference(seed, size, mass, strength, power, rho):
+    model = make_named_model("qwz", sizes=size, mass=mass, boundary=(OPEN, OPEN),
+                             disorder=DisorderSpec(strength=strength, seed=seed))
+    sample = build_hamiltonian(model)
+    P = fermi_projection(diagonalize(sample), 0.0)
+    dirac = dirac_phase(sample)
+    want = ref_pair_index(P, dirac, power, rho)
+    if abs(want.real - round(want.real)) > 0.1:
+        with pytest.raises(NotConvergedError):
+            pair_index(P, dirac, power, rho)
+        return
+    assert abs(pair_index(P, dirac, power, rho).raw - want) < TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(lattices(dims=(2, 3)), SEEDS, st.sampled_from((3, 4, 8)))
+def test_veg_invariant_matches_reference(lat, seed, n_t):
+    P = gapped_projection(lat, np.random.default_rng(seed))
+    got = veg_invariant(P, n_t=n_t).raw
+    assert abs(got - ref_veg(P.sample, P.mu, n_t)) < TOL
+
+
+# --- edge pairings -----------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(lattices(last_open=True), SEEDS)
+def test_boundary_current_matches_reference(lat, seed):
+    rng = np.random.default_rng(seed)
+    # spectrum across the switch interval, so f'(H) has weight
+    sample = random_sample(lat, rng, rng.uniform(-2.0, 2.0, lat.hilbert_dim))
+    eig = diagonalize(sample)
+    half = HalfSpaceSample(hamiltonian=sample, bulk_gap=(-1.0, 1.0), mu=0.0, companion_eigen=eig)
+    f = SwitchFunction("exp", (-1.0, 1.0))
+    near = _near_window(sample)
+    for orientation, window in (("near", near), ("far", ~near)):
+        got = boundary_current(half, f, orientation)
+        assert abs(got - ref_edge_pairing(half, f, window)) < TOL
+    s_z = np.diag(rng.normal(size=lat.fiber))
+    got, _ = spin_edge_current(half, f, s_z)
+    assert abs(got - ref_edge_pairing(half, f, near, observable=s_z)) < TOL

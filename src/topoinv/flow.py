@@ -58,10 +58,18 @@ class FluxPath:
             self._cache[t] = insert_flux(self.base, t, self.plaquette)
         return self._cache[t]
 
-    def eigen_at(self, t: float) -> EigenData:
-        key = ("eig", t)
+    def eigen_at(self, t: float, window: tuple[float, float] | None = None) -> EigenData:
+        """Decomposition of the sample at t: full, or covering at least `window`.
+
+        A windowed request is served by the full decomposition of the same t
+        when that is cached, so a caller that needs t in full asks first.
+        """
+        full = ("eig", t, None)
+        key = ("eig", t, window)
+        if full in self._cache:
+            return self._cache[full]
         if key not in self._cache:
-            self._cache[key] = diagonalize(self.sample_at(t))
+            self._cache[key] = diagonalize(self.sample_at(t), window=window)
         return self._cache[key]
 
 
@@ -69,7 +77,8 @@ def _companion_half_width(path: FluxPath, mu: float) -> float:
     """Distance from mu to the nearer edge of the gap of the base model's periodic companion."""
     if "companion" not in path._cache:
         torus = path.base.model.with_boundaries(PERIODIC)
-        path._cache["companion"] = diagonalize(build_hamiltonian(torus, path.base.realization_seed))
+        path._cache["companion"] = diagonalize(build_hamiltonian(torus, path.base.realization_seed),
+                                               vectors=False)
     gap = detect_gap(path._cache["companion"], mu)
     return min(mu - gap[0], gap[1] - mu)
 
@@ -104,15 +113,17 @@ def spectral_flow(path: FluxPath, mu: float, overlap_floor: float = 0.7,
     localizes at the flux plaquette; the unfiltered count is reported too.
     The window defaults to the gap of the periodic companion of the base
     model, since the open base sample carries edge spectrum inside the gap.
+    Each sample is solved only on that window.
     """
     if width is None:
         width = _companion_half_width(path, mu)
+    energies = (mu - width, mu + width)
     window = path.base.lattice.window(np.add(path.plaquette, 0.5), radius_frac)
     ts = list(path.ts)
     dt_floor = 2.0 ** (-max_refine)
 
     def matched_pairs(t0, t1):
-        e0, e1 = path.eigen_at(t0), path.eigen_at(t1)
+        e0, e1 = path.eigen_at(t0, energies), path.eigen_at(t1, energies)
         sel0 = np.where(np.abs(e0.eigenvalues - mu) < width)[0]
         sel1 = np.where(np.abs(e1.eigenvalues - mu) < width)[0]
         if len(sel0) == 0 or len(sel1) == 0:
@@ -177,7 +188,7 @@ def flow_trace(path: FluxPath, mu: float, width: float | None = None) -> list[tu
     prev_sel = prev_vecs = prev_ids = None
     next_id = 0
     for t in path.ts:
-        eig = path.eigen_at(t)
+        eig = path.eigen_at(t, (mu - width, mu + width))
         sel = np.where(np.abs(eig.eigenvalues - mu) < width)[0]
         vecs = eig.eigenvectors[:, sel]
         ids = [-1] * len(sel)
@@ -208,7 +219,8 @@ def kramers_halfflux_probe(model: ModelDefinition, plaquette, realization_seed: 
     Requires the declared odd time-reversal to hold exactly at t = 0 and
     t = 1/2 (the string phases are real there).  Each midgap level is paired
     with its antiunitary partner; the overlap |<v, S conj(v)>| must vanish
-    for an odd symmetry.
+    for an odd symmetry.  The half-flux sample is solved only on the gap,
+    which the companion certifies from its eigenvalues alone.
     """
     sym = model.symmetry
     if sym.s_tr is None or sym.eta_tr != -1:
@@ -216,11 +228,12 @@ def kramers_halfflux_probe(model: ModelDefinition, plaquette, realization_seed: 
     sample0 = build_hamiltonian(model, realization_seed)
     if gap is None:
         gap = detect_gap(diagonalize(build_hamiltonian(
-            model.with_boundary(model.lattice.dimension - 1, PERIODIC), realization_seed)), 0.0)
+            model.with_boundary(model.lattice.dimension - 1, PERIODIC), realization_seed),
+            vectors=False), 0.0)
     half = insert_flux(sample0, 0.5, plaquette)
     for tag, Ht in (("t=0", sample0.matrix), ("t=1/2", half.matrix)):
         _require_symmetry(Ht, sym.s_tr, "tr", 1e-9, f"at {tag}")
-    eig = diagonalize(half)
+    eig = diagonalize(half, window=gap)
     w, v = eig.eigenvalues, eig.eigenvectors
     inside = np.where((w > gap[0] + 1e-12) & (w < gap[1] - 1e-12))[0]
     out = []

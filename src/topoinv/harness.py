@@ -106,7 +106,7 @@ def _resolve_mu(params: dict, eig) -> float:
 
 def _task_spectrum(model, params, seed):
     sample = build_hamiltonian(model, seed)
-    eig = diagonalize(sample)
+    eig = diagonalize(sample, vectors=False)
     w = eig.eigenvalues
     out = {"e_min": float(w[0]), "e_max": float(w[-1])}
     if "mu" in params or "mu_states" in params:
@@ -191,9 +191,10 @@ def _task_laughlin(model, params, seed):
     plaq = (n[0] // 2, n[1] // 2)
     mu = params.get("mu", 0.0)
     path = fl.FluxPath(base=sample, plaquette=plaq)
-    sf = fl.spectral_flow(path, mu)
-    # insert_flux(sample, 0) copies the base matrix, so t = 0 is the base decomposition
+    # insert_flux(sample, 0) copies the base matrix, so t = 0 is the base decomposition;
+    # solved in full before the flow, which then reads its window from it
     P = fermi_projection(path.eigen_at(0.0), mu)
+    sf = fl.spectral_flow(path, mu)
     pi = iv.pair_index(P, iv.dirac_phase(sample))
     return {"spectral_flow": sf.net, "pair_index": pi.rounded,
             "pair_index_raw": pi.value,

@@ -88,18 +88,29 @@ def _fmt_matrix_complex(m: np.ndarray) -> str:
     return " ; ".join(rows)
 
 
-def _parse_matrix_complex(text: str) -> np.ndarray:
-    rows = []
+def _square(section: str, key: str, entries: list, n: int, what: str) -> np.ndarray:
+    if len(entries) != n * n:
+        raise ConfigError(f"{section}.{key} must hold {n * n} {what} entries ({n} x {n}), "
+                          f"got {len(entries)}")
+    return np.array(entries).reshape(n, n)
+
+
+def _parse_matrix_complex(section: str, key: str, text: str, n: int) -> np.ndarray:
+    """n x n complex matrix of the config entry section.key: 're im' pairs, row-major,
+    with rows optionally separated by ';'."""
+    entries = []
     for chunk in text.split(";"):
-        nums = [float(x) for x in chunk.split()]
+        nums = [config_number(section, key, x) for x in chunk.split()]
         if len(nums) % 2:
-            raise ConfigError(f"matrix row has odd number of entries: {chunk!r}")
-        rows.append([complex(nums[2 * k], nums[2 * k + 1]) for k in range(len(nums) // 2)])
-    return np.array(rows, dtype=complex)
+            raise ConfigError(f"{section}.{key}: matrix row has odd number of entries: {chunk!r}")
+        entries += [complex(re, im) for re, im in zip(nums[::2], nums[1::2])]
+    return _square(section, key, entries, n, "complex")
 
 
-def _parse_matrix_real(text: str) -> np.ndarray:
-    return np.array([[float(x) for x in chunk.split()] for chunk in text.split(";")])
+def _parse_matrix_real(section: str, key: str, text: str, n: int) -> np.ndarray:
+    """n x n real matrix of the config entry section.key, row-major, rows optionally ';'-separated."""
+    entries = [config_number(section, key, x) for x in text.replace(";", " ").split()]
+    return _square(section, key, entries, n, "real")
 
 
 def parse_config(text: str) -> dict:
@@ -170,7 +181,7 @@ def model_from_config(sections: dict) -> ModelDefinition:
         raise ConfigError("custom model needs lattice.sizes and lattice.boundary")
     lattice = LatticeSpec(dimension, sizes, boundary, fiber)
     if "field" in sections and "b" in sections["field"]:
-        field = MagneticFieldSpec(_parse_matrix_real(sections["field"]["b"]))
+        field = MagneticFieldSpec(_parse_matrix_real("field", "b", sections["field"]["b"], dimension))
     else:
         field = MagneticFieldSpec.zero(dimension)
     hop_sec = sections.get("hoppings", {})
@@ -178,13 +189,13 @@ def model_from_config(sections: dict) -> ModelDefinition:
     onsite = np.zeros((fiber, fiber), dtype=complex)
     for key, value in hop_sec.items():
         if key == "onsite":
-            onsite = _parse_matrix_complex(value).reshape(fiber, fiber)
+            onsite = _parse_matrix_complex("hoppings", key, value, fiber)
             continue
         if "|" not in value:
             raise ConfigError(f"hopping {key!r} must be 'displacement | matrix entries'")
         disp_text, mat_text = value.split("|", 1)
-        disp = tuple(int(x) for x in disp_text.split())
-        mat = _parse_matrix_complex(mat_text).reshape(fiber, fiber)
+        disp = tuple(config_number("hoppings", key, x, int) for x in disp_text.split())
+        mat = _parse_matrix_complex("hoppings", key, mat_text, fiber)
         hoppings.append((disp, mat))
     sym = SymmetrySpec()
     if "symmetry" in sections:
@@ -192,9 +203,9 @@ def model_from_config(sections: dict) -> ModelDefinition:
         kw = {}
         for op in ("s_tr", "s_ph", "s_ch"):
             if op in ssec:
-                kw[op] = _parse_matrix_complex(ssec[op]).reshape(fiber, fiber)
-        kw["eta_tr"] = int(ssec.get("eta_tr", 1))
-        kw["eta_ph"] = int(ssec.get("eta_ph", 1))
+                kw[op] = _parse_matrix_complex("symmetry", op, ssec[op], fiber)
+        kw["eta_tr"] = config_number("symmetry", "eta_tr", ssec.get("eta_tr", 1), int)
+        kw["eta_ph"] = config_number("symmetry", "eta_ph", ssec.get("eta_ph", 1), int)
         sym = SymmetrySpec(**kw)
     if disorder is None:
         disorder = DisorderSpec()

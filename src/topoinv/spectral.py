@@ -11,38 +11,82 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
+from scipy import linalg, special
 
 from .errors import ConvergenceFailureError, GapMismatchError, NoGapError
 from .models import HamiltonianSample
 
 _MIN_GAP = 1e-8
+_ORTHO_TOL = 1e-10  # largest max|V^H V - I| accepted from a windowed solve
 
 
 @dataclass(frozen=True)
 class EigenData:
-    """Full spectral decomposition of one sample, eigenvalues ascending."""
+    """Spectral decomposition of one sample, eigenvalues ascending.
+
+    Besides the full decomposition there are two partial forms: with
+    `window = (lo, hi)` it holds only the eigenpairs with lo < E <= hi, and
+    with `eigenvectors = None` every eigenvalue but no eigenvector.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     sample: HamiltonianSample
+    window: tuple[float, float] | None = None
+
+    def require_full(self, use: str, vectors: bool = True):
+        """Raise ValueError unless this holds every eigenvalue (and, with vectors, every eigenvector)."""
+        if self.window is not None:
+            raise ValueError(f"{use} needs the whole spectrum, not the window {self.window}")
+        if vectors and self.eigenvectors is None:
+            raise ValueError(f"{use} needs eigenvectors, not eigenvalues only")
 
     def function_of(self, values: np.ndarray) -> np.ndarray:
         """Matrix of f(H) given f evaluated on the eigenvalues."""
+        self.require_full("function_of")
         return (self.eigenvectors * values) @ self.eigenvectors.conj().T
 
 
-def diagonalize(sample: HamiltonianSample) -> EigenData:
-    """The one entry point for eigensolves of sample matrices; checks Hermiticity."""
+def orthogonality_residual(V: np.ndarray) -> float:
+    """max|V^H V - I| over the columns of V."""
+    return float(np.abs(V.conj().T @ V - np.eye(V.shape[1])).max(initial=0.0))
+
+
+def _window_eigh(H: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs with lo < E <= hi by MRRR (LAPACK evr), certified orthonormal;
+    a failed or uncertified run is replaced by the window of the full solve."""
+    try:
+        w, v = linalg.eigh(H, subset_by_value=(lo, hi), driver="evr")
+        if orthogonality_residual(v) <= _ORTHO_TOL:
+            return w, v
+    except np.linalg.LinAlgError:
+        pass
+    w, v = np.linalg.eigh(H)
+    keep = (w > lo) & (w <= hi)
+    return w[keep], v[:, keep]
+
+
+def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = None,
+                vectors: bool = True) -> EigenData:
+    """The one entry point for eigensolves of sample matrices; checks Hermiticity.
+
+    The default is the full decomposition (LAPACK evd).  `window=(lo, hi)`
+    solves only the eigenpairs with lo < E <= hi; `vectors=False` returns
+    every eigenvalue and no eigenvector.
+    """
+    if window is not None and not vectors:
+        raise ValueError("a windowed solve returns eigenvectors")
     H = sample.matrix
     herm_dev = np.abs(H - H.conj().T).max()
     if herm_dev > 1e-10 * max(1.0, np.abs(H).max()):
         raise ConvergenceFailureError(f"matrix is not Hermitian (deviation {herm_dev:.2e})")
     try:
-        w, v = np.linalg.eigh(H)
+        if not vectors:
+            return EigenData(eigenvalues=np.linalg.eigvalsh(H), eigenvectors=None, sample=sample)
+        w, v = np.linalg.eigh(H) if window is None else _window_eigh(H, *window)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
-    return EigenData(eigenvalues=w, eigenvectors=v, sample=sample)
+    return EigenData(eigenvalues=w, eigenvectors=v, sample=sample, window=window)
 
 
 @dataclass(frozen=True)
@@ -61,7 +105,8 @@ class FermiProjection:
 
 
 def detect_gap(eigen: EigenData, mu: float, min_width: float = _MIN_GAP) -> tuple[float, float]:
-    """Maximal open interval around mu free of eigenvalues."""
+    """Maximal open interval around mu free of eigenvalues; eigenvalues only suffice."""
+    eigen.require_full("detect_gap", vectors=False)
     w = eigen.eigenvalues
     if np.any(np.abs(w - mu) < min_width):
         raise NoGapError(f"an eigenvalue lies within {min_width:.0e} of mu={mu}")
@@ -76,6 +121,7 @@ def detect_gap(eigen: EigenData, mu: float, min_width: float = _MIN_GAP) -> tupl
 
 
 def fermi_projection(eigen: EigenData, mu: float) -> FermiProjection:
+    eigen.require_full("fermi_projection")
     gap = detect_gap(eigen, mu)
     occ = eigen.eigenvalues <= mu
     V = eigen.eigenvectors[:, occ]
@@ -151,6 +197,7 @@ def eval_switch(f: SwitchFunction, eigen: EigenData, allow_inside: bool = False)
     switch gap (bulk usage); half-space callers pass allow_inside=True since
     edge spectrum inside the bulk gap is the point.
     """
+    eigen.require_full("eval_switch")
     a, b = f.gap
     w = eigen.eigenvalues
     if not allow_inside and np.any((w > a + 1e-12) & (w < b - 1e-12)):

@@ -38,9 +38,9 @@ def solved(monkeypatch):
     digests = []
     inner = spectral.diagonalize
 
-    def counting(sample):
+    def counting(sample, *args, **kwargs):
         digests.append(hashlib.blake2b(sample.matrix.tobytes(), digest_size=16).digest())
-        return inner(sample)
+        return inner(sample, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "topoinv" and getattr(module, "diagonalize", None) is inner:

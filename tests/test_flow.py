@@ -21,7 +21,7 @@ from topoinv import (
     z2_spectral_flow,
 )
 from topoinv.errors import KernelAtEndpointError, SymmetryBrokenAtHalfFluxError
-from topoinv.flow import flow_trace, majorana_form
+from topoinv.flow import _companion_half_width, flow_trace, majorana_form
 from topoinv.invariants import _pfaffian_sign_logabs
 from topoinv.models import SIGMA_1
 
@@ -86,6 +86,26 @@ def test_flow_trace_rows():
     assert all(isinstance(b, int) for b in branches)
     ts = sorted({t for t, _, _ in rows})
     assert ts[0] == 0.0 and ts[-1] == 1.0
+
+
+def test_windowed_flow_matches_full_decompositions():
+    sample, windowed = qwz_flux_path(lam=0.3, seed=2, n=12)
+    full = FluxPath(base=sample, plaquette=windowed.plaquette)
+    for t in full.ts:
+        assert full.eigen_at(t).window is None
+    a, b = spectral_flow(windowed, 0.0), spectral_flow(full, 0.0)
+    assert (a.net, a.raw_net) == (b.net, b.raw_net)
+    assert abs(a.min_overlap - b.min_overlap) < 1e-12
+    assert [(c["t"], c["direction"]) for c in a.crossings] == \
+        [(c["t"], c["direction"]) for c in b.crossings]
+    assert all(abs(c["weight"] - d["weight"]) < 1e-12 for c, d in zip(a.crossings, b.crossings))
+    rows_a, rows_b = flow_trace(windowed, 0.0), flow_trace(full, 0.0)
+    assert [(t, k) for t, _, k in rows_a] == [(t, k) for t, _, k in rows_b]
+    assert max(abs(ea - eb) for (_, ea, _), (_, eb, _) in zip(rows_a, rows_b)) < 1e-12
+    width = _companion_half_width(windowed, 0.0)
+    assert windowed.eigen_at(0.5, (-width, width)).window == (-width, width)
+    # a windowed request is served by a cached full decomposition of the same t
+    assert full.eigen_at(0.5, (-1.0, 1.0)) is full.eigen_at(0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +313,32 @@ def test_cli_non_numeric_config_value(tmp_path, capsys, old, new, entry):
     assert main(["winding", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and entry in err and repr(new.split(" = ")[1]) in err
+
+
+CUSTOM_CHAIN_CFG = (Path(__file__).parent.parent / "configs" / "custom_chain.cfg").read_text()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("onsite = 0.0 0.0", "onsite = 0.0 abc", "hoppings.onsite must be a number, got 'abc'"),
+    ("onsite = 0.0 0.0  0.0 -0.5  0.0 0.5  0.0 0.0", "onsite = 0.0 0.0",
+     "hoppings.onsite must hold 4 complex entries (2 x 2), got 1"),
+    ("hop0 = 1 |", "hop0 = x |", "hoppings.hop0 must be an integer, got 'x'"),
+    ("hop1 = -1 | 0.0 0.0  0.0 0.0", "hop1 = -1 | 0.0 0.0",
+     "hoppings.hop1 must hold 4 complex entries (2 x 2), got 3"),
+    ("b = 0.0", "b = zero", "field.b must be a number, got 'zero'"),
+    ("b = 0.0", "b = 0.0 0.0", "field.b must hold 1 real entries (1 x 1), got 2"),
+    ("s_ch = 1.0 0.0  0.0 0.0 ;", "s_ch = 1.0 0.0  0.0 O.0 ;",
+     "symmetry.s_ch must be a number, got 'O.0'"),
+    ("eta_tr = 1", "eta_tr = one", "symmetry.eta_tr must be an integer, got 'one'"),
+])
+def test_cli_bad_custom_matrix_entry(tmp_path, capsys, old, new, message):
+    from topoinv.cli import main
+
+    assert old in CUSTOM_CHAIN_CFG
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CUSTOM_CHAIN_CFG.replace(old, new))
+    assert main(["winding", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("k", ["0", "64", "-3"])

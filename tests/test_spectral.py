@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topoinv import (
+    HamiltonianSample,
     LatticeSpec,
     MagneticFieldSpec,
     ModelDefinition,
@@ -13,8 +15,10 @@ from topoinv import (
     fermi_projection,
     make_named_model,
 )
+from topoinv import spectral
 from topoinv.errors import GapMismatchError, NoGapError
 from topoinv.models import PERIODIC, restrict_half_space
+from topoinv.spectral import orthogonality_residual
 
 
 def onsite_model(values, sizes=(4, 4)):
@@ -138,3 +142,129 @@ def test_matrix_element_locality_strong_gap():
     dist = np.maximum(dist, np.abs(pos[:, 1][:, None] - pos[:, 1][None, :]))
     far = dist > 6
     assert np.abs(P[far]).max() < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# partial decompositions: windowed (MRRR, certified) and eigenvalues only
+# ---------------------------------------------------------------------------
+
+def hermitian_sample(levels, seed):
+    """Chain sample whose matrix has the given eigenvalues and random eigenvectors."""
+    rng = np.random.default_rng(seed)
+    n = len(levels)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    V = q * (np.diag(r) / np.abs(np.diag(r)))
+    H = (V * np.asarray(levels)) @ V.conj().T
+    lat = LatticeSpec(1, (n,), (PERIODIC,), 1)
+    model = ModelDefinition(lat, MagneticFieldSpec.zero(1), (), np.zeros((1, 1)))
+    return HamiltonianSample(matrix=0.5 * (H + H.conj().T), model=model, realization_seed=0)
+
+
+@st.composite
+def spectra_and_windows(draw):
+    """Levels on a 0.1 grid, some exactly doubly degenerate, and a window with
+    edges halfway between grid points, so no level sits near an edge."""
+    grid = draw(st.lists(st.integers(-30, 30), min_size=2, max_size=20, unique=True))
+    doubled = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+    levels = sorted(0.1 * k for k, two in zip(grid, doubled) for _ in range(1 + two))
+    lo, hi = sorted(draw(st.lists(st.integers(-32, 32), min_size=2, max_size=2, unique=True)))
+    return levels, (0.1 * lo + 0.05, 0.1 * hi + 0.05)
+
+
+def window_projector(eig):
+    return eig.eigenvectors @ eig.eigenvectors.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectra_and_windows(), st.integers(0, 2 ** 32 - 1))
+def test_windowed_matches_full_solve(case, seed):
+    levels, window = case
+    sample = hermitian_sample(levels, seed)
+    full = diagonalize(sample)
+    keep = (full.eigenvalues > window[0]) & (full.eigenvalues <= window[1])
+    part = diagonalize(sample, window=window)
+    assert part.window == window
+    assert len(part.eigenvalues) == keep.sum()
+    assert np.abs(part.eigenvalues - full.eigenvalues[keep]).max(initial=0.0) < 1e-12
+    ref = full.eigenvectors[:, keep] @ full.eigenvectors[:, keep].conj().T
+    assert np.abs(window_projector(part) - ref).max() < 1e-12
+    assert orthogonality_residual(part.eigenvectors) <= 1e-10
+    values = diagonalize(sample, vectors=False)
+    assert values.eigenvectors is None
+    assert np.abs(values.eigenvalues - full.eigenvalues).max() < 1e-12
+
+
+@pytest.mark.parametrize("failure", ["non-orthogonal", "LinAlgError"])
+def test_windowed_falls_back_to_full_solve(monkeypatch, failure):
+    sample = hermitian_sample([-1.0, -0.5, -0.5, 0.2, 0.2, 0.7, 1.5], seed=3)
+    window = (-0.6, 0.8)
+    w, v = np.linalg.eigh(sample.matrix)
+    keep = (w > window[0]) & (w <= window[1])
+    inner = spectral.linalg.eigh
+
+    def broken(H, **kwargs):
+        if failure == "LinAlgError":
+            raise np.linalg.LinAlgError("forced failure")
+        vals, vecs = inner(H, **kwargs)
+        return vals, vecs + 1e-6  # columns no longer orthonormal
+
+    monkeypatch.setattr(spectral.linalg, "eigh", broken)
+    part = diagonalize(sample, window=window)
+    assert part.window == window
+    assert np.array_equal(part.eigenvalues, w[keep])
+    assert np.array_equal(part.eigenvectors, v[:, keep])
+
+
+def test_windowed_qwz_flux_sample_window():
+    sample = build_hamiltonian(make_named_model("qwz", sizes=8, boundary="open", mass=1.0))
+    full = diagonalize(sample)
+    part = diagonalize(sample, window=(-0.5, 0.5))
+    keep = np.abs(full.eigenvalues) < 0.5
+    assert 0 < len(part.eigenvalues) == keep.sum()
+    assert np.abs(part.eigenvalues - full.eigenvalues[keep]).max() < 1e-12
+    ref = full.eigenvectors[:, keep] @ full.eigenvectors[:, keep].conj().T
+    assert np.abs(window_projector(part) - ref).max() < 1e-12
+
+
+def test_windowed_solve_needs_vectors():
+    sample = build_hamiltonian(make_named_model("ssh", sizes=8, m=0.5))
+    with pytest.raises(ValueError):
+        diagonalize(sample, window=(-1.0, 1.0), vectors=False)
+
+
+@pytest.fixture
+def partial_decompositions():
+    sample = build_hamiltonian(make_named_model("ssh", sizes=16, m=0.5))
+    return {"windowed": diagonalize(sample, window=(-1.6, 1.6)),
+            "eigenvalues only": diagonalize(sample, vectors=False)}
+
+
+@pytest.mark.parametrize("kind", ["windowed", "eigenvalues only"])
+def test_partial_decomposition_builds_no_projector(partial_decompositions, kind):
+    eig = partial_decompositions[kind]
+    with pytest.raises(ValueError, match="fermi_projection"):
+        fermi_projection(eig, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["windowed", "eigenvalues only"])
+def test_partial_decomposition_has_no_function_of(partial_decompositions, kind):
+    eig = partial_decompositions[kind]
+    with pytest.raises(ValueError, match="function_of"):
+        eig.function_of(np.ones(len(eig.eigenvalues)))
+
+
+@pytest.mark.parametrize("kind", ["windowed", "eigenvalues only"])
+def test_partial_decomposition_has_no_switch(partial_decompositions, kind):
+    eig = partial_decompositions[kind]
+    with pytest.raises(ValueError, match="eval_switch"):
+        eval_switch(SwitchFunction("exp", (-0.4, 0.4)), eig)
+
+
+def test_windowed_decomposition_certifies_no_gap(partial_decompositions):
+    # the window holds no level near 0, but levels outside it are unknown
+    with pytest.raises(ValueError, match="detect_gap"):
+        detect_gap(partial_decompositions["windowed"], 0.0)
+    # eigenvalues alone suffice for a gap
+    full = diagonalize(partial_decompositions["windowed"].sample)
+    gap = detect_gap(partial_decompositions["eigenvalues only"], 0.0)
+    assert np.abs(np.subtract(gap, detect_gap(full, 0.0))).max() < 1e-12

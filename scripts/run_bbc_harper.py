@@ -35,8 +35,10 @@ for lam, seeds in ((0.0, [0]), (LAMBDA, range(N_REALIZATIONS))):
     dis = DisorderSpec(strength=lam, seed=7)
     m = make_named_model("harper", sizes=N, boundary=("periodic", "open"), b12=B12, disorder=dis)
     for seed in seeds:
-        half = make_half_space(m, mu, seed)
-        bulk = chern_projection(fermi_projection(half.companion_eigen, mu), (1, 2))
+        # the bulk projection needs the companion's eigenvectors, so solve it here
+        companion = diagonalize(build_hamiltonian(m.with_boundary(1, "periodic"), seed))
+        half = make_half_space(m, mu, seed, companion=companion)
+        bulk = chern_projection(fermi_projection(companion, mu), (1, 2))
         edge = boundary_winding(exp_map(half, SwitchFunction("exp", half.bulk_gap)))
         rows.append((lam, seed, bulk.value, edge.value))
         print(f"lam={lam} seed={seed}: bulk {bulk.value:+.5f} edge {edge.value:+.5f}")

@@ -13,6 +13,11 @@ through its switch-derivative representation
 an exact trace identity whose right-hand side is smooth across the Brillouin
 zone of the finite circumference; the literal left-hand side undersamples
 the rapid winding of the edge branch at desk-scale circumferences.
+
+f'(H_half) and exp(2 pi i f(H_half)) - 1 vanish outside the switch gap, so
+these functionals read only the eigenpairs of H_half inside the certified
+bulk gap (the edge states); ind_map, whose exponential is not constant
+outside the gap, solves in full.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from .spectral import EigenData, SwitchFunction, detect_gap, diagonalize
 
 @dataclass(frozen=True)
 class HalfSpaceSample:
-    """Open-axis restriction and its torus companion: certified bulk gap, both decompositions."""
+    """Open-axis restriction and its torus companion: certified bulk gap, the
+    companion's decomposition and the open sample's in-gap eigenpairs."""
 
     hamiltonian: HamiltonianSample
     bulk_gap: tuple[float, float]
@@ -58,16 +64,21 @@ class HalfSpaceSample:
 
     @cached_property
     def eigen(self) -> EigenData:
-        return diagonalize(self.hamiltonian)
+        """Eigenpairs of the open sample inside the certified bulk gap, the only
+        ones a switch-gap functional reads (ind_map solves in full)."""
+        return diagonalize(self.hamiltonian, window=self.bulk_gap)
 
 
 def make_half_space(model: ModelDefinition, mu: float, realization_seed: int = 0,
                     companion: EigenData | None = None) -> HalfSpaceSample:
-    """Certify the gap at mu on the torus companion (diagonalized here unless
-    given as `companion`), then open the last axis."""
+    """Certify the gap at mu on the torus companion, then open the last axis.
+
+    The companion is solved here for eigenvalues only; a caller that needs
+    its projection diagonalizes it in full and hands it in as `companion`.
+    """
     if companion is None:
         companion = diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC),
-                                                  realization_seed))
+                                                  realization_seed), vectors=False)
     gap = detect_gap(companion, mu)
     half_model = model.with_boundary(model.lattice.dimension - 1, OPEN)
     half = build_hamiltonian(half_model, realization_seed)
@@ -85,31 +96,47 @@ def _near_window(sample: HamiltonianSample) -> np.ndarray:
     return sample.lattice.positions()[:, axis] < sample.lattice.linear_sizes[axis] / 2
 
 
-@dataclass(frozen=True)
-class BoundaryUnitary:
-    """exp(2 pi i f(H_half)) together with its depth profile."""
-
-    matrix: np.ndarray
-    switch: SwitchFunction
-    half: HalfSpaceSample
-    depth_profile: np.ndarray
-    decay_length: float
-
-
 def _require_switch_in_bulk_gap(half: HalfSpaceSample, f: SwitchFunction) -> None:
+    """The switch must be constant outside the bulk gap, where `half.eigen` holds nothing."""
     (a, b), (ga, gb) = f.gap, half.bulk_gap
     if a < ga - 1e-9 or b > gb + 1e-9:
         raise GapMismatchError("switch gap extends beyond the certified bulk gap")
 
 
+def _exp_shift(half: HalfSpaceSample, f: SwitchFunction) -> np.ndarray:
+    """c = exp(2 pi i f(w)) - 1 on the in-gap eigenvalues: U - 1 = V diag(c) V^H."""
+    return np.exp(2j * np.pi * f(half.eigen.eigenvalues)) - 1.0
+
+
+@dataclass(frozen=True)
+class BoundaryUnitary:
+    """exp(2 pi i f(H_half)) together with its depth profile."""
+
+    switch: SwitchFunction
+    half: HalfSpaceSample
+    depth_profile: np.ndarray
+    decay_length: float
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense unitary 1 + V diag(c) V^H, built on each read."""
+        V = self.half.eigen.eigenvectors
+        U = (V * _exp_shift(self.half, self.switch)) @ V.conj().T
+        U[np.diag_indices_from(U)] += 1.0
+        return U
+
+
 def exp_map(half: HalfSpaceSample, f: SwitchFunction) -> BoundaryUnitary:
-    """Boundary unitary of the half-space sample for the given switch."""
+    """Boundary unitary of the half-space sample for the given switch.
+
+    U - 1 = V diag(c) V^H over the in-gap eigenpairs, so the norm of each
+    depth layer's columns of U - 1 is that of C = diag(c) V^H (V has
+    orthonormal columns).
+    """
     _require_switch_in_bulk_gap(half, f)
-    eig = half.eigen
-    U = eig.function_of(np.exp(2j * np.pi * f(eig.eigenvalues)))
-    D = U - np.eye(U.shape[0])
+    C = _exp_shift(half, f)[:, None] * half.eigen.eigenvectors.conj().T
     n_d = half.lattice.linear_sizes[-1]
-    profile = np.array([np.linalg.norm(D[:, _layer_indices(half.hamiltonian, l)], 2)
+    profile = np.array([np.linalg.norm(C[:, _layer_indices(half.hamiltonian, l)], 2)
                         for l in range(n_d)])
     # fit the decay of the envelope over the near-face half; the raw profile
     # can oscillate with the magnetic period (gauge-induced near-nodes)
@@ -122,21 +149,26 @@ def exp_map(half: HalfSpaceSample, f: SwitchFunction) -> BoundaryUnitary:
         xi = -1.0 / slope if slope < 0 else np.inf
     else:
         xi = 0.0
-    return BoundaryUnitary(matrix=U, switch=f, half=half, depth_profile=profile,
-                           decay_length=float(xi))
+    return BoundaryUnitary(switch=f, half=half, depth_profile=profile, decay_length=float(xi))
 
 
 def _edge_pairing(half: HalfSpaceSample, f: SwitchFunction, window: np.ndarray,
                   observable: np.ndarray | None = None) -> float:
-    """2 pi T_w(f'(H) . i[X_1, H]) per unit boundary volume; optional extra fiber factor."""
+    """2 pi T_w(f'(H) . i[X_1, H]) per unit boundary volume; optional extra fiber factor.
+
+    f'(H) = V diag(f'(w)) V^H over the in-gap eigenpairs, so the trace costs
+    O(dim . k . |window|) for k of them.
+    """
+    _require_switch_in_bulk_gap(half, f)
     eigen, sample = half.eigen, half.hamiltonian
-    fp = eigen.function_of(f.derivative(eigen.eigenvalues))
+    V = eigen.eigenvectors
     current = 1j * displacement_matrix(sample, 0) * sample.matrix
     if observable is not None:
         current = 0.5 * (apply_fiber(observable, current, "right")
                          + apply_fiber(observable, current, "left"))
     transverse = np.prod(sample.lattice.linear_sizes[:-1])
-    return float(2 * np.pi * _window_trace([fp, current], window).real / transverse)
+    pairing = _window_trace([V * f.derivative(eigen.eigenvalues), V.conj().T, current], window)
+    return float(2 * np.pi * pairing.real / transverse)
 
 
 def boundary_winding(bu: BoundaryUnitary, I=(1,), decay_floor: float = 5e-2) -> InvariantResult:
@@ -169,7 +201,6 @@ def boundary_current(half: HalfSpaceSample, f: SwitchFunction,
     orientation="far" windows the opposite face, which carries the opposite
     chirality and flips the sign.
     """
-    _require_switch_in_bulk_gap(half, f)
     window = _near_window(half.hamiltonian)
     if orientation == "far":
         window = ~window
@@ -252,10 +283,14 @@ def ind_map(half: HalfSpaceSample, f: SwitchFunction, s_ch: np.ndarray,
     and reports the near-face trace of the difference.  With surface_split,
     also decomposes the projection onto the in-gap surface band into
     chirality sectors and reports their windowed traces.
+
+    Solves H_half in full, not on the bulk gap as `half.eigen` does:
+    exp(-i pi/2 f) is +i below the gap and -i above it, so it is not
+    constant outside the gap.
     """
     if f.kind != "ind":
         raise GapMismatchError("ind map needs an odd switch")
-    eig = half.eigen
+    eig = diagonalize(half.hamiltonian)
     sample = half.hamiltonian
     w, v = np.linalg.eigh(s_ch)
     plus_fiber = (v[:, w > 0.5] @ v[:, w > 0.5].conj().T)

@@ -127,8 +127,10 @@ def _projection(model, params, seed):
     return fermi_projection(eig, _resolve_mu(params, eig))
 
 
-def _half_space(model, params, seed):
-    eig = diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC), seed))
+def _half_space(model, params, seed, vectors=True):
+    """Half-space sample with its torus companion solved here, for eigenvalues only
+    unless `vectors` (a bulk projection needs them)."""
+    eig = diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC), seed), vectors=vectors)
     return bd.make_half_space(model, _resolve_mu(params, eig), seed, companion=eig)
 
 
@@ -170,7 +172,7 @@ def _task_bbc(model, params, seed):
 
 
 def _task_boundary_current(model, params, seed):
-    half = _half_space(model, params, seed)
+    half = _half_space(model, params, seed, vectors=False)
     f = SwitchFunction("exp", half.bulk_gap)
     value = bd.boundary_current(half, f)
     return {"value": value, "rounded": int(round(value)),

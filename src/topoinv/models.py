@@ -379,10 +379,6 @@ class ModelDefinition:
         lat = replace(self.lattice, boundary=(flag,) * self.lattice.dimension)
         return replace(self, lattice=lat)
 
-    def with_sizes(self, sizes: Sequence[int]) -> "ModelDefinition":
-        lat = replace(self.lattice, linear_sizes=tuple(int(n) for n in sizes))
-        return replace(self, lattice=lat)
-
 
 @dataclass(frozen=True)
 class HamiltonianSample:

@@ -112,11 +112,14 @@ def test_boundary_current_trivial():
 
 
 def test_gap_mismatch_guard(harper_halfspace):
+    # the half-space eigenpairs are solved on the bulk gap, so a wider switch
+    # would drop terms; every boundary functional must refuse it
     half, _ = harper_halfspace
     lo, hi = half.bulk_gap
-    bad = SwitchFunction("exp", (lo - 1.0, hi))
-    with pytest.raises(GapMismatchError):
-        boundary_current(half, bad)
+    for bad in (SwitchFunction("exp", (lo - 1.0, hi)), SwitchFunction("exp", (lo, hi + 1.0))):
+        for functional, *extra in ((boundary_current,), (exp_map,), (spin_edge_current, np.eye(1))):
+            with pytest.raises(GapMismatchError):
+                functional(half, bad, *extra)
 
 
 def test_edge_state_persistence_under_disorder():

@@ -3,8 +3,10 @@
 The reference functions below are the invariant kernels as the package had
 them before every trace went through one windowed-trace helper: each formed
 the full dim x dim product (or its powers, or 64 linear solves) and kept
-only the diagonal entries it summed.  Every kernel must reproduce them on
-random small samples, periodic and open, in d = 1, 2 and 3.
+only the diagonal entries it summed.  The boundary references also solve
+the open sample in full, where the package reads only the eigenpairs in the
+certified bulk gap.  Every kernel must reproduce them on random small
+samples, periodic and open, in d = 1, 2 and 3.
 """
 
 import itertools
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from topoinv import (
     DisorderSpec,
@@ -28,13 +30,14 @@ from topoinv import (
     chern_unitary,
     diagonalize,
     dirac_phase,
+    exp_map,
     fermi_projection,
     make_named_model,
     pair_index,
     spin_edge_current,
     veg_invariant,
 )
-from topoinv.boundary import _near_window
+from topoinv.boundary import _layer_indices, _near_window
 from topoinv.errors import NotConvergedError, ParamOutOfRangeError
 from topoinv.invariants import _odd_coeff, core_mask, displacement_matrix, nc_derivative
 from topoinv.models import OPEN, PERIODIC, apply_fiber
@@ -127,8 +130,8 @@ def ref_veg(sample, mu, n_t, margin=0.5):
 
 
 def ref_edge_pairing(half, f, window, observable=None):
-    # boundary._edge_pairing: einsum over all rows, then the window
-    eigen, sample = half.eigen, half.hamiltonian
+    # boundary._edge_pairing: full decomposition, einsum over all rows, then the window
+    eigen, sample = diagonalize(half.hamiltonian), half.hamiltonian
     fp = eigen.function_of(f.derivative(eigen.eigenvalues))
     current = 1j * displacement_matrix(sample, 0) * sample.matrix
     if observable is not None:
@@ -137,6 +140,31 @@ def ref_edge_pairing(half, f, window, observable=None):
     dens = np.einsum("ij,ji->i", fp, current)
     transverse = np.prod(sample.lattice.linear_sizes[:-1])
     return float(2 * np.pi * dens[window].sum().real / transverse)
+
+
+def ref_exp_map(half, f):
+    # boundary.exp_map: the dense unitary from the full decomposition, and the
+    # spectral norm of each depth layer's columns of U - 1
+    eig = diagonalize(half.hamiltonian)
+    U = eig.function_of(np.exp(2j * np.pi * f(eig.eigenvalues)))
+    D = U - np.eye(U.shape[0])
+    n_d = half.lattice.linear_sizes[-1]
+    profile = np.array([np.linalg.norm(D[:, _layer_indices(half.hamiltonian, l)], 2)
+                        for l in range(n_d)])
+    return U, profile
+
+
+def ref_decay_length(profile):
+    # boundary.exp_map: log-linear fit of the three-layer envelope over the near half
+    n_d = len(profile)
+    upper = max(3, n_d // 2)
+    env = np.array([profile[l:min(l + 3, n_d)].max() for l in range(upper)])
+    xs = np.arange(upper)
+    good = env > 1e-14
+    if good.sum() >= 2:
+        slope = np.polyfit(xs[good], np.log(env[good]), 1)[0]
+        return -1.0 / slope if slope < 0 else np.inf
+    return 0.0
 
 
 # --- random samples ----------------------------------------------------------
@@ -160,13 +188,24 @@ def lattices(draw, dims=(1, 2, 3), last_open=False):
     return LatticeSpec(d, sizes, tuple(boundary), draw(st.integers(1, 3)))
 
 
-def random_sample(lat, rng, spectrum):
-    """Dense Hermitian matrix on the lattice with the given eigenvalues, random eigenvectors."""
-    V = unitary(rng, lat.hilbert_dim)
+def random_sample(lat, rng, spectrum, vectors=None):
+    """Dense Hermitian matrix on the lattice with the given eigenvalues and
+    eigenvectors (random unless given)."""
+    V = unitary(rng, lat.hilbert_dim) if vectors is None else vectors
     H = (V * spectrum) @ V.conj().T
     model = ModelDefinition(lat, MagneticFieldSpec.zero(lat.dimension), (),
                             np.zeros((lat.fiber, lat.fiber)))
     return HamiltonianSample(matrix=0.5 * (H + H.conj().T), model=model, realization_seed=0)
+
+
+def edge_sample(lat, rng, levels, bulk):
+    """Sample whose eigenvectors for `levels` decay away from the near face of
+    the open last axis; the `bulk` eigenvectors span the rest."""
+    depth = lat.positions()[:, -1]
+    n, k = lat.hilbert_dim, len(levels)
+    edge = complex_matrix(rng, n, k) * np.exp(-depth / rng.uniform(0.7, 2.0))[:, None]
+    Q, _ = np.linalg.qr(np.hstack([edge, complex_matrix(rng, n, n - k)]))
+    return random_sample(lat, rng, np.concatenate([levels, bulk]), vectors=Q)
 
 
 def gapped_projection(lat, rng):
@@ -264,3 +303,42 @@ def test_boundary_current_matches_reference(lat, seed):
     s_z = np.diag(rng.normal(size=lat.fiber))
     got, _ = spin_edge_current(half, f, s_z)
     assert abs(got - ref_edge_pairing(half, f, near, observable=s_z)) < TOL
+
+
+# bulk gaps with both sides finite or one side infinite, and the switch inside
+BULK_GAPS = st.sampled_from(((-1.0, 1.0), (-np.inf, 1.0), (-1.0, np.inf)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices(last_open=True), SEEDS, BULK_GAPS, st.data())
+def test_exp_map_matches_reference(lat, seed, bulk_gap, data):
+    # the envelope fit of the depth profile reads three layers
+    assume(lat.linear_sizes[-1] >= 3)
+    rng = np.random.default_rng(seed)
+    n = lat.hilbert_dim
+    # in-gap levels inside the switch and, where the bulk gap is wider, outside
+    # it; some of them exactly doubly degenerate
+    lo, hi = max(bulk_gap[0], -2.5), min(bulk_gap[1], 2.5)
+    distinct = rng.uniform(lo + 0.05, hi - 0.05, data.draw(st.integers(0, min(4, n // 3))))
+    levels = np.concatenate([distinct, distinct[:data.draw(st.integers(0, len(distinct)))]])
+    # bulk levels on each finite side of the bulk gap
+    sides = [s for s, g in ((-1.0, bulk_gap[0]), (1.0, bulk_gap[1])) if np.isfinite(g)]
+    bulk = rng.choice(sides, n - len(levels)) * rng.uniform(1.2, 3.0, n - len(levels))
+    sample = edge_sample(lat, rng, levels, bulk)
+    half = HalfSpaceSample(hamiltonian=sample, bulk_gap=bulk_gap, mu=0.0,
+                           companion_eigen=diagonalize(sample, vectors=False))
+    f = SwitchFunction("exp", (-1.0, 1.0))
+    bu = exp_map(half, f)
+    U, profile = ref_exp_map(half, f)
+    assert np.abs(bu.depth_profile - profile).max() < TOL
+    # decay_length is the reference fit of the depth profile ...
+    xi = ref_decay_length(bu.depth_profile)
+    assert bu.decay_length == xi or abs(bu.decay_length - xi) < TOL * max(1.0, xi)
+    # ... and that of the reference profile, compared as fitted slopes (a flat
+    # profile's length is unbounded).  The dense reference rounds U - 1 at about
+    # dim * eps, so the slopes agree to TOL where every fitted envelope value
+    # exceeds 1e-2.
+    n_d = len(profile)
+    if min(profile[l:l + 3].max() for l in range(max(3, n_d // 2))) > 1e-2:
+        assert abs(1 / bu.decay_length - 1 / ref_decay_length(profile)) < TOL
+    assert np.abs(bu.matrix - U).max() < TOL

@@ -5,7 +5,7 @@ Writes ssh_sweep.csv (m, winding_raw, winding) in the working directory.
 
 import numpy as np
 
-from topoinv import build_hamiltonian, chern_unitary, diagonalize, fermi_projection, fermi_unitary, make_named_model
+from topoinv import build_hamiltonian, chern_unitary, fermi_unitary, make_named_model, occupied_projection
 
 N = 256
 masses = np.linspace(-2.0, 2.0, 17)
@@ -15,7 +15,7 @@ for m in masses:
     if abs(abs(m) - 1.0) < 1e-9:
         continue  # gap closes
     model = make_named_model("ssh", sizes=N, m=float(m))
-    P = fermi_projection(diagonalize(build_hamiltonian(model)), 0.0)
+    P = occupied_projection(build_hamiltonian(model), 0.0)
     res = chern_unitary(fermi_unitary(P, model.symmetry), (1,))
     rows.append((m, res.value, res.rounded))
     print(f"m={m:+.3f}  winding={res.value:+.6f} -> {res.rounded}")

@@ -14,7 +14,16 @@ from .models import (
     make_named_model,
     restrict_half_space,
 )
-from .spectral import EigenData, FermiProjection, SwitchFunction, detect_gap, diagonalize, eval_switch, fermi_projection
+from .spectral import (
+    EigenData,
+    FermiProjection,
+    SwitchFunction,
+    detect_gap,
+    diagonalize,
+    eval_switch,
+    fermi_projection,
+    occupied_projection,
+)
 from .invariants import (
     InvariantResult,
     chern_kspace_oracle,

@@ -131,11 +131,15 @@ def exp_map(half: HalfSpaceSample, f: SwitchFunction) -> BoundaryUnitary:
 
     U - 1 = V diag(c) V^H over the in-gap eigenpairs, so the norm of each
     depth layer's columns of U - 1 is that of C = diag(c) V^H (V has
-    orthonormal columns).
+    orthonormal columns).  The decay fit reads three layers, so the open axis
+    must have at least 3.
     """
+    n_d = half.lattice.linear_sizes[-1]
+    if n_d < 3:
+        raise ProfileNotDecayedError(
+            f"exp_map needs at least 3 layers along the open axis, got {n_d}")
     _require_switch_in_bulk_gap(half, f)
     C = _exp_shift(half, f)[:, None] * half.eigen.eigenvectors.conj().T
-    n_d = half.lattice.linear_sizes[-1]
     profile = np.array([np.linalg.norm(C[:, _layer_indices(half.hamiltonian, l)], 2)
                         for l in range(n_d)])
     # fit the decay of the envelope over the near-face half; the raw profile
@@ -213,12 +217,13 @@ def spin_edge_current(half: HalfSpaceSample, f: SwitchFunction, s_z: np.ndarray,
 
     The budget is budget_constant * ||[H, s_z]|| * ||f||_{C^6}; the returned
     value approaches the spin pairing of the bulk when the commutator is
-    small.
+    small.  For Hermitian s_z, i[H, s_z] is Hermitian, so its spectral norm
+    is its largest |eigenvalue|.
     """
     val = _edge_pairing(half, f, _near_window(half.hamiltonian), observable=s_z)
     H = half.hamiltonian.matrix
-    comm = np.linalg.norm(apply_fiber(s_z, H, "right") - apply_fiber(s_z, H, "left"), 2)
-    budget = budget_constant * comm * f.c_norm(6)
+    comm = 1j * (apply_fiber(s_z, H, "right") - apply_fiber(s_z, H, "left"))
+    budget = budget_constant * np.abs(np.linalg.eigvalsh(comm)).max() * f.c_norm(6)
     return val, float(budget)
 
 

@@ -33,7 +33,7 @@ from .models import (
     insert_flux,
     symmetry_deviation,
 )
-from .spectral import EigenData, detect_gap, diagonalize, fermi_projection
+from .spectral import EigenData, detect_gap, diagonalize, occupied_projection
 
 _CAYLEY = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0)
 
@@ -380,8 +380,7 @@ def majorana_zero_mode_parity(model: ModelDefinition, realization_seed: int = 0,
     loc = localized_mode_count(vecs[:, :count], half.lattice.window(np.add(plaquette, 0.5), 0.25))
     parity = loc % 2
     bulk = build_hamiltonian(model.with_boundaries(PERIODIC), realization_seed)
-    P = fermi_projection(diagonalize(bulk), 0.0)
-    ch = chern_projection(P, (1, 2))
+    ch = chern_projection(occupied_projection(bulk, 0.0), (1, 2))
     return {"parity": int(parity), "chern_mod2": int(ch.rounded % 2),
             "chern": ch.value, "near_zero_total": int(count),
             "near_zero_localized": int(loc), "smallest": aw[:max(count + 2, 4)].tolist()}

@@ -29,7 +29,7 @@ from .serialize import (
     save_spectrum_csv,
     write_json,
 )
-from .spectral import SwitchFunction, detect_gap, diagonalize, fermi_projection
+from .spectral import SwitchFunction, detect_gap, diagonalize, fermi_projection, occupied_projection
 
 WORKERS_ENV = "TOPO_WORKERS"
 
@@ -92,12 +92,17 @@ def _task_value(key: str, text: str):
     return text if kind is None else config_number("task", key, text, kind)
 
 
+def _state_count(params: dict, dim: int) -> int:
+    k = params["mu_states"]
+    if not 1 <= k <= dim - 1:
+        raise ConfigError(f"task.mu_states must be between 1 and {dim - 1}, got {k}")
+    return k
+
+
 def _resolve_mu(params: dict, eig) -> float:
     if "mu_states" in params:
-        k = params["mu_states"]
         w = eig.eigenvalues
-        if not 1 <= k <= len(w) - 1:
-            raise ConfigError(f"task.mu_states must be between 1 and {len(w) - 1}, got {k}")
+        k = _state_count(params, len(w))
         return float(0.5 * (w[k - 1] + w[k]))
     return params.get("mu", 0.0)
 
@@ -123,8 +128,11 @@ def _values(res, **extra):
 
 
 def _projection(model, params, seed):
-    eig = diagonalize(build_hamiltonian(model, seed))
-    return fermi_projection(eig, _resolve_mu(params, eig))
+    """Fermi projection from the occupied eigenpairs only."""
+    sample = build_hamiltonian(model, seed)
+    if "mu_states" in params:
+        return occupied_projection(sample, states=_state_count(params, sample.dim))
+    return occupied_projection(sample, params.get("mu", 0.0))
 
 
 def _half_space(model, params, seed, vectors=True):
@@ -213,7 +221,9 @@ def _task_kitaev_halfflux(model, params, seed):
 
 
 def _task_veg(model, params, seed):
-    P = _projection(model, params, seed)
+    # the resolvents need every eigenpair, not only the occupied ones
+    eig = diagonalize(build_hamiltonian(model, seed))
+    P = fermi_projection(eig, _resolve_mu(params, eig))
     res = iv.veg_invariant(P, n_t=params.get("n_t", 64))
     direct = iv.chern_projection(P, (1, 2))
     return {"value": res.value, "direct": direct.value,

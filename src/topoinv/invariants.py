@@ -689,7 +689,7 @@ def pfaffian(A: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def _tracked_gap_projection(model: ModelDefinition, state_count: int) -> FermiProjection:
-    eig = diagonalize(build_hamiltonian(model, 0))
+    eig = diagonalize(build_hamiltonian(model, 0), states=state_count)
     w = eig.eigenvalues
     if not w[state_count] - w[state_count - 1] > 1e-8:
         raise FluxQuantizationError("tracked gap closed at this field value")
@@ -742,8 +742,10 @@ def veg_invariant(P: FermiProjection, I=(1, 2), n_t: int = 64,
     Discretizes the contour integral over a circle enclosing the occupied
     spectrum with n_t nodes and a forward difference for the loop
     derivative; first-order accurate in 1/n_t.  Works in the eigenbasis of
-    P.eigen, where the resolvents G and G^-1 d_t G are diagonal.
+    P.eigen, where the resolvents G and G^-1 d_t G are diagonal, so P must
+    come from the full decomposition, not from an occupied solve.
     """
+    P.eigen.require_full("veg_invariant")
     sample, mu = P.sample, P.mu
     I = _validate_index_set(I, sample.lattice.dimension)
     if I != (1, 2):

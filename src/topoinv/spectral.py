@@ -12,12 +12,14 @@ from functools import cached_property
 
 import numpy as np
 from scipy import linalg, special
+from scipy.linalg import lapack
 
 from .errors import ConvergenceFailureError, GapMismatchError, NoGapError
 from .models import HamiltonianSample
 
 _MIN_GAP = 1e-8
-_ORTHO_TOL = 1e-10  # largest max|V^H V - I| accepted from a windowed solve
+_ORTHO_TOL = 1e-10  # largest max|V^H V - I| accepted from a partial solve
+_TIE_TOL = 1e-10  # relative spacing below which two levels count as one degenerate level
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,9 @@ class EigenData:
 
     Besides the full decomposition there are two partial forms: with
     `window = (lo, hi)` it holds only the eigenpairs with lo < E <= hi, and
-    with `eigenvectors = None` every eigenvalue but no eigenvector.
+    with `eigenvectors = None` every eigenvalue but no eigenvector.  An
+    occupied solve (`diagonalize(..., mu=)` or `states=`) is a window
+    (-inf, hi] that holds the first level above the Fermi level.
     """
 
     eigenvalues: np.ndarray
@@ -34,9 +38,11 @@ class EigenData:
     sample: HamiltonianSample
     window: tuple[float, float] | None = None
 
-    def require_full(self, use: str, vectors: bool = True):
-        """Raise ValueError unless this holds every eigenvalue (and, with vectors, every eigenvector)."""
-        if self.window is not None:
+    def require_full(self, use: str, vectors: bool = True, mu: float | None = None):
+        """Raise ValueError unless this holds every eigenvalue (and, with vectors,
+        every eigenvector); with `mu`, a window (-inf, hi] with hi > mu suffices."""
+        if self.window is not None and not (mu is not None and self.window[0] == -np.inf
+                                            and self.window[1] > mu):
             raise ValueError(f"{use} needs the whole spectrum, not the window {self.window}")
         if vectors and self.eigenvectors is None:
             raise ValueError(f"{use} needs eigenvectors, not eigenvalues only")
@@ -66,24 +72,93 @@ def _window_eigh(H: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.nd
     return w[keep], v[:, keep]
 
 
+def _occupied_cut(w: np.ndarray, mu: float | None, states: int | None) -> tuple[int, float]:
+    """How many of the ascending levels w an occupied solve keeps, and its window edge.
+
+    The first level above the Fermi level is w[states], or the first level
+    more than the tie tolerance above mu.  The edge splits the first gap at or
+    above it that is wider than the tie tolerance, so a degenerate level is
+    kept whole; with no such gap every level is kept and the edge is +inf.
+    """
+    tie = _TIE_TOL * max(1.0, np.abs(w).max(initial=0.0))
+    k = states if states is not None else int(np.searchsorted(w, mu + tie, side="right"))
+    wide = np.flatnonzero(np.diff(w[k:]) > tie)
+    if not len(wide):
+        return len(w), np.inf
+    j = k + int(wide[0])
+    return j + 1, float(0.5 * (w[j] + w[j + 1]))
+
+
+def _occupied_eigh(H: np.ndarray, mu: float | None,
+                   states: int | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenpairs E <= hi for the edge hi of `_occupied_cut`, and hi.
+
+    One Householder reduction to a real tridiagonal T (LAPACK hetrd) serves
+    all of it: every eigenvalue of T (sterf, O(dim^2)) places the edge, and
+    only the kept eigenpairs are formed, by bisection and inverse iteration
+    (stebz, stein), then carried back by the unitary reflectors (unmqr).
+    Certified as in `_window_eigh`, on the eigenvectors of T: a failed run,
+    or one with max|Z^T Z - I| > 1e-10, is replaced by the same cut of the
+    full solve.
+    """
+    n = H.shape[0]
+    try:
+        lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
+        T, d, e, tau, info = lapack.zhetrd(H, lower=1, lwork=lwork)
+        if info:
+            raise np.linalg.LinAlgError(f"hetrd info {info}")
+        count, hi = _occupied_cut(linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf"),
+                                  mu, states)
+        w, z = linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
+                                       lapack_driver="stebz")
+        if orthogonality_residual(z) <= _ORTHO_TOL:
+            v = z.astype(complex)
+            if n > 1:
+                # Q z for Q = H(1) ... H(n-1), whose reflectors sit below the subdiagonal of T
+                args = ("L", "N", T[1:, :-1], tau)
+                lwork = int(lapack.zunmqr(*args, v[1:], -1)[1][0].real)
+                v[1:], _, info = lapack.zunmqr(*args, v[1:], lwork)
+            if not info:
+                return w, v, hi
+    except np.linalg.LinAlgError:
+        pass
+    w, v = np.linalg.eigh(H)
+    count, hi = _occupied_cut(w, mu, states)
+    return w[:count], v[:, :count], hi
+
+
 def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = None,
-                vectors: bool = True) -> EigenData:
+                vectors: bool = True, *, mu: float | None = None,
+                states: int | None = None) -> EigenData:
     """The one entry point for eigensolves of sample matrices; checks Hermiticity.
 
     The default is the full decomposition (LAPACK evd).  `window=(lo, hi)`
     solves only the eigenpairs with lo < E <= hi; `vectors=False` returns
-    every eigenvalue and no eigenvector.
+    every eigenvalue and no eigenvector.  `mu=` solves only the occupied
+    eigenpairs E <= mu and the first level above mu (whole, if degenerate),
+    `states=k` the lowest k levels and the level at index k.  Either gives a
+    window (-inf, hi] that certifies the gap at the Fermi level by itself,
+    with hi = +inf when nothing lies above: all a Fermi projection needs.
     """
-    if window is not None and not vectors:
-        raise ValueError("a windowed solve returns eigenvectors")
+    partial = (window is not None) + (mu is not None) + (states is not None)
+    if partial > 1:
+        raise ValueError("give at most one of window, mu and states")
+    if partial and not vectors:
+        raise ValueError("a partial solve returns eigenvectors")
     H = sample.matrix
+    if states is not None and not 0 <= states < H.shape[0]:
+        raise ValueError(f"states must lie in [0, {H.shape[0] - 1}], got {states}")
     herm_dev = np.abs(H - H.conj().T).max()
     if herm_dev > 1e-10 * max(1.0, np.abs(H).max()):
         raise ConvergenceFailureError(f"matrix is not Hermitian (deviation {herm_dev:.2e})")
     try:
         if not vectors:
             return EigenData(eigenvalues=np.linalg.eigvalsh(H), eigenvectors=None, sample=sample)
-        w, v = np.linalg.eigh(H) if window is None else _window_eigh(H, *window)
+        if mu is not None or states is not None:
+            w, v, hi = _occupied_eigh(H, mu, states)
+            window = (-np.inf, hi)
+        else:
+            w, v = np.linalg.eigh(H) if window is None else _window_eigh(H, *window)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
     return EigenData(eigenvalues=w, eigenvectors=v, sample=sample, window=window)
@@ -91,7 +166,11 @@ def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = 
 
 @dataclass(frozen=True)
 class FermiProjection:
-    """Spectral projection onto energies <= mu, with its certified gap."""
+    """Spectral projection onto energies <= mu, with its certified gap.
+
+    `eigen` is the decomposition it was built from: the full one, or an
+    occupied solve holding only the eigenpairs up to the first level above mu.
+    """
 
     mu: float
     projector: np.ndarray
@@ -105,13 +184,20 @@ class FermiProjection:
 
 
 def detect_gap(eigen: EigenData, mu: float, min_width: float = _MIN_GAP) -> tuple[float, float]:
-    """Maximal open interval around mu free of eigenvalues; eigenvalues only suffice."""
-    eigen.require_full("detect_gap", vectors=False)
+    """Maximal open interval around mu free of eigenvalues.
+
+    Eigenvalues alone suffice, from the whole spectrum or from an occupied
+    solve: a window (-inf, hi] holding a level above mu, or with hi = +inf.
+    """
+    eigen.require_full("detect_gap", vectors=False, mu=mu)
     w = eigen.eigenvalues
     if np.any(np.abs(w - mu) < min_width):
         raise NoGapError(f"an eigenvalue lies within {min_width:.0e} of mu={mu}")
     below = w[w <= mu]
     above = w[w > mu]
+    if not len(above) and eigen.window is not None and eigen.window[1] < np.inf:
+        raise ValueError(f"detect_gap needs a level above mu={mu}; the window {eigen.window} "
+                         "holds none")
     # an empty side extends the gap to the spectral edge
     lo = float(below[-1]) if len(below) else -np.inf
     hi = float(above[0]) if len(above) else np.inf
@@ -121,12 +207,29 @@ def detect_gap(eigen: EigenData, mu: float, min_width: float = _MIN_GAP) -> tupl
 
 
 def fermi_projection(eigen: EigenData, mu: float) -> FermiProjection:
-    eigen.require_full("fermi_projection")
+    """P = chi(H <= mu) from the occupied eigenvectors, with the gap `detect_gap`
+    certifies; takes the full decomposition or an occupied solve."""
+    eigen.require_full("fermi_projection", mu=mu)
     gap = detect_gap(eigen, mu)
     occ = eigen.eigenvalues <= mu
     V = eigen.eigenvectors[:, occ]
     return FermiProjection(mu=mu, projector=V @ V.conj().T, gap=gap, rank=int(occ.sum()),
                            eigen=eigen)
+
+
+def occupied_projection(sample: HamiltonianSample, mu: float | None = None,
+                        states: int | None = None) -> FermiProjection:
+    """Fermi projection from the occupied eigenpairs only: one occupied solve
+    (`diagonalize(sample, mu=mu)`, or `states=k` for mu halfway between the
+    k-th and (k+1)-th eigenvalue), whose window certifies the gap."""
+    if (mu is None) == (states is None):
+        raise ValueError("give exactly one of mu and states")
+    if states is not None and states < 1:
+        raise ValueError(f"states must be >= 1, got {states}")
+    eig = diagonalize(sample, mu=mu, states=states)
+    if states is not None:
+        mu = float(0.5 * (eig.eigenvalues[states - 1] + eig.eigenvalues[states]))
+    return fermi_projection(eig, mu)
 
 
 @dataclass(frozen=True)

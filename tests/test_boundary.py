@@ -84,6 +84,13 @@ def test_boundary_winding_profile_gate():
         boundary_winding(bu)
 
 
+def test_exp_map_thin_slab_refused():
+    # the envelope fit of the depth profile reads three layers
+    half = make_half_space(make_named_model("qwz", sizes=(8, 2), mass=1.0), 0.0)
+    with pytest.raises(ProfileNotDecayedError, match="at least 3 layers"):
+        exp_map(half, SwitchFunction("exp", half.bulk_gap))
+
+
 def test_bbc_disordered(harper_halfspace):
     _, f = harper_halfspace
     model, mu = harper_mu()
@@ -187,6 +194,17 @@ def test_spin_edge_current_trivial_and_perturbed():
     val_p, budget = spin_edge_current(half_p, f, pert.metadata["s_z"])
     assert abs(val_p) > 0.5
     assert abs(val_p - 1.0) <= budget
+
+
+def test_spin_budget_is_commutator_two_norm():
+    model = make_named_model("kane_mele_qsh", sizes=8, mass=1.0, rashba=0.3, zeeman=0.2)
+    half = make_half_space(model, 0.0)
+    f = SwitchFunction("exp", half.bulk_gap)
+    _, budget = spin_edge_current(half, f, model.metadata["s_z"])
+    H, s_z = half.hamiltonian.matrix, np.kron(np.eye(half.lattice.num_sites), model.metadata["s_z"])
+    want = np.linalg.norm(H @ s_z - s_z @ H, 2) * f.c_norm(6)
+    assert want > 0.0
+    assert abs(budget - want) < 1e-12 * want
 
 
 def test_edge_dispersion_rows():

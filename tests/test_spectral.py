@@ -14,6 +14,7 @@ from topoinv import (
     eval_switch,
     fermi_projection,
     make_named_model,
+    occupied_projection,
 )
 from topoinv import spectral
 from topoinv.errors import GapMismatchError, NoGapError
@@ -268,3 +269,80 @@ def test_windowed_decomposition_certifies_no_gap(partial_decompositions):
     full = diagonalize(partial_decompositions["windowed"].sample)
     gap = detect_gap(partial_decompositions["eigenvalues only"], 0.0)
     assert np.abs(np.subtract(gap, detect_gap(full, 0.0))).max() < 1e-12
+
+
+@pytest.mark.parametrize("failure", ["non-orthogonal", "LinAlgError"])
+def test_occupied_solve_falls_back_to_full_solve(monkeypatch, failure):
+    sample = hermitian_sample([-1.0, -0.5, -0.5, 0.2, 0.2, 0.7, 1.5], seed=3)
+    w, v = np.linalg.eigh(sample.matrix)
+    inner = spectral.linalg.eigh_tridiagonal
+
+    def broken(d, e, **kwargs):
+        if failure == "LinAlgError":
+            raise np.linalg.LinAlgError("forced failure")
+        vals, vecs = inner(d, e, **kwargs)
+        return vals, vecs + 1e-6  # columns no longer orthonormal
+
+    monkeypatch.setattr(spectral.linalg, "eigh_tridiagonal", broken)
+    # the first level above 0 is the Kramers-like pair at 0.2, kept whole
+    part = diagonalize(sample, mu=0.0)
+    assert part.window == (-np.inf, 0.5 * (w[4] + w[5]))
+    assert np.array_equal(part.eigenvalues, w[:5])
+    assert np.array_equal(part.eigenvectors, v[:, :5])
+
+
+@pytest.mark.parametrize("mu, states, kept, edge", [
+    (-2.0, None, 1, -0.75),  # below the spectrum: rank 0, the lowest level only
+    (0.0, None, 5, 0.45),  # the degenerate first level above mu is kept whole
+    (1.0, None, 7, np.inf),  # the last level above mu: nothing is left above the edge
+    (2.0, None, 7, np.inf),  # above the spectrum
+    (None, 1, 3, -0.15),  # the level at index 1 is the pair at -0.5
+    (None, 3, 5, 0.45),  # degenerate at index 3: the window still holds every level <= hi
+    (None, 6, 7, np.inf),
+])
+def test_occupied_solve_window(mu, states, kept, edge):
+    sample = hermitian_sample([-1.0, -0.5, -0.5, 0.2, 0.2, 0.7, 1.5], seed=5)
+    full = diagonalize(sample)
+    part = diagonalize(sample, mu=mu, states=states)
+    assert part.window[0] == -np.inf
+    assert part.window[1] == edge or abs(part.window[1] - edge) < 1e-12
+    assert len(part.eigenvalues) == kept
+    assert np.abs(part.eigenvalues - full.eigenvalues[:kept]).max() < 1e-12
+    assert orthogonality_residual(part.eigenvectors) <= 1e-10
+    if mu is not None:
+        for a, b in zip(detect_gap(part, mu), detect_gap(full, mu)):
+            assert a == b or abs(a - b) < 1e-12
+
+
+def test_occupied_solve_arguments():
+    sample = hermitian_sample([-1.0, 0.5, 1.5], seed=0)
+    for kwargs in (dict(window=(-1.0, 1.0), mu=0.0), dict(mu=0.0, states=1),
+                   dict(mu=0.0, vectors=False), dict(states=3), dict(states=-1)):
+        with pytest.raises(ValueError):
+            diagonalize(sample, **kwargs)
+    for kwargs in (dict(), dict(mu=0.0, states=1), dict(states=0)):
+        with pytest.raises(ValueError):
+            occupied_projection(sample, **kwargs)
+
+
+@pytest.fixture
+def refused_decompositions():
+    """Partial decompositions that certify no gap at mu = 0: a flow window around
+    mu, occupied-form windows that end at or below mu or below the first level
+    above it, and eigenvalues without vectors."""
+    sample = hermitian_sample([-1.0, -0.5, 0.6, 1.5], seed=2)
+    return {"flow window": diagonalize(sample, window=(-0.8, 0.8)),
+            "edge below mu": diagonalize(sample, window=(-np.inf, -0.2)),
+            "no level above mu": diagonalize(sample, window=(-np.inf, 0.3)),
+            "eigenvalues only": diagonalize(sample, vectors=False)}
+
+
+@pytest.mark.parametrize("kind", ["flow window", "edge below mu", "no level above mu",
+                                  "eigenvalues only"])
+def test_projection_needs_an_occupied_window(refused_decompositions, kind):
+    eig = refused_decompositions[kind]
+    with pytest.raises(ValueError, match="fermi_projection|detect_gap"):
+        fermi_projection(eig, 0.0)
+    if kind != "eigenvalues only":  # the whole spectrum's eigenvalues certify a gap
+        with pytest.raises(ValueError, match="detect_gap"):
+            detect_gap(eig, 0.0)

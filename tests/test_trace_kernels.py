@@ -7,6 +7,10 @@ only the diagonal entries it summed.  The boundary references also solve
 the open sample in full, where the package reads only the eigenpairs in the
 certified bulk gap.  Every kernel must reproduce them on random small
 samples, periodic and open, in d = 1, 2 and 3.
+
+The Fermi projections the tasks use come from occupied solves, which hold
+only the eigenpairs up to the first level above mu; the last section holds
+them, and every invariant read from them, to the full decomposition.
 """
 
 import itertools
@@ -32,14 +36,24 @@ from topoinv import (
     dirac_phase,
     exp_map,
     fermi_projection,
+    fermi_unitary,
     make_named_model,
+    occupied_projection,
     pair_index,
+    spin_chern,
     spin_edge_current,
     veg_invariant,
+    z2_kernel_parity,
 )
 from topoinv.boundary import _layer_indices, _near_window
-from topoinv.errors import NotConvergedError, ParamOutOfRangeError
-from topoinv.invariants import _odd_coeff, core_mask, displacement_matrix, nc_derivative
+from topoinv.errors import NoGapError, NotConvergedError, ParamOutOfRangeError
+from topoinv.invariants import (
+    _odd_coeff,
+    core_mask,
+    displacement_matrix,
+    nc_derivative,
+    trs_fredholm,
+)
 from topoinv.models import OPEN, PERIODIC, apply_fiber
 
 TOL = 1e-12
@@ -342,3 +356,148 @@ def test_exp_map_matches_reference(lat, seed, bulk_gap, data):
     if min(profile[l:l + 3].max() for l in range(max(3, n_d // 2))) > 1e-2:
         assert abs(1 / bu.decay_length - 1 / ref_decay_length(profile)) < TOL
     assert np.abs(bu.matrix - U).max() < TOL
+
+
+# --- occupied solves -----------------------------------------------------------
+
+def full_projection(sample, mu=None, states=None):
+    """The Fermi projection from the full decomposition, mu as occupied_projection takes it."""
+    full = diagonalize(sample)
+    if states is not None:
+        mu = 0.5 * (full.eigenvalues[states - 1] + full.eigenvalues[states])
+    return fermi_projection(full, mu)
+
+
+def assert_same_projection(got, want):
+    assert got.eigen.window[0] == -np.inf
+    assert got.rank == want.rank
+    assert abs(got.mu - want.mu) < TOL
+    for a, b in zip(got.gap, want.gap):
+        assert a == b or abs(a - b) < TOL
+    assert np.abs(got.projector - want.projector).max(initial=0.0) < TOL
+    # the window holds every level up to its edge, and the first level above mu
+    w_all = want.eigen.eigenvalues
+    lo, hi = got.eigen.window
+    assert len(got.eigen.eigenvalues) == (w_all <= hi).sum()
+    assert hi == np.inf or got.eigen.eigenvalues[-1] > want.mu
+
+
+@st.composite
+def occupied_spectra(draw):
+    """A lattice, levels on a 0.1 grid with many exact degeneracies (or Kramers
+    pairs throughout) and mu halfway between grid points, below every level,
+    above every level or inside.  The levels above mu are taken as drawn,
+    moved far up (a first level above mu at the far end of the spectrum) or
+    merged into one flat band reaching the top."""
+    lat = draw(lattices(dims=(2, 3)))
+    n = lat.hilbert_dim
+    levels = 0.1 * np.array(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+    if n % 2 == 0 and draw(st.booleans()):
+        levels = np.repeat(levels[:n // 2], 2)
+    mu = 0.1 * draw(st.integers(-22, 21)) + 0.05
+    above = levels > mu
+    shape = draw(st.sampled_from(("as drawn", "far", "flat")))
+    if shape == "far":
+        levels[above] += 20.0
+    elif shape == "flat":
+        levels[above] = 2.5
+    return lat, levels, mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(occupied_spectra(), SEEDS, st.sampled_from(("all", "core")), st.data())
+def test_occupied_projection_matches_full(case, seed, region, data):
+    lat, levels, mu = case
+    rng = np.random.default_rng(seed)
+    sample = random_sample(lat, rng, rng.permutation(levels))
+    got, want = occupied_projection(sample, mu), full_projection(sample, mu)
+    assert_same_projection(got, want)
+    pairs = [(1, 2)] if lat.dimension == 2 else [(1, 2), (1, 3), (2, 3)]
+    I = data.draw(st.sampled_from(pairs))
+    if region == "all" or core_mask(sample, 0.5).any():
+        assert abs(chern_projection(got, I, region=region).raw
+                   - chern_projection(want, I, region=region).raw) < TOL
+    # a mu_states request: the lowest k levels and the one at index k
+    k = data.draw(st.integers(1, lat.hilbert_dim - 1))
+    w = np.sort(levels)
+    if w[k] - w[k - 1] < 1e-6:
+        for build in (occupied_projection, full_projection):
+            with pytest.raises(NoGapError):
+                build(sample, states=k)
+        return
+    assert_same_projection(occupied_projection(sample, states=k), full_projection(sample, states=k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, st.integers(6, 9), st.sampled_from((-1.0, 1.0, 3.0)), st.floats(0.0, 1.5))
+def test_occupied_pair_index_and_core_chern(seed, size, mass, strength):
+    model = make_named_model("qwz", sizes=size, mass=mass, boundary=(OPEN, OPEN),
+                             disorder=DisorderSpec(strength=strength, seed=seed))
+    sample = build_hamiltonian(model)
+    try:
+        want = full_projection(sample, 0.0)
+    except NoGapError:
+        with pytest.raises(NoGapError):
+            occupied_projection(sample, 0.0)
+        return
+    got = occupied_projection(sample, 0.0)
+    assert_same_projection(got, want)
+    assert abs(chern_projection(got, (1, 2), region="core").raw
+               - chern_projection(want, (1, 2), region="core").raw) < TOL
+    dirac = dirac_phase(sample)
+    try:
+        ref = pair_index(want, dirac).raw
+    except NotConvergedError:
+        with pytest.raises(NotConvergedError):
+            pair_index(got, dirac)
+        return
+    assert abs(pair_index(got, dirac).raw - ref) < TOL
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, st.integers(8, 40), st.sampled_from((-1.5, -0.5, 0.0, 0.3, 2.0)),
+       st.floats(0.0, 0.4))
+def test_occupied_fermi_unitary_winding(seed, size, m, strength):
+    model = make_named_model("ssh", sizes=size, m=m, disorder=DisorderSpec(strength=strength, seed=1))
+    sample = build_hamiltonian(model, seed)
+    got, want = occupied_projection(sample, 0.0), full_projection(sample, 0.0)
+    assert_same_projection(got, want)
+    U, V = fermi_unitary(got, model.symmetry), fermi_unitary(want, model.symmetry)
+    assert abs(U.min_singular - V.min_singular) < TOL
+    assert abs(chern_unitary(U, (1,)).raw - chern_unitary(V, (1,)).raw) < TOL
+
+
+@pytest.mark.parametrize("size, mass, strength, seed", [
+    (6, 1.0, 0.0, 0), (6, 3.5, 0.3, 1), (8, 1.0, 0.0, 0), (8, 1.0, 0.3, 2), (8, 3.5, 0.3, 1)])
+def test_occupied_z2_parity_and_spin_chern(size, mass, strength, seed):
+    # Kramers-degenerate spectra: time reversal is odd and survives the disorder
+    dis = DisorderSpec(strength=strength, seed=29)
+    open_model = make_named_model("kane_mele_qsh", sizes=size, boundary="open", mass=mass,
+                                  rashba=0.1, disorder=dis)
+    sample = build_hamiltonian(open_model, seed)
+    got, want = occupied_projection(sample, 0.0), full_projection(sample, 0.0)
+    assert_same_projection(got, want)
+    dp = dirac_phase(sample)
+    T_got, T_want = trs_fredholm(got, dp), trs_fredholm(want, dp)
+    res_got = z2_kernel_parity(T_got, open_model.symmetry, sample, dp.origin)
+    res_want = z2_kernel_parity(T_want, open_model.symmetry, sample, dp.origin)
+    assert res_got.value == res_want.value
+    assert res_got.extra["total_small"] == res_want.extra["total_small"]
+    # the margin is a ratio of singular values of T, each of which moves by at
+    # most delta = ||T_got - T_want|| (Weyl), so its relative change is at most
+    # 2 delta / s_min to first order; on these samples that bound is < 1e-9
+    delta = np.linalg.norm(T_got - T_want, 2)
+    bound = 2 * delta / np.linalg.svd(T_want, compute_uv=False).min()
+    assert bound < 1e-9
+    margin = res_want.extra["margin"]
+    assert abs(res_got.extra["margin"] - margin) <= max(TOL, bound) * margin
+
+    torus = make_named_model("kane_mele_qsh", sizes=size, mass=mass, rashba=0.1, disorder=dis)
+    sample = build_hamiltonian(torus, seed)
+    got, want = occupied_projection(sample, 0.0), full_projection(sample, 0.0)
+    assert_same_projection(got, want)
+    (res_got, gap_got, residue_got), (res_want, gap_want, residue_want) = (
+        spin_chern(P, torus.metadata["s_z"]) for P in (got, want))
+    assert abs(res_got.raw - res_want.raw) < TOL
+    assert abs(gap_got - gap_want) < TOL
+    assert abs(residue_got - residue_want) < TOL

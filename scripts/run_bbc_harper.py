@@ -14,9 +14,9 @@ from topoinv import (
     chern_projection,
     diagonalize,
     exp_map,
-    fermi_projection,
     make_half_space,
     make_named_model,
+    occupied_projection,
 )
 from topoinv.boundary import edge_dispersion_rows, write_edge_dispersion_csv
 
@@ -35,10 +35,10 @@ for lam, seeds in ((0.0, [0]), (LAMBDA, range(N_REALIZATIONS))):
     dis = DisorderSpec(strength=lam, seed=7)
     m = make_named_model("harper", sizes=N, boundary=("periodic", "open"), b12=B12, disorder=dis)
     for seed in seeds:
-        # the bulk projection needs the companion's eigenvectors, so solve it here
-        companion = diagonalize(build_hamiltonian(m.with_boundary(1, "periodic"), seed))
-        half = make_half_space(m, mu, seed, companion=companion)
-        bulk = chern_projection(fermi_projection(companion, mu), (1, 2))
+        # the companion's occupied solve gives the bulk projection and certifies the gap
+        P = occupied_projection(build_hamiltonian(m.with_boundary(1, "periodic"), seed), mu)
+        half = make_half_space(m, mu, seed, companion=P.eigen)
+        bulk = chern_projection(P, (1, 2))
         edge = boundary_winding(exp_map(half, SwitchFunction("exp", half.bulk_gap)))
         rows.append((lam, seed, bulk.value, edge.value))
         print(f"lam={lam} seed={seed}: bulk {bulk.value:+.5f} edge {edge.value:+.5f}")

@@ -1,7 +1,8 @@
 """Flux-pump spectral flow of a Chern insulator with a central defect.
 
-Writes the flow trace (t, eigenvalue, branch) for spaghetti plots and prints
-the defect-localized flow against the pair index of the same sample.
+Writes the flow trace (t, eigenvalue, branch) of the branches the flow
+counted, for spaghetti plots, and prints the defect-localized flow against
+the pair index of the same sample.
 """
 
 from topoinv import (
@@ -28,6 +29,6 @@ print(f"spectral flow {flow.net} (raw {flow.raw_net}), pair index {pi.rounded} (
 
 with open("flow.csv", "w") as fh:
     fh.write("t,eigenvalue,branch\n")
-    for t, e, b in flow_trace(path, 0.0):
+    for t, e, b in flow_trace(flow):
         fh.write(f"{t!r},{e!r},{b}\n")
 print("wrote flow.csv")

@@ -74,7 +74,8 @@ def make_half_space(model: ModelDefinition, mu: float, realization_seed: int = 0
     """Certify the gap at mu on the torus companion, then open the last axis.
 
     The companion is solved here for eigenvalues only; a caller that needs
-    its projection diagonalizes it in full and hands it in as `companion`.
+    its projection hands in the occupied solve it took it from
+    (`occupied_projection(...).eigen`) as `companion`.
     """
     if companion is None:
         companion = diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC),

@@ -92,119 +92,109 @@ def _require_symmetry(H: np.ndarray, op: np.ndarray, kind: str, rel_tol: float, 
 
 @dataclass(frozen=True)
 class SpectralFlowResult:
-    """Signed defect-localized crossing count, with raw count and diagnostics."""
+    """Signed defect-localized crossing count, with raw count and diagnostics.
+
+    `branches` holds, at every flux value the tracking accepted (refined
+    points included), the in-window eigenvalues and their branch ids; each
+    crossing names the branch that made it.
+    """
 
     net: int
     raw_net: int
     crossings: tuple[dict, ...]
     min_overlap: float
+    branches: tuple[tuple[float, np.ndarray, np.ndarray], ...]
 
 
-def spectral_flow(path: FluxPath, mu: float, overlap_floor: float = 0.7,
-                  max_refine: int = 6, weight_floor: float = 0.5,
-                  radius_frac: float = 0.25, width: float | None = None) -> SpectralFlowResult:
+_OVERLAP_FLOOR = 0.7  # smallest matched overlap |<v0, v1>|^2 a step accepts
+_MAX_REFINE = 6  # bisection rounds of one step: steps no shorter than 2^-6
+_WEIGHT_FLOOR = 0.5  # plaquette weight above which a crossing counts toward the net flow
+_RADIUS_FRAC = 0.25  # radius of the plaquette window, as a fraction of the sample
+
+
+def spectral_flow(path: FluxPath, mu: float) -> SpectralFlowResult:
     """Net number of tracked eigenvalue branches moving through mu.
 
     Branches inside the bulk gap window around mu are matched between
     consecutive flux values by maximal eigenvector overlap (bijective
     assignment); intervals whose best overlaps fall below the floor are
-    bisected, up to max_refine rounds, after which a degenerate sample point
-    is skipped.  A crossing counts toward the net flow when its branch
-    localizes at the flux plaquette; the unfiltered count is reported too.
-    The window defaults to the gap of the periodic companion of the base
-    model, since the open base sample carries edge spectrum inside the gap.
-    Each sample is solved only on that window.
+    bisected, up to the refinement limit, after which a degenerate sample
+    point is skipped.  A branch keeps its id across each accepted step, and a
+    level the assignment leaves unmatched starts a fresh one.  A crossing
+    counts toward the net flow when its branch localizes at the flux
+    plaquette; the unfiltered count is reported too.  The window is the gap
+    of the periodic companion of the base model, since the open base sample
+    carries edge spectrum inside the gap.  Each sample is solved only on that
+    window.
     """
-    if width is None:
-        width = _companion_half_width(path, mu)
+    width = _companion_half_width(path, mu)
     energies = (mu - width, mu + width)
-    window = path.base.lattice.window(np.add(path.plaquette, 0.5), radius_frac)
+    window = path.base.lattice.window(np.add(path.plaquette, 0.5), _RADIUS_FRAC)
     ts = list(path.ts)
-    dt_floor = 2.0 ** (-max_refine)
+    dt_floor = 2.0 ** (-_MAX_REFINE)
 
-    def matched_pairs(t0, t1):
-        e0, e1 = path.eigen_at(t0, energies), path.eigen_at(t1, energies)
-        sel0 = np.where(np.abs(e0.eigenvalues - mu) < width)[0]
-        sel1 = np.where(np.abs(e1.eigenvalues - mu) < width)[0]
-        if len(sel0) == 0 or len(sel1) == 0:
-            return [], 1.0
-        V0 = e0.eigenvectors[:, sel0]
-        V1 = e1.eigenvectors[:, sel1]
-        O = np.abs(V0.conj().T @ V1) ** 2
+    def levels(t):
+        eig = path.eigen_at(t, energies)
+        inside = np.abs(eig.eigenvalues - mu) < width
+        return eig.eigenvalues[inside], eig.eigenvectors[:, inside]
+
+    def matched(t0, t1):
+        """Overlap assignment of the levels at t0 to those at t1, and its worst overlap."""
+        O = np.abs(levels(t0)[1].conj().T @ levels(t1)[1]) ** 2
         rows, cols = linear_sum_assignment(-O)
-        worst = float(O[rows, cols].min()) if len(rows) else 1.0
-        pairs = []
-        for r, c in zip(rows, cols):
-            pairs.append((e0.eigenvalues[sel0[r]], e1.eigenvalues[sel1[c]],
-                          V0[:, r], V1[:, c]))
-        return pairs, worst
+        return rows, cols, float(O[rows, cols].min(initial=1.0))
 
+    energies0 = levels(ts[0])[0]
+    ids = np.arange(len(energies0))
+    next_id = len(ids)
+    branches = [(ts[0], energies0, ids)]
     crossings = []
     min_overlap = 1.0
     k = 0
     while k < len(ts) - 1:
         t0, t1 = ts[k], ts[k + 1]
-        pairs, worst = matched_pairs(t0, t1)
-        if worst < overlap_floor:
+        rows, cols, worst = matched(t0, t1)
+        if worst < _OVERLAP_FLOOR:
             if t1 - t0 > dt_floor:
                 ts.insert(k + 1, 0.5 * (t0 + t1))
                 continue
             # refinement floor: the sample at an endpoint sits inside an
             # avoided-crossing window; skip over it and match across
-            if k + 2 < len(ts):
-                pairs2, worst2 = matched_pairs(t0, ts[k + 2])
-                if worst2 >= overlap_floor:
-                    del ts[k + 1]
-                    continue
+            if k + 2 < len(ts) and matched(t0, ts[k + 2])[2] >= _OVERLAP_FLOOR:
+                del ts[k + 1]
+                continue
             raise BranchAmbiguityError(
-                f"overlap {worst:.2f} below {overlap_floor} at dt {t1 - t0:.3g}")
+                f"overlap {worst:.2f} below {_OVERLAP_FLOOR} at dt {t1 - t0:.3g}")
         min_overlap = min(min_overlap, worst)
-        for lam0, lam1, v0, v1 in pairs:
-            if (lam0 - mu) * (lam1 - mu) < 0:
-                direction = int(np.sign(lam1 - lam0))
+        (E0, V0), (E1, V1) = levels(t0), levels(t1)
+        next_ids = np.full(len(E1), -1)
+        next_ids[cols] = ids[rows]
+        fresh = next_ids < 0
+        next_ids[fresh] = next_id + np.arange(fresh.sum())
+        next_id += int(fresh.sum())
+        for r, c in zip(rows, cols):
+            if (E0[r] - mu) * (E1[c] - mu) < 0:
                 # measure localization away from the degeneracy point
-                vec = v0 if abs(lam0 - mu) > abs(lam1 - mu) else v1
-                weight = float((np.abs(vec) ** 2 * window).sum())
-                crossings.append({"t": 0.5 * (t0 + t1), "direction": direction,
-                                  "multiplicity": 1, "weight": weight})
+                vec = V0[:, r] if abs(E0[r] - mu) > abs(E1[c] - mu) else V1[:, c]
+                crossings.append({"t": 0.5 * (t0 + t1), "direction": int(np.sign(E1[c] - E0[r])),
+                                  "multiplicity": 1,
+                                  "weight": float((np.abs(vec) ** 2 * window).sum()),
+                                  "branch": int(next_ids[c])})
+        branches.append((t1, E1, next_ids))
+        ids = next_ids
         k += 1
 
-    net = sum(c["direction"] for c in crossings if c["weight"] > weight_floor)
+    net = sum(c["direction"] for c in crossings if c["weight"] > _WEIGHT_FLOOR)
     raw = sum(c["direction"] for c in crossings)
-    return SpectralFlowResult(net=int(net), raw_net=int(raw),
-                              crossings=tuple(crossings), min_overlap=min_overlap)
+    return SpectralFlowResult(net=int(net), raw_net=int(raw), crossings=tuple(crossings),
+                              min_overlap=min_overlap, branches=tuple(branches))
 
 
-def flow_trace(path: FluxPath, mu: float, width: float | None = None) -> list[tuple]:
-    """(t, eigenvalue, branch id) rows for spaghetti plots of the window spectrum.
-
-    Branch ids propagate between consecutive flux values by the same
-    overlap assignment the flow counter uses; fresh branches entering the
-    window get fresh ids.
-    """
-    if width is None:
-        width = _companion_half_width(path, mu)
-    rows = []
-    prev_sel = prev_vecs = prev_ids = None
-    next_id = 0
-    for t in path.ts:
-        eig = path.eigen_at(t, (mu - width, mu + width))
-        sel = np.where(np.abs(eig.eigenvalues - mu) < width)[0]
-        vecs = eig.eigenvectors[:, sel]
-        ids = [-1] * len(sel)
-        if prev_sel is not None and len(sel) and len(prev_sel):
-            O = np.abs(prev_vecs.conj().T @ vecs) ** 2
-            r, c = linear_sum_assignment(-O)
-            for i, j in zip(r, c):
-                if O[i, j] > 0.25:
-                    ids[j] = prev_ids[i]
-        for j in range(len(sel)):
-            if ids[j] < 0:
-                ids[j] = next_id
-                next_id += 1
-            rows.append((float(t), float(eig.eigenvalues[sel[j]]), ids[j]))
-        prev_sel, prev_vecs, prev_ids = sel, vecs, ids
-    return rows
+def flow_trace(result: SpectralFlowResult) -> list[tuple[float, float, int]]:
+    """(t, eigenvalue, branch id) rows for spaghetti plots: the branches
+    `spectral_flow` tracked and counted, at every flux value it accepted."""
+    return [(float(t), float(e), int(b)) for t, E, ids in result.branches
+            for e, b in zip(E, ids)]
 
 
 # ---------------------------------------------------------------------------

@@ -135,10 +135,9 @@ def _projection(model, params, seed):
     return occupied_projection(sample, params.get("mu", 0.0))
 
 
-def _half_space(model, params, seed, vectors=True):
-    """Half-space sample with its torus companion solved here, for eigenvalues only
-    unless `vectors` (a bulk projection needs them)."""
-    eig = diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC), seed), vectors=vectors)
+def _half_space(model, params, seed):
+    """Half-space sample with its torus companion solved here, for eigenvalues only."""
+    eig = diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC), seed), vectors=False)
     return bd.make_half_space(model, _resolve_mu(params, eig), seed, companion=eig)
 
 
@@ -171,8 +170,10 @@ def _task_spin_chern(model, params, seed):
 
 
 def _task_bbc(model, params, seed):
-    half = _half_space(model, params, seed)
-    bulk = iv.chern_projection(fermi_projection(half.companion_eigen, half.mu), (1, 2))
+    # the torus companion's occupied solve gives the bulk projection and certifies the gap
+    P = _projection(model.with_boundaries(PERIODIC), params, seed)
+    half = bd.make_half_space(model, P.mu, seed, companion=P.eigen)
+    bulk = iv.chern_projection(P, (1, 2))
     f = SwitchFunction("exp", half.bulk_gap)
     edge = bd.boundary_winding(bd.exp_map(half, f))
     return {"bulk": bulk.value, "edge": edge.value,
@@ -180,7 +181,7 @@ def _task_bbc(model, params, seed):
 
 
 def _task_boundary_current(model, params, seed):
-    half = _half_space(model, params, seed, vectors=False)
+    half = _half_space(model, params, seed)
     f = SwitchFunction("exp", half.bulk_gap)
     value = bd.boundary_current(half, f)
     return {"value": value, "rounded": int(round(value)),
@@ -209,7 +210,7 @@ def _task_laughlin(model, params, seed):
     return {"spectral_flow": sf.net, "pair_index": pi.rounded,
             "pair_index_raw": pi.value,
             "quantization_error": float(abs(sf.net - pi.rounded)),
-            "_flow_trace": fl.flow_trace(path, mu)}
+            "_flow_trace": fl.flow_trace(sf)}
 
 
 def _task_kitaev_halfflux(model, params, seed):

@@ -58,22 +58,8 @@ def orthogonality_residual(V: np.ndarray) -> float:
     return float(np.abs(V.conj().T @ V - np.eye(V.shape[1])).max(initial=0.0))
 
 
-def _window_eigh(H: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs with lo < E <= hi by MRRR (LAPACK evr), certified orthonormal;
-    a failed or uncertified run is replaced by the window of the full solve."""
-    try:
-        w, v = linalg.eigh(H, subset_by_value=(lo, hi), driver="evr")
-        if orthogonality_residual(v) <= _ORTHO_TOL:
-            return w, v
-    except np.linalg.LinAlgError:
-        pass
-    w, v = np.linalg.eigh(H)
-    keep = (w > lo) & (w <= hi)
-    return w[keep], v[:, keep]
-
-
-def _occupied_cut(w: np.ndarray, mu: float | None, states: int | None) -> tuple[int, float]:
-    """How many of the ascending levels w an occupied solve keeps, and its window edge.
+def _occupied_edge(w: np.ndarray, mu: float | None, states: int | None) -> float:
+    """Edge hi of the occupied window (-inf, hi] over the ascending levels w.
 
     The first level above the Fermi level is w[states], or the first level
     more than the tie tolerance above mu.  The edge splits the first gap at or
@@ -84,22 +70,24 @@ def _occupied_cut(w: np.ndarray, mu: float | None, states: int | None) -> tuple[
     k = states if states is not None else int(np.searchsorted(w, mu + tie, side="right"))
     wide = np.flatnonzero(np.diff(w[k:]) > tie)
     if not len(wide):
-        return len(w), np.inf
+        return np.inf
     j = k + int(wide[0])
-    return j + 1, float(0.5 * (w[j] + w[j + 1]))
+    return float(0.5 * (w[j] + w[j + 1]))
 
 
-def _occupied_eigh(H: np.ndarray, mu: float | None,
-                   states: int | None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenpairs E <= hi for the edge hi of `_occupied_cut`, and hi.
+def _partial_eigh(H: np.ndarray, window: tuple[float, float] | None, mu: float | None,
+                  states: int | None) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Eigenpairs with lo < E <= hi, and the cut (lo, hi): the given window, or
+    the occupied window (-inf, hi] whose edge `_occupied_edge` places.
 
     One Householder reduction to a real tridiagonal T (LAPACK hetrd) serves
-    all of it: every eigenvalue of T (sterf, O(dim^2)) places the edge, and
-    only the kept eigenpairs are formed, by bisection and inverse iteration
-    (stebz, stein), then carried back by the unitary reflectors (unmqr).
-    Certified as in `_window_eigh`, on the eigenvectors of T: a failed run,
-    or one with max|Z^T Z - I| > 1e-10, is replaced by the same cut of the
-    full solve.
+    all of it.  An occupied request places its edge from every eigenvalue of T
+    (sterf, O(dim^2)).  Only the kept eigenpairs are formed, by bisection on
+    (lo, hi] and inverse iteration (stebz, stein), then carried back by the
+    unitary reflectors (unmqr): LAPACK's own route for a subset by value,
+    with the same eigenvalues.  A failed run, or one whose eigenvectors of T
+    have max|Z^T Z - I| > 1e-10, is replaced by the same cut of the full solve.
+    The eigenvectors own their memory on either route.
     """
     n = H.shape[0]
     try:
@@ -107,10 +95,9 @@ def _occupied_eigh(H: np.ndarray, mu: float | None,
         T, d, e, tau, info = lapack.zhetrd(H, lower=1, lwork=lwork)
         if info:
             raise np.linalg.LinAlgError(f"hetrd info {info}")
-        count, hi = _occupied_cut(linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf"),
-                                  mu, states)
-        w, z = linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
-                                       lapack_driver="stebz")
+        cut = window or (-np.inf, _occupied_edge(
+            linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf"), mu, states))
+        w, z = linalg.eigh_tridiagonal(d, e, select="v", select_range=cut, lapack_driver="stebz")
         if orthogonality_residual(z) <= _ORTHO_TOL:
             v = z.astype(complex)
             if n > 1:
@@ -119,12 +106,13 @@ def _occupied_eigh(H: np.ndarray, mu: float | None,
                 lwork = int(lapack.zunmqr(*args, v[1:], -1)[1][0].real)
                 v[1:], _, info = lapack.zunmqr(*args, v[1:], lwork)
             if not info:
-                return w, v, hi
+                return w, v, cut
     except np.linalg.LinAlgError:
         pass
     w, v = np.linalg.eigh(H)
-    count, hi = _occupied_cut(w, mu, states)
-    return w[:count], v[:, :count], hi
+    cut = window or (-np.inf, _occupied_edge(w, mu, states))
+    keep = (w > cut[0]) & (w <= cut[1])
+    return w[keep], v[:, keep].copy(), cut
 
 
 def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = None,
@@ -139,6 +127,7 @@ def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = 
     `states=k` the lowest k levels and the level at index k.  Either gives a
     window (-inf, hi] that certifies the gap at the Fermi level by itself,
     with hi = +inf when nothing lies above: all a Fermi projection needs.
+    Every partial solve takes the one route of `_partial_eigh`.
     """
     partial = (window is not None) + (mu is not None) + (states is not None)
     if partial > 1:
@@ -154,11 +143,10 @@ def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = 
     try:
         if not vectors:
             return EigenData(eigenvalues=np.linalg.eigvalsh(H), eigenvectors=None, sample=sample)
-        if mu is not None or states is not None:
-            w, v, hi = _occupied_eigh(H, mu, states)
-            window = (-np.inf, hi)
+        if partial:
+            w, v, window = _partial_eigh(H, window, mu, states)
         else:
-            w, v = np.linalg.eigh(H) if window is None else _window_eigh(H, *window)
+            w, v = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
     return EigenData(eigenvalues=w, eigenvectors=v, sample=sample, window=window)

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,11 @@ from topoinv import (
 )
 from topoinv.errors import KernelAtEndpointError, SymmetryBrokenAtHalfFluxError
 from topoinv.flow import _companion_half_width, flow_trace, majorana_form
+from topoinv.harness import load_config
 from topoinv.invariants import _pfaffian_sign_logabs
-from topoinv.models import SIGMA_1
+from topoinv.models import OPEN, SIGMA_1
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def bdg_phs_spec():
@@ -79,8 +83,8 @@ def test_endpoint_gauge_equivalence():
 
 
 def test_flow_trace_rows():
-    sample, path = qwz_flux_path(n=12)
-    rows = flow_trace(path, 0.0)
+    sample, path = qwz_flux_path()
+    rows = flow_trace(spectral_flow(path, 0.0))
     assert len(rows) > 0
     branches = {b for _, _, b in rows}
     assert all(isinstance(b, int) for b in branches)
@@ -99,13 +103,34 @@ def test_windowed_flow_matches_full_decompositions():
     assert [(c["t"], c["direction"]) for c in a.crossings] == \
         [(c["t"], c["direction"]) for c in b.crossings]
     assert all(abs(c["weight"] - d["weight"]) < 1e-12 for c, d in zip(a.crossings, b.crossings))
-    rows_a, rows_b = flow_trace(windowed, 0.0), flow_trace(full, 0.0)
+    rows_a, rows_b = flow_trace(a), flow_trace(b)
     assert [(t, k) for t, _, k in rows_a] == [(t, k) for t, _, k in rows_b]
     assert max(abs(ea - eb) for (_, ea, _), (_, eb, _) in zip(rows_a, rows_b)) < 1e-12
     width = _companion_half_width(windowed, 0.0)
     assert windowed.eigen_at(0.5, (-width, width)).window == (-width, width)
     # a windowed request is served by a cached full decomposition of the same t
     assert full.eigen_at(0.5, (-1.0, 1.0)) is full.eigen_at(0.5)
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+def test_flow_trace_is_the_counted_branches(seed):
+    """On a path that refines, the trace holds the branches the flow counted, at
+    every flux value it accepted; each crossing is one branch through mu."""
+    model = load_config(ROOT / "configs" / "qwz_laughlin.cfg").model().with_boundaries(OPEN)
+    n = model.lattice.linear_sizes
+    path = FluxPath(base=build_hamiltonian(model, seed), plaquette=(n[0] // 2, n[1] // 2))
+    res = spectral_flow(path, 0.0)
+    grid = [t for t, _, _ in res.branches]
+    rows = flow_trace(res)
+    assert sorted({t for t, _, _ in rows}) == grid
+    # one refined point between two of the 21 base points
+    assert set(path.ts) < set(grid) and len(grid) == len(path.ts) + 1
+    steps = {0.5 * (t0 + t1): (t0, t1) for t0, t1 in zip(grid, grid[1:])}
+    assert res.crossings
+    for c in res.crossings:
+        t0, t1 = steps[c["t"]]
+        (e0,), (e1,) = ([e for t, e, b in rows if t == tt and b == c["branch"]] for tt in (t0, t1))
+        assert e0 * e1 < 0 and np.sign(e1 - e0) == c["direction"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -351,3 +352,16 @@ def test_cli_mu_states_out_of_range(tmp_path, capsys, k):
     assert main(["winding", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: task.mu_states must be between 1 and 63")
+
+
+def test_traced_functions_exist():
+    """Every function the perfbench tracer rebinds exists in its topoinv module, so a
+    rename cannot silently drop a layer from a traced run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"topoinv.{layer}.{name}" for layer, names in tracing.LAYERS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"topoinv.{layer}"), name, None))]
+    assert not missing

@@ -195,27 +195,6 @@ def test_windowed_matches_full_solve(case, seed):
     assert np.abs(values.eigenvalues - full.eigenvalues).max() < 1e-12
 
 
-@pytest.mark.parametrize("failure", ["non-orthogonal", "LinAlgError"])
-def test_windowed_falls_back_to_full_solve(monkeypatch, failure):
-    sample = hermitian_sample([-1.0, -0.5, -0.5, 0.2, 0.2, 0.7, 1.5], seed=3)
-    window = (-0.6, 0.8)
-    w, v = np.linalg.eigh(sample.matrix)
-    keep = (w > window[0]) & (w <= window[1])
-    inner = spectral.linalg.eigh
-
-    def broken(H, **kwargs):
-        if failure == "LinAlgError":
-            raise np.linalg.LinAlgError("forced failure")
-        vals, vecs = inner(H, **kwargs)
-        return vals, vecs + 1e-6  # columns no longer orthonormal
-
-    monkeypatch.setattr(spectral.linalg, "eigh", broken)
-    part = diagonalize(sample, window=window)
-    assert part.window == window
-    assert np.array_equal(part.eigenvalues, w[keep])
-    assert np.array_equal(part.eigenvectors, v[:, keep])
-
-
 def test_windowed_qwz_flux_sample_window():
     sample = build_hamiltonian(make_named_model("qwz", sizes=8, boundary="open", mass=1.0))
     full = diagonalize(sample)
@@ -271,24 +250,40 @@ def test_windowed_decomposition_certifies_no_gap(partial_decompositions):
     assert np.abs(np.subtract(gap, detect_gap(full, 0.0))).max() < 1e-12
 
 
-@pytest.mark.parametrize("failure", ["non-orthogonal", "LinAlgError"])
-def test_occupied_solve_falls_back_to_full_solve(monkeypatch, failure):
+@pytest.mark.parametrize("failure", [None, "non-orthogonal", "LinAlgError"])
+@pytest.mark.parametrize("request_kind", ["window", "mu"])
+def test_partial_solve_route_and_fallback(monkeypatch, request_kind, failure):
+    """Both partial requests take one route; a forced failure of it (vectors no
+    longer orthonormal, or a LAPACK error) gives the same cut of the full solve,
+    bit for bit.  On either route the eigenvectors own their memory."""
     sample = hermitian_sample([-1.0, -0.5, -0.5, 0.2, 0.2, 0.7, 1.5], seed=3)
     w, v = np.linalg.eigh(sample.matrix)
+    # the first level above 0 is the Kramers-like pair at 0.2, kept whole
+    kwargs, window, keep = {
+        "window": (dict(window=(-0.6, 0.8)), (-0.6, 0.8), slice(1, 6)),
+        "mu": (dict(mu=0.0), (-np.inf, 0.5 * (w[4] + w[5])), slice(0, 5)),
+    }[request_kind]
     inner = spectral.linalg.eigh_tridiagonal
 
-    def broken(d, e, **kwargs):
+    def broken(d, e, **kw):
         if failure == "LinAlgError":
             raise np.linalg.LinAlgError("forced failure")
-        vals, vecs = inner(d, e, **kwargs)
+        vals, vecs = inner(d, e, **kw)
         return vals, vecs + 1e-6  # columns no longer orthonormal
 
-    monkeypatch.setattr(spectral.linalg, "eigh_tridiagonal", broken)
-    # the first level above 0 is the Kramers-like pair at 0.2, kept whole
-    part = diagonalize(sample, mu=0.0)
-    assert part.window == (-np.inf, 0.5 * (w[4] + w[5]))
-    assert np.array_equal(part.eigenvalues, w[:5])
-    assert np.array_equal(part.eigenvectors, v[:, :5])
+    if failure is not None:
+        monkeypatch.setattr(spectral.linalg, "eigh_tridiagonal", broken)
+    part = diagonalize(sample, **kwargs)
+    assert part.eigenvectors.base is None
+    if failure is not None:
+        assert part.window == window
+        assert np.array_equal(part.eigenvalues, w[keep])
+        assert np.array_equal(part.eigenvectors, v[:, keep])
+    else:
+        assert part.window[0] == window[0] and abs(part.window[1] - window[1]) < 1e-12
+        assert np.abs(part.eigenvalues - w[keep]).max() < 1e-12
+        ref = v[:, keep] @ v[:, keep].conj().T
+        assert np.abs(window_projector(part) - ref).max() < 1e-12
 
 
 @pytest.mark.parametrize("mu, states, kept, edge", [

@@ -22,7 +22,12 @@ from .errors import (
     PfaffianUnderflowError,
     SymmetryBrokenAtHalfFluxError,
 )
-from .invariants import _pfaffian_sign_logabs, chern_projection, localized_mode_count
+from .invariants import (
+    _near_zero_cluster,
+    _pfaffian_sign_logabs,
+    chern_projection,
+    localized_mode_count,
+)
 from .models import (
     OPEN,
     PERIODIC,
@@ -299,17 +304,6 @@ def z2_spectral_flow(path: FluxPath, sym=None, kernel_tol: float = 1e-8) -> dict
                if gapped[i][1] != gapped[i + 1][1]]
     return {"sf2": flow, "signs": signs, "kernel_touches": touches,
             "sign_changes": changes}
-
-
-def _near_zero_cluster(abs_vals: np.ndarray, margin: float, scale_cap: float) -> int:
-    """Size of the near-zero cluster: the deepest margin-separated leading block."""
-    count = 0
-    for k in range(len(abs_vals) - 1):
-        if abs_vals[k] > scale_cap:
-            break
-        if abs_vals[k + 1] / max(abs_vals[k], 1e-300) >= margin:
-            count = k + 1
-    return count
 
 
 def _halfflux_modes(open_model: ModelDefinition, realization_seed: int, plaquette):

@@ -21,7 +21,7 @@ from . import boundary as bd
 from . import flow as fl
 from . import invariants as iv
 from .errors import ConfigError
-from .models import OPEN, PERIODIC, build_hamiltonian
+from .models import OPEN, PERIODIC, build_hamiltonian, classify_caz
 from .serialize import (
     config_number,
     model_from_config,
@@ -245,7 +245,7 @@ def _task_pairing_range(model, params, seed):
 
 def _task_caz(model, params, seed):
     sample = build_hamiltonian(model, seed)
-    label, j = iv.classify_caz(sample, model.symmetry)
+    label, j = classify_caz(sample, model.symmetry)
     return {"label": label, "value": float(j), "rounded": j, "quantization_error": 0.0}
 
 

@@ -492,6 +492,17 @@ def localized_mode_count(vectors: np.ndarray, mask: np.ndarray) -> int:
     return int((np.linalg.eigvalsh(W) > 0.5).sum())
 
 
+def _near_zero_cluster(abs_vals: np.ndarray, margin: float, scale_cap: float) -> int:
+    """Size of the near-zero cluster: the deepest margin-separated leading block."""
+    count = 0
+    for k in range(len(abs_vals) - 1):
+        if abs_vals[k] > scale_cap:
+            break
+        if abs_vals[k + 1] / max(abs_vals[k], 1e-300) >= margin:
+            count = k + 1
+    return count
+
+
 def pair_index(P: FermiProjection, dirac: DiracPhase, power: int = 3,
                rho: float = 0.5) -> InvariantResult:
     """Relative index of (P, G P G*) from the windowed trace of an odd power.
@@ -590,17 +601,11 @@ def z2_kernel_parity(T: np.ndarray, sym: SymmetrySpec, sample: HamiltonianSample
         # the fixed cut landed inside the near-kernel cluster (its values
         # drift with disorder); move the cut to a margin-separated gap within
         # two decades of the nominal threshold if one exists
-        k = 0
-        ratio = 0.0
-        for i in range(len(sorted_sv) - 1):
-            if sorted_sv[i] > 1e2 * tol:
-                break
-            jump = sorted_sv[i + 1] / max(sorted_sv[i], 1e-300)
-            if jump >= margin:
-                k, ratio = i + 1, jump
-        if ratio < margin:
+        k = _near_zero_cluster(sorted_sv, margin, 1e2 * tol)
+        if not k:
             raise MarginTooSmallError(
                 f"singular-value margin below {margin:.0f}; use the spin route")
+        ratio = sorted_sv[k] / max(sorted_sv[k - 1], 1e-300)
     small = sv < sorted_sv[k - 1] * (1 + 1e-12) if k else sv < tol
     keep = sample.lattice.window(origin, radius_frac)
     loc = localized_mode_count(vv.conj().T[:, small], keep)

@@ -81,12 +81,6 @@ class LatticeSpec:
         grids = np.meshgrid(*[np.arange(n) for n in self.linear_sizes], indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    def site_index(self, coord: Sequence[int]) -> int:
-        idx = 0
-        for j in range(self.dimension):
-            idx = idx * self.linear_sizes[j] + int(coord[j]) % self.linear_sizes[j]
-        return idx
-
     def positions(self, per_site: int | None = None) -> np.ndarray:
         """Site coordinates per index, shape (num_sites * per_site, d).
 
@@ -252,8 +246,8 @@ class DisorderSpec:
             out = lam * u[:, None, None] * np.eye(fiber)[None]
         elif self.family == "diagonal-matrix":
             u = rng.uniform(-1.0, 1.0, size=(num_sites, fiber))
-            for n in range(num_sites):
-                out[n] = lam * np.diag(u[n])
+            diag = np.arange(fiber)
+            out[:, diag, diag] = lam * u
         else:
             for n in range(num_sites):
                 a = rng.uniform(-1.0, 1.0, size=(fiber, fiber))
@@ -396,63 +390,47 @@ class HamiltonianSample:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def site_coords(self) -> np.ndarray:
-        return self.lattice.site_coords()
-
     def position_arrays(self) -> np.ndarray:
         """Per-global-index coordinates, shape (hilbert_dim, d)."""
         return self.lattice.positions()
 
 
-def _step_phase(coord: np.ndarray, axis: int, direction: int, lattice: LatticeSpec,
-                B: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """One unit step in the axial gauge.
+def _bonds(lattice: LatticeSpec, B: np.ndarray,
+           a: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source sites, target sites, gauge phases) of the hopping a, one entry per bond.
 
-    Returns (new coordinate or None if the step leaves an open lattice,
-    accumulated phase).  Forward steps +e_k carry sum_{j>k} B[k,j]*m_j; a
-    wrapping step along axis j adds the seam term -B[i,j]*N_j*m_i for every
-    i < j so the flux per plaquette stays uniform across the seam.
+    Closed form of stepping axis by axis in the axial gauge: a_k steps along
+    axis k carry a_k * sum_{j>k} B[k, j] * m_j on the not yet moved
+    coordinates; each wrap adds the seam term -B[i, k] * N_k * m'_i (i < k)
+    on the already moved ones, with sign +1 forward and -1 backward.  A wrap
+    on an open axis drops the bond.
     """
-    d = lattice.dimension
     sizes = lattice.linear_sizes
-    m = coord.copy()
-    if direction > 0:
-        phase = float(sum(B[axis, j] * m[j] for j in range(axis + 1, d)))
-        m[axis] += 1
-        wrapped = m[axis] == sizes[axis]
-        if wrapped:
-            if lattice.boundary[axis] == OPEN:
-                return None, 0.0
-            m[axis] = 0
-            for i in range(axis):
-                phase += -B[i, axis] * sizes[axis] * m[i]
-        return m, phase
-    # backward step: adjoint of the forward step from the target
-    m[axis] -= 1
-    wrapped = m[axis] < 0
-    if wrapped:
-        if lattice.boundary[axis] == OPEN:
-            return None, 0.0
-        m[axis] = sizes[axis] - 1
-    back, phase = _step_phase(m, axis, +1, lattice, B)
-    assert back is not None
-    return m, -phase
+    m = lattice.site_coords()
+    moved = m.copy()
+    keep = np.ones(len(m), dtype=bool)
+    phase = np.zeros(len(m))
+    for k, step in enumerate(a):
+        if step == 0:
+            continue
+        wraps, moved[:, k] = np.divmod(m[:, k] + step, sizes[k])
+        if lattice.boundary[k] == OPEN:
+            keep &= wraps == 0
+        field_sum = 0.0
+        for j in range(k + 1, lattice.dimension):
+            field_sum = field_sum + B[k, j] * m[:, j]
+        axis_phase = step * field_sum
+        for i in range(k):
+            axis_phase = axis_phase + wraps * (-B[i, k] * sizes[k] * moved[:, i])
+        phase += axis_phase
+    return (np.flatnonzero(keep), np.ravel_multi_index(moved[keep].T, sizes), phase[keep])
 
 
-def peierls_target(coord: Sequence[int], a: Sequence[int], lattice: LatticeSpec,
-                   B: np.ndarray) -> tuple[int | None, float]:
-    """Target site index and gauge phase for displacement a, stepping axis by axis."""
-    m = np.array(coord, dtype=int)
-    phase = 0.0
-    for axis in range(lattice.dimension):
-        step = 1 if a[axis] > 0 else -1
-        for _ in range(abs(a[axis])):
-            m2, ph = _step_phase(m, axis, step, lattice, B)
-            if m2 is None:
-                return None, 0.0
-            m = m2
-            phase += ph
-    return lattice.site_index(m), phase
+def _scatter(out: np.ndarray, bonds, t: np.ndarray) -> None:
+    """out[target block, source block] += exp(i phase) t for every bond."""
+    src, tgt, phase = bonds
+    N, L = len(out) // len(t), len(t)
+    out.reshape(N, L, N, L)[tgt, :, src, :] += np.exp(1j * phase)[:, None, None] * t
 
 
 def build_hamiltonian(model: ModelDefinition, realization_seed: int = 0) -> HamiltonianSample:
@@ -462,63 +440,43 @@ def build_hamiltonian(model: ModelDefinition, realization_seed: int = 0) -> Hami
     via the model validation if the field is incompatible with the torus.
     """
     lat = model.lattice
-    L = lat.fiber
-    dim = lat.hilbert_dim
-    coords = lat.site_coords()
-    H = np.zeros((dim, dim), dtype=complex)
+    N, L = lat.num_sites, lat.fiber
+    H = np.zeros((lat.hilbert_dim,) * 2, dtype=complex)
     for a, t in model.positive_hoppings():
-        for n in range(lat.num_sites):
-            target, phase = peierls_target(coords[n], a, lat, model.field.B)
-            if target is None:
-                continue
-            blk = np.exp(1j * phase) * t
-            H[target * L:(target + 1) * L, n * L:(n + 1) * L] += blk
+        _scatter(H, _bonds(lat, model.field.B, a), t)
     H = H + H.conj().T
-    omega = model.disorder.sample_site_matrices(lat.num_sites, L, realization_seed)
-    for n in range(lat.num_sites):
-        H[n * L:(n + 1) * L, n * L:(n + 1) * L] += model.onsite + omega[n]
+    omega = model.disorder.sample_site_matrices(N, L, realization_seed)
+    sites = np.arange(N)
+    H.reshape(N, L, N, L)[sites, :, sites, :] += model.onsite + omega
     return HamiltonianSample(matrix=H, model=model, realization_seed=realization_seed)
+
+
+def _translation(lattice: LatticeSpec, bonds) -> np.ndarray:
+    U = np.zeros((lattice.hilbert_dim,) * 2, dtype=complex)
+    _scatter(U, bonds, np.eye(lattice.fiber))
+    return U
 
 
 def magnetic_translations(lattice: LatticeSpec, B: np.ndarray) -> list[np.ndarray]:
     """Matrices of the gauge translations on the torus, one per axis."""
     if any(b != PERIODIC for b in lattice.boundary):
         raise ParamOutOfRangeError("magnetic translations need a full torus")
-    coords = lattice.site_coords()
-    out = []
-    for axis in range(lattice.dimension):
-        U = np.zeros((lattice.num_sites, lattice.num_sites), dtype=complex)
-        for n in range(lattice.num_sites):
-            target, phase = peierls_target(coords[n], np.eye(lattice.dimension, dtype=int)[axis],
-                                           lattice, B)
-            U[target, n] = np.exp(1j * phase)
-        out.append(np.kron(U, np.eye(lattice.fiber)))
-    return out
+    steps = np.eye(lattice.dimension, dtype=int)
+    return [_translation(lattice, _bonds(lattice, B, a)) for a in steps]
 
 
 def dual_translations(lattice: LatticeSpec, B: np.ndarray) -> list[np.ndarray]:
     """Translations commuting with the gauge translations (mirrored phase convention)."""
     if any(b != PERIODIC for b in lattice.boundary):
         raise ParamOutOfRangeError("dual translations need a full torus")
-    # mirror the gauge: run the peierls rule on the axis-reversed lattice with
-    # the sign-flipped reversed field, then map indices back
-    Bm = -B[::-1, ::-1].copy()
-    lat_m = LatticeSpec(lattice.dimension, lattice.linear_sizes[::-1],
-                        lattice.boundary[::-1], 1)
-    coords_m = lat_m.site_coords()
+    # mirror the gauge: the same bonds on the axis-reversed lattice with the
+    # sign-flipped reversed field, site indices mapped back to native order
+    mirrored = LatticeSpec(lattice.dimension, lattice.linear_sizes[::-1], lattice.boundary[::-1], 1)
+    native = np.ravel_multi_index(mirrored.site_coords()[:, ::-1].T, lattice.linear_sizes)
     out = []
-    n_sites = lattice.num_sites
-    native_index = {tuple(c): i for i, c in enumerate(lattice.site_coords())}
-    for axis in range(lattice.dimension):
-        axis_m = lattice.dimension - 1 - axis
-        V = np.zeros((n_sites, n_sites), dtype=complex)
-        for nm in range(n_sites):
-            target_m, phase = peierls_target(coords_m[nm], np.eye(lattice.dimension, dtype=int)[axis_m],
-                                             lat_m, Bm)
-            src = native_index[tuple(coords_m[nm][::-1])]
-            dst = native_index[tuple(coords_m[target_m][::-1])]
-            V[dst, src] = np.exp(1j * phase)
-        out.append(np.kron(V, np.eye(lattice.fiber)))
+    for a in np.eye(lattice.dimension, dtype=int)[::-1]:
+        src, tgt, phase = _bonds(mirrored, -B[::-1, ::-1], a)
+        out.append(_translation(lattice, (native[src], native[tgt], phase)))
     return out
 
 
@@ -576,7 +534,7 @@ def insert_flux(sample: HamiltonianSample, t: float, plaquette: Sequence[int]) -
     if t == 0.0:
         return HamiltonianSample(matrix=H, model=sample.model,
                                  realization_seed=sample.realization_seed)
-    coords = sample.site_coords().astype(float)
+    coords = lat.site_coords().astype(float)
 
     if lat.dimension == 2:
         if lat.boundary[1] != OPEN:

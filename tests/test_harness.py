@@ -365,3 +365,39 @@ def test_traced_functions_exist():
                for name in names
                if not callable(getattr(importlib.import_module(f"topoinv.{layer}"), name, None))]
     assert not missing
+
+
+# one small config for each task that no other test runs through the harness
+TASK_CONFIGS = {
+    "spectrum": "[model]\nname = ssh\nm = 0.5\n[lattice]\nsizes = 8\n[task]\nname = spectrum\nmu = 0.0\n",
+    "chern": "[model]\nname = qwz\nmass = 1.0\n[lattice]\nsizes = 8 8\n[task]\nname = chern\nmu = 0.0\n",
+    "z2": "[model]\nname = kane_mele_qsh\nmass = 1.0\nrashba = 0.1\n[lattice]\nsizes = 10 10\n"
+          "[task]\nname = z2\nmu = 0.0\n",
+    "spin-chern": "[model]\nname = kane_mele_qsh\nmass = 1.0\nrashba = 0.1\n[lattice]\nsizes = 8 8\n"
+                  "[task]\nname = spin-chern\nmu = 0.0\n",
+    "boundary-current": f"[model]\nname = harper\nb12 = {2 * np.pi / 3!r}\n[lattice]\nsizes = 12 12\n"
+                        "boundary = periodic open\n[task]\nname = boundary-current\nmu_states = 48\n",
+    "veg": "[model]\nname = qwz\nmass = 1.0\n[lattice]\nsizes = 6 6\n[task]\nname = veg\nmu = 0.0\nn_t = 16\n",
+    "pairing-range": f"[model]\nname = harper\nb12 = {2 * np.pi / 3!r}\n[lattice]\nsizes = 12 12\n"
+                     "[task]\nname = pairing-range\nindex_set = 1 2\n",
+    "caz": "[model]\nname = ssh\nm = 0.5\n[lattice]\nsizes = 8\n[task]\nname = caz\n",
+}
+
+
+@pytest.mark.parametrize("task", sorted(TASK_CONFIGS))
+def test_cli_runs_task(tmp_path, capsys, task):
+    from topoinv.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TASK_CONFIGS[task])
+    assert main([task, "--config", str(cfg)]) in (0, 2)
+    assert capsys.readouterr().out.startswith("seed 0: ")
+
+
+@pytest.mark.parametrize("model, label", [("ssh", "AIII"), ("kitaev_chain", "BDI")])
+def test_cli_caz_label(tmp_path, model, label):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[model]\nname = {model}\n[lattice]\nsizes = 16\n[task]\nname = caz\n")
+    proc = cli("caz", "--config", str(cfg))
+    assert proc.returncode == 0, proc.stderr
+    assert f"label={label} " in proc.stdout

@@ -43,6 +43,8 @@ from .models import (
 )
 from .spectral import EigenData, SwitchFunction, detect_gap, diagonalize
 
+_SECTOR_GAP = 1e-3  # ind_map: smallest |chirality| a surface-band state may have
+
 
 @dataclass(frozen=True)
 class HalfSpaceSample:
@@ -273,22 +275,22 @@ def write_edge_dispersion_csv(path, rows) -> None:
 
 @dataclass(frozen=True)
 class IndMapResult:
-    """Conjugated fiber projection against its reference, plus surface sectors."""
+    """Near-face trace of the conjugated fiber projection against its reference,
+    plus the windowed traces of the surface chirality sectors."""
 
-    conjugated: np.ndarray
-    reference: np.ndarray
     trace_difference: float
     sector_traces: tuple[float, float] | None
 
 
 def ind_map(half: HalfSpaceSample, f: SwitchFunction, s_ch: np.ndarray,
-            surface_split: bool = False, sector_gap: float = 1e-3) -> IndMapResult:
+            surface_split: bool = False) -> IndMapResult:
     """Boundary image of a chiral bulk class.
 
-    Conjugates the positive-chirality fiber projector by exp(-i pi/2 f(H_half))
-    and reports the near-face trace of the difference.  With surface_split,
-    also decomposes the projection onto the in-gap surface band into
-    chirality sectors and reports their windowed traces.
+    Conjugates the positive-chirality fiber projector Pi by
+    A = exp(-i pi/2 f(H_half)) and reports the near-face trace of
+    A (1 (x) Pi) A* - 1 (x) Pi, read from the window's rows of A alone.
+    With surface_split, also decomposes the projection onto the in-gap
+    surface band into chirality sectors and reports their windowed traces.
 
     Solves H_half in full, not on the bulk gap as `half.eigen` does:
     exp(-i pi/2 f) is +i below the gap and -i above it, so it is not
@@ -299,12 +301,15 @@ def ind_map(half: HalfSpaceSample, f: SwitchFunction, s_ch: np.ndarray,
     eig = diagonalize(half.hamiltonian)
     sample = half.hamiltonian
     w, v = np.linalg.eigh(s_ch)
-    plus_fiber = (v[:, w > 0.5] @ v[:, w > 0.5].conj().T)
-    Pi = np.kron(np.eye(sample.lattice.num_sites), plus_fiber)  # returned as the reference
-    A = eig.function_of(np.exp(-0.5j * np.pi * f(eig.eigenvalues)))
-    Q = apply_fiber(plus_fiber, A, "right") @ A.conj().T
+    plus = v[:, w > 0.5]
     window = _near_window(sample)
-    trace_diff = float(np.real(_window_trace([Q - Pi], window)))
+    # window rows of A; with Pi = plus plus*, diag A (1 (x) Pi) A* holds the squared
+    # row norms of A (1 (x) plus), and each windowed site adds rank Pi to the reference
+    X = eig.eigenvectors
+    rows = (X[window] * np.exp(-0.5j * np.pi * f(eig.eigenvalues))) @ X.conj().T
+    conjugated = np.sum(np.abs(apply_fiber(plus, rows, "right")) ** 2)
+    reference = window.sum() // sample.lattice.fiber * plus.shape[1]
+    trace_diff = float(conjugated - reference)
     sectors = None
     if surface_split:
         a, b = half.bulk_gap
@@ -316,10 +321,9 @@ def ind_map(half: HalfSpaceSample, f: SwitchFunction, s_ch: np.ndarray,
         V = eig.eigenvectors[:, inside]
         M = V.conj().T @ apply_fiber(s_ch, V, "left")
         mw, mv = np.linalg.eigh(M)
-        if np.abs(mw).min() < sector_gap:
+        if np.abs(mw).min() < _SECTOR_GAP:
             raise SurfaceBandAmbiguousError(
                 f"chirality spectrum of the surface band not split (min {np.abs(mw).min():.2e})")
         sectors = tuple(float(np.real(_window_trace([Vs, Vs.conj().T], window)))
                         for Vs in (V @ mv[:, mw > 0], V @ mv[:, mw < 0]))
-    return IndMapResult(conjugated=Q, reference=Pi, trace_difference=trace_diff,
-                        sector_traces=sectors)
+    return IndMapResult(trace_difference=trace_diff, sector_traces=sectors)

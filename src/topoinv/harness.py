@@ -141,10 +141,14 @@ def _half_space(model, params, seed):
     return bd.make_half_space(model, _resolve_mu(params, eig), seed, companion=eig)
 
 
+def _region(model):
+    """Bulk trace region: every site on a torus, else the core window away from the edges."""
+    return "all" if all(b == PERIODIC for b in model.lattice.boundary) else "core"
+
+
 def _task_chern(model, params, seed):
     P = _projection(model, params, seed)
-    region = "all" if all(b == PERIODIC for b in model.lattice.boundary) else "core"
-    return _values(iv.chern_projection(P, params.get("index_set", (1, 2)), region=region))
+    return _values(iv.chern_projection(P, params.get("index_set", (1, 2)), region=_region(model)))
 
 
 def _task_winding(model, params, seed):
@@ -165,7 +169,7 @@ def _task_spin_chern(model, params, seed):
     s_z = model.metadata.get("s_z")
     if s_z is None:
         raise ConfigError("model carries no spin operator; spin-chern undefined")
-    res, gap, residue = iv.spin_chern(P, np.asarray(s_z))
+    res, gap, residue = iv.spin_chern(P, np.asarray(s_z), region=_region(model))
     return _values(res, spin_gap=gap, sum_rule_residue=residue)
 
 

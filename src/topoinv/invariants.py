@@ -57,12 +57,8 @@ from .models import (
 )
 from .spectral import FermiProjection, diagonalize, fermi_projection
 
-SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
+_HARDY_CUT = 1e-6  # hardy_index: singular values below this count as kernel
+_HARDY_RADIUS_FRAC = 0.25  # hardy_index: radius of the origin window, as a fraction of the sample
 
 # ---------------------------------------------------------------------------
 # geometry helpers
@@ -436,47 +432,33 @@ def chern_kspace_oracle(model: ModelDefinition, bands: int, I,
 class DiracPhase:
     """Phase of the position Dirac operator about an off-lattice origin.
 
-    Even d stores the diagonal unitary G; odd d stores the flat operator F
-    (site-block matrix acting on an extra two-component spinor for d = 3,
-    a plain sign function for d = 1) and the associated Hardy projection.
+    d = 2 stores the diagonal unitary G; d = 1 stores the Hardy projection
+    E = (1 + sign(X - origin)) / 2 by its diagonal, a 0/1 vector per index.
     """
 
     dimension: int
     origin: np.ndarray
     G: np.ndarray | None = None
-    F: np.ndarray | None = None
     E: np.ndarray | None = None
-    spinor: int = 1
 
 
 def dirac_phase(sample: HamiltonianSample, origin=None) -> DiracPhase:
     lat = sample.lattice
     d = lat.dimension
+    if d == 3:
+        # the Hardy projection of n_hat . sigma has the spinor blocks (n_x -+ i n_y) / 2
+        raise BadDimensionError("d = 3 Dirac phase has non-diagonal spinor blocks; not implemented")
     if origin is None:
         origin = np.array([n // 2 + 0.5 for n in lat.linear_sizes], dtype=float)
     else:
         origin = np.asarray(origin, dtype=float)
-    pos = sample.lattice.positions()
-    rel = pos - origin[None, :]
+    rel = lat.positions() - origin[None, :]
     if np.any(np.all(np.abs(rel) < 1e-12, axis=1)):
         raise OriginOnLatticeError("Dirac origin coincides with a lattice site")
     if d == 2:
         z = rel[:, 0] + 1j * rel[:, 1]
         return DiracPhase(dimension=2, origin=origin, G=z / np.abs(z))
-    if d == 1:
-        F = np.sign(rel[:, 0])
-        return DiracPhase(dimension=1, origin=origin, F=np.diag(F),
-                          E=np.diag((F + 1) / 2))
-    # d = 3: per-site 2x2 blocks n_hat . sigma on an extra spinor factor
-    dim = pos.shape[0]
-    F = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    for n in range(dim):
-        v = rel[n]
-        nv = v / np.linalg.norm(v)
-        blk = nv[0] * SIGMA[0] + nv[1] * SIGMA[1] + nv[2] * SIGMA[2]
-        F[2 * n:2 * n + 2, 2 * n:2 * n + 2] = blk
-    E = (F + np.eye(2 * dim)) / 2
-    return DiracPhase(dimension=3, origin=origin, F=F, E=E, spinor=2)
+    return DiracPhase(dimension=1, origin=origin, E=(np.sign(rel[:, 0]) + 1) / 2)
 
 
 def localized_mode_count(vectors: np.ndarray, mask: np.ndarray) -> int:
@@ -529,45 +511,35 @@ def pair_index(P: FermiProjection, dirac: DiracPhase, power: int = 3,
 
 
 def hardy_index(U: FermiUnitary | np.ndarray, dirac: DiracPhase,
-                sample: HamiltonianSample | None = None,
-                threshold: float = 1e-6, radius_frac: float = 0.25) -> InvariantResult:
+                sample: HamiltonianSample | None = None) -> InvariantResult:
     """Index of the Hardy compression E U E by kernel counting.
 
     Small singular values of E U E + (1 - E) are classified by which side of
     the pairing they belong to (right-singular vectors span the kernel, left
     ones the cokernel) and counted only when localized at the Hardy origin;
     the partner modes produced by the finite geometry sit at the sample
-    boundary and are excluded.
+    boundary and are excluded.  E is diagonal and constant on each site, so
+    it is read at the fiber of U (the chiral half for a FermiUnitary).
     """
-    if dirac.dimension % 2 == 0:
-        raise BadDimensionError("Hardy index needs odd dimension")
+    if dirac.dimension != 1:
+        raise BadDimensionError("Hardy index implemented for d = 1")
     if isinstance(U, FermiUnitary):
-        sample = U.sample
-        mat = U.matrix
-        per_site = U.fiber
+        sample, mat, per_site = U.sample, U.matrix, U.fiber
     else:
         mat = np.asarray(U)
         per_site = mat.shape[0] // sample.lattice.num_sites
-    if dirac.spinor > 1:
-        mat = np.kron(mat, np.eye(dirac.spinor))
-    E = dirac.E
-    if E.shape[0] != mat.shape[0]:
-        # reduced fiber (chiral half): compress the Hardy projection accordingly
-        full_per_site = E.shape[0] // (sample.lattice.num_sites * dirac.spinor)
-        e_diag = np.diag(E).reshape(sample.lattice.num_sites, full_per_site * dirac.spinor)
-        E = np.diag(e_diag[:, :per_site * dirac.spinor].ravel())
-    e = np.real(np.diag(E))
-    A = (e[:, None] * mat) * e[None, :] + np.diag(1 - e)
+    e = np.repeat(dirac.E[::sample.lattice.fiber], per_site)
+    A = (e[:, None] * mat) * e[None, :]
+    A[np.diag_indices_from(A)] += 1 - e
     uu, sv, vv = np.linalg.svd(A)
-    small = sv < threshold
-    if np.any((~small) & (sv < 10 * threshold)) or np.any(small & (sv > threshold / 10)):
+    small = sv < _HARDY_CUT
+    if np.any((~small) & (sv < 10 * _HARDY_CUT)) or np.any(small & (sv > _HARDY_CUT / 10)):
         raise ThresholdAmbiguityError("singular values within a factor 10 of the threshold")
-    keep = sample.lattice.window(dirac.origin, radius_frac, per_site * dirac.spinor)
+    keep = sample.lattice.window(dirac.origin, _HARDY_RADIUS_FRAC, per_site)
     ker = localized_mode_count(vv.conj().T[:, small], keep)
     cok = localized_mode_count(uu[:, small], keep)
-    raw = float(ker - cok)
-    return _make_result(raw, tuple(range(1, dirac.dimension + 1)), "hardy-index",
-                        sample, "integers", total_small=int(small.sum()))
+    return _make_result(float(ker - cok), (1,), "hardy-index", sample, "integers",
+                        total_small=int(small.sum()))
 
 
 def trs_fredholm(P: FermiProjection, dirac: DiracPhase) -> np.ndarray:

@@ -146,6 +146,16 @@ def test_kramers_halfflux_topological():
     assert all(p["degenerate"] for p in probe)
 
 
+def test_kramers_halfflux_open_sample():
+    # the gap comes from the periodic companion: the open sample's edge levels
+    # lie inside it, so a companion open on one axis would find no gap at mu
+    model = make_named_model("kane_mele_qsh", sizes=12, boundary="open", mass=1.0, rashba=0.1)
+    probe = kramers_halfflux_probe(model, (6, 6))
+    assert len(probe) >= 1
+    assert all(p["multiplicity"] % 2 == 0 for p in probe)
+    assert all(p["degenerate"] for p in probe)
+
+
 def test_kramers_halfflux_trivial_control():
     model = make_named_model("kane_mele_qsh", sizes=14, boundary=("periodic", "open"),
                              mass=4.0, rashba=0.1)

@@ -106,6 +106,32 @@ def test_run_experiment_quantization_failure():
     assert not ok
 
 
+def test_run_experiment_spin_chern_open_sample():
+    # an open sample is traced over its core window, as the chern task is;
+    # the all-site trace of an open sample vanishes
+    cfg = config_of("""
+[model]
+name = kane_mele_qsh
+mass = 1.0
+rashba = 0.1
+
+[lattice]
+sizes = 12 12
+boundary = open open
+
+[task]
+name = spin-chern
+mu = 0.0
+
+[ensemble]
+realizations = 1
+base_seed = 0
+""")
+    records, _, ok = run_experiment(cfg, workers=1)
+    assert records[0].values["rounded"] == 1
+    assert ok
+
+
 def test_invalid_ensemble_rejected():
     with pytest.raises(ConfigError):
         config_of(SSH_CFG, ensemble__realizations="0")

@@ -30,6 +30,7 @@ from topoinv import (
     z2_kernel_parity,
 )
 from topoinv.errors import (
+    BadDimensionError,
     EvenIndexSetError,
     NotAntisymmetricError,
     OddDimensionError,
@@ -268,9 +269,18 @@ def test_dirac_phase_d1_hardy_projection():
     from topoinv import make_named_model
     sample = build_hamiltonian(make_named_model("ssh", sizes=16, m=0.0, boundary="open"))
     dp = dirac_phase(sample)
-    e = np.diag(dp.E)
+    e = dp.E
     pos = sample.position_arrays()[:, 0]
     assert np.array_equal(e, (pos > dp.origin[0]).astype(float))
+
+
+def test_dirac_phase_d3_refused():
+    from topoinv import make_named_model
+    # the d = 3 Hardy projection has off-diagonal spinor blocks (n_x -+ i n_y) / 2,
+    # which a diagonal read would drop
+    sample = build_hamiltonian(make_named_model("chiral_3d", sizes=4, mass=2.0))
+    with pytest.raises(BadDimensionError, match="spinor"):
+        dirac_phase(sample)
 
 
 def test_pair_index_values(qwz_open20):

@@ -59,6 +59,9 @@ from .spectral import FermiProjection, diagonalize, fermi_projection
 
 _HARDY_CUT = 1e-6  # hardy_index: singular values below this count as kernel
 _HARDY_RADIUS_FRAC = 0.25  # hardy_index: radius of the origin window, as a fraction of the sample
+_Z2_CUT = 1e-4  # z2_kernel_parity: kernel cut, as a fraction of the largest singular value
+_Z2_MARGIN = 1e2  # z2_kernel_parity: least ratio across the cut
+_Z2_RADIUS_FRAC = 0.25  # z2_kernel_parity: radius of the origin window, as a fraction of the sample
 
 # ---------------------------------------------------------------------------
 # geometry helpers
@@ -519,71 +522,129 @@ def hardy_index(U: FermiUnitary | np.ndarray, dirac: DiracPhase,
     ones the cokernel) and counted only when localized at the Hardy origin;
     the partner modes produced by the finite geometry sit at the sample
     boundary and are excluded.  E is diagonal and constant on each site, so
-    it is read at the fiber of U (the chiral half for a FermiUnitary).
+    it is read at the fiber of U (the chiral half for a FermiUnitary).  As E
+    is 0/1, E U E + (1 - E) is the block U[e][:, e] plus an identity on the
+    rest: only the block is decomposed, and its singular vectors, padded
+    with zeros, are those of the whole.
     """
     if dirac.dimension != 1:
         raise BadDimensionError("Hardy index implemented for d = 1")
     if isinstance(U, FermiUnitary):
         sample, mat, per_site = U.sample, U.matrix, U.fiber
     else:
+        if sample is None:
+            raise ValueError("raw matrices need the sample for geometry")
         mat = np.asarray(U)
         per_site = mat.shape[0] // sample.lattice.num_sites
-    e = np.repeat(dirac.E[::sample.lattice.fiber], per_site)
-    A = (e[:, None] * mat) * e[None, :]
-    A[np.diag_indices_from(A)] += 1 - e
-    uu, sv, vv = np.linalg.svd(A)
+    e = np.repeat(dirac.E[::sample.lattice.fiber], per_site) > 0.5
+    uu, sv, vv = np.linalg.svd(mat[np.ix_(e, e)])
     small = sv < _HARDY_CUT
     if np.any((~small) & (sv < 10 * _HARDY_CUT)) or np.any(small & (sv > _HARDY_CUT / 10)):
         raise ThresholdAmbiguityError("singular values within a factor 10 of the threshold")
-    keep = sample.lattice.window(dirac.origin, _HARDY_RADIUS_FRAC, per_site)
+    # the zero padding off the block contributes nothing to the window weight
+    keep = sample.lattice.window(dirac.origin, _HARDY_RADIUS_FRAC, per_site)[e]
     ker = localized_mode_count(vv.conj().T[:, small], keep)
     cok = localized_mode_count(uu[:, small], keep)
     return _make_result(float(ker - cok), (1,), "hardy-index", sample, "integers",
                         total_small=int(small.sum()))
 
 
-def trs_fredholm(P: FermiProjection, dirac: DiracPhase) -> np.ndarray:
-    """The gap-labelled compression P G P + (1 - P) used by the parity index."""
-    g = dirac.G
-    return P.projector @ (g[:, None] * P.projector) + (np.eye(len(g)) - P.projector)
+@dataclass(frozen=True)
+class FredholmCompression:
+    """T = V M V* + (1 - V V*), held as the compression M (k x k) to the range
+    of the orthonormal columns of V (dim x k); T itself is never formed."""
+
+    basis: np.ndarray
+    matrix: np.ndarray
 
 
-def z2_kernel_parity(T: np.ndarray, sym: SymmetrySpec, sample: HamiltonianSample,
-                     origin: np.ndarray, threshold_factor: float = 1e-4,
-                     margin: float = 1e2, radius_frac: float = 0.25) -> InvariantResult:
+def trs_fredholm(P: FermiProjection, dirac: DiracPhase) -> FredholmCompression:
+    """The gap-labelled compression P G P + (1 - P) used by the parity index,
+    as M = V* G V over the occupied eigenvectors V of P."""
+    V = P.occupied
+    return FredholmCompression(basis=V, matrix=V.conj().T @ (dirac.G[:, None] * V))
+
+
+def _antisymmetry_bound(T: FredholmCompression, sym: SymmetrySpec, m_norm: float) -> float:
+    """Upper bound on ||T S + (T S)^T||_F without forming T, given ||M||_2.
+
+    With S = 1 (x) s_tr, real orthogonal with S^2 = eta_tr, and A = M - 1,
+    Y = S conj(V), C = V* Y, Y' = Y - V C (the part of Y off Ran V):
+
+        (T S + (T S)^T) S^T = (1 + eta)(1 - V V*) + V B V*
+                              + eta (V C A^T Y'* + Y' A^T C* V* + Y' A^T Y'*),
+        B = (1 + eta) 1_k + A + eta C A^T C*.
+
+    The first two terms act on orthogonal blocks, right multiplication by S^T
+    keeps the Frobenius norm, ||C||_2 <= 1 and ||A||_2 <= 1 + ||M||_2, so
+
+        ||T S + (T S)^T||_F <= sqrt((1 + eta)^2 (dim - k) + ||B||_F^2)
+                               + ||A||_2 (2 ||Y'||_F + ||Y'||_F^2).
+
+    For eta = -1 and a time-reversal invariant Ran V, Y' and the first term
+    vanish.
+    """
+    V, M = T.basis, T.matrix
+    dim, k = V.shape
+    eta = sym.eta_tr
+    A = M - np.eye(k)
+    Y = apply_fiber(sym.s_tr, V.conj(), "left")
+    C = V.conj().T @ Y
+    y = float(np.linalg.norm(Y - V @ C))
+    B = (1 + eta) * np.eye(k) + A + eta * (C @ A.T @ C.conj().T)
+    return (math.hypot((1 + eta) * math.sqrt(dim - k), np.linalg.norm(B))
+            + (1 + m_norm) * (2 * y + y * y))
+
+
+def z2_kernel_parity(T: FredholmCompression | np.ndarray, sym: SymmetrySpec,
+                     sample: HamiltonianSample, origin: np.ndarray) -> InvariantResult:
     """Parity of the near-kernel dimension of an antisymmetric compression.
 
     Requires T s_tr antisymmetric; counts small singular values whose right
     singular vectors localize at the origin (the symmetry partner of each
     localized kernel mode lives on the sample boundary at finite volume).
+
+    T = V M V* + (1 - V V*) is block diagonal over Ran V and its complement,
+    where it is the identity: its singular values are the k of M and dim - k
+    ones, and its right singular vectors for small singular values are V times
+    those of M.  A raw matrix T is the case V = 1.
+
+    The antisymmetry check does not form T either: `_antisymmetry_bound`
+    bounds ||T S + (T S)^T||_F, hence its largest entry.  Since
+    ||T S||_F = ||T||_F = sqrt(||M||_F^2 + dim - k) <= dim max|T S|, raising
+    when the bound exceeds 1e-8 ||T||_F / dim raises whenever the entrywise
+    check max|T S + (T S)^T| > 1e-8 max|T S| would.
     """
-    TS = apply_fiber(sym.s_tr, T, "right")
-    scale = np.abs(TS).max()
-    if np.abs(TS + TS.T).max() > 1e-8 * scale:
+    if not isinstance(T, FredholmCompression):
+        T = FredholmCompression(basis=np.eye(len(T)), matrix=np.asarray(T))
+    V, M = T.basis, T.matrix
+    dim, k = V.shape
+    _, sv, vv = np.linalg.svd(M)
+    top = float(sv.max(initial=0.0))
+    if _antisymmetry_bound(T, sym, top) > 1e-8 * math.sqrt(np.linalg.norm(M) ** 2 + dim - k) / dim:
         raise NotAntisymmetricError("T s_tr is not antisymmetric")
-    uu, sv, vv = np.linalg.svd(T)
-    tol = threshold_factor * sv[0]
-    sorted_sv = np.sort(sv)
-    k = int((sorted_sv < tol).sum())
-    if k > 0:
-        ratio = sorted_sv[k] / max(sorted_sv[k - 1], 1e-300)
+    tol = _Z2_CUT * (max(1.0, top) if k < dim else top)
+    sorted_sv = np.sort(np.concatenate([sv, np.ones(dim - k)]))
+    count = int((sorted_sv < tol).sum())
+    if count > 0:
+        ratio = sorted_sv[count] / max(sorted_sv[count - 1], 1e-300)
     else:
         ratio = sorted_sv[0] / tol
-    if ratio < margin:
+    if ratio < _Z2_MARGIN:
         # the fixed cut landed inside the near-kernel cluster (its values
         # drift with disorder); move the cut to a margin-separated gap within
         # two decades of the nominal threshold if one exists
-        k = _near_zero_cluster(sorted_sv, margin, 1e2 * tol)
-        if not k:
+        count = _near_zero_cluster(sorted_sv, _Z2_MARGIN, 1e2 * tol)
+        if not count:
             raise MarginTooSmallError(
-                f"singular-value margin below {margin:.0f}; use the spin route")
-        ratio = sorted_sv[k] / max(sorted_sv[k - 1], 1e-300)
-    small = sv < sorted_sv[k - 1] * (1 + 1e-12) if k else sv < tol
-    keep = sample.lattice.window(origin, radius_frac)
-    loc = localized_mode_count(vv.conj().T[:, small], keep)
+                f"singular-value margin below {_Z2_MARGIN:.0f}; use the spin route")
+        ratio = sorted_sv[count] / max(sorted_sv[count - 1], 1e-300)
+    small = sv < sorted_sv[count - 1] * (1 + 1e-12) if count else sv < tol
+    keep = sample.lattice.window(origin, _Z2_RADIUS_FRAC)
+    loc = localized_mode_count(V @ vv[small].conj().T, keep)
     raw = float(loc % 2)
     return _make_result(raw, (1, 2), "z2-parity", sample, "z2",
-                        margin=float(ratio), total_small=k, localized=loc)
+                        margin=float(ratio), total_small=count, localized=loc)
 
 
 def spin_chern(P: FermiProjection, s_z: np.ndarray, gap_floor: float = 1e-3,
@@ -594,7 +655,7 @@ def spin_chern(P: FermiProjection, s_z: np.ndarray, gap_floor: float = 1e-3,
     operator, sum-rule residue Ch(P+) + Ch(P-) - Ch(P)).
     """
     sample = P.sample
-    occ = P.eigen.eigenvectors[:, P.eigen.eigenvalues <= P.mu]
+    occ = P.occupied
     M = occ.conj().T @ apply_fiber(s_z, occ, "left")
     mw, mv = np.linalg.eigh(M)
     pos = mw > 0

@@ -161,7 +161,6 @@ class FermiProjection:
     """
 
     mu: float
-    projector: np.ndarray
     gap: tuple[float, float]
     rank: int
     eigen: EigenData
@@ -169,6 +168,18 @@ class FermiProjection:
     @property
     def sample(self) -> HamiltonianSample:
         return self.eigen.sample
+
+    @property
+    def occupied(self) -> np.ndarray:
+        """The occupied eigenvectors V (dim x rank), so that P = V V*; a view of
+        `eigen`, whose eigenvalues ascend."""
+        return self.eigen.eigenvectors[:, :self.rank]
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """P = V V* as a dense dim x dim matrix, formed on first read."""
+        V = self.occupied
+        return V @ V.conj().T
 
 
 def detect_gap(eigen: EigenData, mu: float, min_width: float = _MIN_GAP) -> tuple[float, float]:
@@ -196,12 +207,11 @@ def detect_gap(eigen: EigenData, mu: float, min_width: float = _MIN_GAP) -> tupl
 
 def fermi_projection(eigen: EigenData, mu: float) -> FermiProjection:
     """P = chi(H <= mu) from the occupied eigenvectors, with the gap `detect_gap`
-    certifies; takes the full decomposition or an occupied solve."""
+    certifies; takes the full decomposition or an occupied solve.  P itself is
+    formed only when `projector` is read."""
     eigen.require_full("fermi_projection", mu=mu)
     gap = detect_gap(eigen, mu)
-    occ = eigen.eigenvalues <= mu
-    V = eigen.eigenvectors[:, occ]
-    return FermiProjection(mu=mu, projector=V @ V.conj().T, gap=gap, rank=int(occ.sum()),
+    return FermiProjection(mu=mu, gap=gap, rank=int((eigen.eigenvalues <= mu).sum()),
                            eigen=eigen)
 
 

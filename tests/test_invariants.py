@@ -118,10 +118,11 @@ def test_harper_chern(harper24_projection):
 
 def test_constant_projections_pair_to_zero():
     sample = build_hamiltonian(make_harper(6))
-    for P_mat in (np.zeros((sample.dim, sample.dim)), np.eye(sample.dim)):
-        eig = diagonalize(sample)
-        P = fermi_projection(eig, eig.eigenvalues[-1] + 1.0)
-        fake = dataclasses.replace(P, projector=P_mat)
+    eig = diagonalize(sample)
+    P = fermi_projection(eig, eig.eigenvalues[-1] + 1.0)
+    # P = V V*: no occupied vector gives P = 0, and V = 1 gives P = 1
+    identity = dataclasses.replace(eig, eigenvectors=np.eye(sample.dim))
+    for fake in (dataclasses.replace(P, rank=0), dataclasses.replace(P, eigen=identity)):
         assert chern_projection(fake, (1, 2)).value == 0.0
 
 
@@ -288,7 +289,7 @@ def test_pair_index_values(qwz_open20):
     dp = dirac_phase(sample)
     res = pair_index(P, dp)
     assert res.rounded == 1 and res.error_proxy < 0.05
-    zero = dataclasses.replace(P, projector=np.zeros_like(P.projector))
+    zero = dataclasses.replace(P, rank=0)
     assert pair_index(zero, dp).value == 0.0
 
 

@@ -126,6 +126,12 @@ def test_hardy_index_matches_reference(m, strength, seed):
         assert (got.value, got.extra["total_small"]) == want
 
 
+def test_hardy_index_raw_matrix_needs_sample():
+    sample = build_hamiltonian(make_named_model("ssh", sizes=16))
+    with pytest.raises(ValueError, match="sample"):
+        hardy_index(np.eye(sample.dim), dirac_phase(sample))
+
+
 # --- chiral boundary map -----------------------------------------------------
 
 def chiral_3d_surface(sizes=(4, 4, 6), flux=16):

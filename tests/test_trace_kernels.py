@@ -478,14 +478,16 @@ def test_occupied_z2_parity_and_spin_chern(size, mass, strength, seed):
     got, want = occupied_projection(sample, 0.0), full_projection(sample, 0.0)
     assert_same_projection(got, want)
     dp = dirac_phase(sample)
-    T_got, T_want = trs_fredholm(got, dp), trs_fredholm(want, dp)
-    res_got = z2_kernel_parity(T_got, open_model.symmetry, sample, dp.origin)
-    res_want = z2_kernel_parity(T_want, open_model.symmetry, sample, dp.origin)
+    res_got = z2_kernel_parity(trs_fredholm(got, dp), open_model.symmetry, sample, dp.origin)
+    res_want = z2_kernel_parity(trs_fredholm(want, dp), open_model.symmetry, sample, dp.origin)
     assert res_got.value == res_want.value
     assert res_got.extra["total_small"] == res_want.extra["total_small"]
-    # the margin is a ratio of singular values of T, each of which moves by at
-    # most delta = ||T_got - T_want|| (Weyl), so its relative change is at most
-    # 2 delta / s_min to first order; on these samples that bound is < 1e-9
+    # the margin is a ratio of singular values of T = P G P + (1 - P), each of
+    # which moves by at most delta = ||T_got - T_want|| (Weyl), so its relative
+    # change is at most 2 delta / s_min to first order; on these samples that
+    # bound is < 1e-9
+    T_got, T_want = (P.projector @ (dp.G[:, None] * P.projector) + np.eye(sample.dim)
+                     - P.projector for P in (got, want))
     delta = np.linalg.norm(T_got - T_want, 2)
     bound = 2 * delta / np.linalg.svd(T_want, compute_uv=False).min()
     assert bound < 1e-9

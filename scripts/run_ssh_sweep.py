@@ -11,10 +11,10 @@ N = 256
 masses = np.linspace(-2.0, 2.0, 17)
 
 rows = []
-for m in masses:
+for m in masses.tolist():
     if abs(abs(m) - 1.0) < 1e-9:
         continue  # gap closes
-    model = make_named_model("ssh", sizes=N, m=float(m))
+    model = make_named_model("ssh", sizes=N, m=m)
     P = occupied_projection(build_hamiltonian(model), 0.0)
     res = chern_unitary(fermi_unitary(P, model.symmetry), (1,))
     rows.append((m, res.value, res.rounded))

@@ -1,9 +1,11 @@
 """Experiment orchestration: configs, task registry, ensembles, persistence.
 
-A task maps one disorder realization to a flat dict of values.  Ensembles
-fan realizations out over a process pool (worker count from TOPO_WORKERS,
-default all cores) and fold results back in seed order, so parallel and
-serial runs produce byte-identical tables.
+A task maps one disorder realization to a flat dict of values.  An
+ensemble, or a whole sweep's grid points x realizations, fans out over one
+process pool (worker count from TOPO_WORKERS, default all cores), and the
+results fold back in (grid point, seed) order, so parallel and serial runs
+produce byte-identical tables.  A sweep still folds each grid point through
+`run_experiment`.
 """
 
 from __future__ import annotations
@@ -303,21 +305,37 @@ def worker_count() -> int:
     return count
 
 
-def run_experiment(config: ExperimentConfig, workers: int | None = None):
+def _realize(configs: list[ExperimentConfig],
+             workers: int | None) -> list[list[ResultRecord]]:
+    """Every realization of every config, through one pool when there are more
+    than one worker and more than one realization in all, else serially.
+
+    Returns one list of records per config, in seed order.
+    """
+    payloads = [(c.sections, c.task, c.task_params, c.base_seed + i)
+                for c in configs for i in range(c.realizations)]
+    n_workers = workers if workers is not None else worker_count()
+    if n_workers > 1 and len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            flat = list(pool.map(_run_one, payloads))
+    else:
+        flat = [_run_one(p) for p in payloads]
+    # map keeps payload order, so each config's run of records is in seed order
+    it = iter(flat)
+    return [[next(it) for _ in range(c.realizations)] for c in configs]
+
+
+def run_experiment(config: ExperimentConfig, workers: int | None = None, *,
+                   records: list[ResultRecord] | None = None):
     """Run the configured task over the ensemble.
 
     Returns (records, aggregate, quantized_ok).  Aggregation is a
     deterministic fold in seed order; worker count never changes values.
+    Given `records` (the ensemble already realized, in seed order), it only
+    folds them: aggregate, quantization gate and outputs.
     """
-    seeds = [config.base_seed + i for i in range(config.realizations)]
-    payloads = [(config.sections, config.task, config.task_params, s) for s in seeds]
-    n_workers = workers if workers is not None else worker_count()
-    if n_workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(_run_one, payloads))
-    else:
-        records = [_run_one(p) for p in payloads]
-    records.sort(key=lambda r: r.seed)
+    if records is None:
+        records = _realize([config], workers)[0]
 
     numeric_keys = sorted({k for r in records for k, v in r.values.items()
                            if isinstance(v, (int, float)) and not k.startswith("_")})
@@ -374,19 +392,26 @@ def _write_outputs(config: ExperimentConfig, records, aggregate, quantized_ok):
 def sweep(config: ExperimentConfig, param_path: str, values, workers: int | None = None):
     """run_experiment per grid point of one dotted config parameter.
 
+    Every grid point's config is built and validated before any realization
+    runs.  All grid points x realizations then share one pool, and each grid
+    point's records fold through `run_experiment`, in grid order.
+
     Returns long-format rows (param, value, seed, key, val); an empty grid
     yields an empty table.
     """
     if "." not in param_path:
         raise ConfigError("sweep parameter must be 'section.key'")
     section, key = param_path.split(".", 1)
-    rows = []
+    values = list(values)
+    subs = []
     for value in values:
         sections = {s: dict(kv) for s, kv in config.sections.items()}
         sections.setdefault(section, {})[key] = str(value)
         sub = ExperimentConfig.from_sections(sections)
-        sub = dataclasses.replace(sub, out_dir=None, quant_tol=config.quant_tol)
-        records, _, _ = run_experiment(sub, workers=workers)
+        subs.append(dataclasses.replace(sub, out_dir=None, quant_tol=config.quant_tol))
+    rows = []
+    for value, sub, realized in zip(values, subs, _realize(subs, workers)):
+        records, _, _ = run_experiment(sub, records=realized)
         for rec in records:
             for k, v in sorted(rec.values.items()):
                 if k.startswith("_"):

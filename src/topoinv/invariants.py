@@ -178,18 +178,6 @@ class InvariantResult:
     def rounded(self) -> int:
         return int(round(self.value))
 
-    def to_record(self) -> dict:
-        return {
-            "value": self.value,
-            "raw_re": float(np.real(self.raw)),
-            "raw_im": float(np.imag(self.raw)),
-            "index_set": list(self.index_set),
-            "estimator": self.estimator,
-            "sizes": list(self.sizes),
-            "error_proxy": self.error_proxy,
-            "samples": self.samples,
-        }
-
 
 def _make_result(raw: complex, I, estimator: str, sample: HamiltonianSample,
                  admissible: str | None = "integers", **extra) -> InvariantResult:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from topoinv import harness
 from topoinv.errors import ConfigError
 from topoinv.harness import ExperimentConfig, run_experiment, sweep
 from topoinv.models import make_named_model
@@ -157,6 +158,68 @@ def test_sweep_kitaev_parities():
 
 def test_sweep_empty_grid():
     assert sweep(config_of(SSH_CFG), "model.m", [], workers=1) == []
+
+
+SWEEP_GRIDS = {
+    # 9 payloads, not a multiple of 2 workers
+    "kitaev": (KITAEV_CFG, {"model__w_strength": "0.3", "ensemble__realizations": "3"},
+               "model.mu", ["0", "0.5", "2"]),
+    "ssh": (SSH_CFG, {}, "model.m", ["-2", "0.5", "2"]),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(SWEEP_GRIDS))
+def test_sweep_csv_independent_of_workers(tmp_path, grid):
+    text, over, param, values = SWEEP_GRIDS[grid]
+    outs = []
+    for workers in (1, 2, 3):
+        cfg = config_of(text, output__dir=str(tmp_path / str(workers)), **over)
+        rows = sweep(cfg, param, values, workers=workers)
+        outs.append((tmp_path / str(workers) / "sweep.csv").read_bytes())
+        order = [(values.index(value), seed) for _, value, seed, _, _ in rows]
+        assert order == sorted(order)
+        assert len(set(order)) == len(values) * cfg.realizations
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_feeds_perfbench_record_capture(monkeypatch, workers):
+    """perfbench counts a sweep's realizations by rebinding `harness.run_experiment`:
+    it must see one call per grid point, each with that point's records."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "src"))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    calls = []
+    inner = harness.run_experiment
+
+    def counted(config, *args, **kwargs):
+        result = inner(config, *args, **kwargs)
+        calls.append((config, result[0]))
+        return result
+
+    monkeypatch.setattr(harness, "run_experiment", counted)
+    cfg = config_of(KITAEV_CFG, model__w_strength="0.3", ensemble__base_seed="5")
+    grid = ["0", "0.5", "2", "-0.3"]
+    with workloads._captured_records() as captured:
+        harness.sweep(cfg, "model.mu", grid, workers=workers)
+    assert len(captured) == len(grid) * cfg.realizations
+    assert [config.sections["model"]["mu"] for config, _ in calls] == grid
+    for config, records in calls:
+        assert [r.seed for r in records] == [5, 6]
+        assert {r.fingerprint for r in records} == {config.model().fingerprint()}
+
+
+def test_sweep_bad_grid_value_runs_nothing(monkeypatch):
+    runs = []
+    monkeypatch.setattr(harness, "_run_one", lambda payload: runs.append(payload))
+    with pytest.raises(ConfigError, match="model.m must be a number, got 'abc'"):
+        sweep(config_of(SSH_CFG), "model.m", ["0.5", "abc"], workers=1)
+    assert runs == []
 
 
 def test_outputs_bit_reproducible(tmp_path):

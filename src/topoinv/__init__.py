@@ -12,7 +12,6 @@ from .models import (
     classify_caz,
     insert_flux,
     make_named_model,
-    restrict_half_space,
 )
 from .spectral import (
     EigenData,

@@ -44,6 +44,7 @@ from .models import (
 from .spectral import EigenData, SwitchFunction, detect_gap, diagonalize
 
 _SECTOR_GAP = 1e-3  # ind_map: smallest |chirality| a surface-band state may have
+_DECAY_FLOOR = 5e-2  # boundary_winding: largest depth-profile deviation at mid depth
 
 
 @dataclass(frozen=True)
@@ -178,13 +179,13 @@ def _edge_pairing(half: HalfSpaceSample, f: SwitchFunction, window: np.ndarray,
     return float(2 * np.pi * pairing.real / transverse)
 
 
-def boundary_winding(bu: BoundaryUnitary, I=(1,), decay_floor: float = 5e-2) -> InvariantResult:
+def boundary_winding(bu: BoundaryUnitary, I=(1,)) -> InvariantResult:
     """Edge pairing of the boundary unitary, traced over the near face.
 
     Demands the depth profile to have decayed below the floor at the deepest
     retained layer, so the two faces of the finite slab do not mix.  The
     profile floor at mid depth is set by the analyticity scale of the gap
-    edges (about exp(-depth/xi) with xi a few layers), so the default floor
+    edges (about exp(-depth/xi) with xi a few layers), so the floor
     matches desk-scale slabs; thin cylinders still trip it.
     """
     if tuple(I) != (1,):
@@ -192,9 +193,9 @@ def boundary_winding(bu: BoundaryUnitary, I=(1,), decay_floor: float = 5e-2) -> 
     sample = bu.half.hamiltonian
     n_d = sample.lattice.linear_sizes[-1]
     mid = n_d // 2
-    if bu.depth_profile[mid] > decay_floor:
+    if bu.depth_profile[mid] > _DECAY_FLOOR:
         raise ProfileNotDecayedError(
-            f"deviation {bu.depth_profile[mid]:.2e} at depth {mid} exceeds {decay_floor:.0e}")
+            f"deviation {bu.depth_profile[mid]:.2e} at depth {mid} exceeds {_DECAY_FLOOR:.0e}")
     window = _near_window(sample)
     val = _edge_pairing(bu.half, bu.switch, window)
     return _make_result(val, (1,), "nc-realspace", sample, "integers",
@@ -226,7 +227,7 @@ def spin_edge_current(half: HalfSpaceSample, f: SwitchFunction, s_z: np.ndarray,
     val = _edge_pairing(half, f, _near_window(half.hamiltonian), observable=s_z)
     H = half.hamiltonian.matrix
     comm = 1j * (apply_fiber(s_z, H, "right") - apply_fiber(s_z, H, "left"))
-    budget = budget_constant * np.abs(np.linalg.eigvalsh(comm)).max() * f.c_norm(6)
+    budget = budget_constant * np.abs(np.linalg.eigvalsh(comm)).max() * f.c_norm()
     return val, float(budget)
 
 

@@ -116,6 +116,10 @@ _MAX_REFINE = 6  # bisection rounds of one step: steps no shorter than 2^-6
 _WEIGHT_FLOOR = 0.5  # plaquette weight above which a crossing counts toward the net flow
 _RADIUS_FRAC = 0.25  # radius of the plaquette window, as a fraction of the sample
 _KRAMERS_OVERLAP = 1e-6  # largest |<v, S conj(v)>| of a Kramers-degenerate level
+_PFAFFIAN_KERNEL_TOL = 1e-8  # smallest |E| / max(|T|, 1) of a flux sample the Pfaffian sign reads
+_ZERO_MODE_MARGIN = 1e2  # half-flux kernels: ratio that separates the near-zero cluster
+_HALFFLUX_SCALE_CAP = 1e-2  # halfflux_kernel_parity: cluster ceiling, a fraction of the largest |E|
+_MAJORANA_SCALE_CAP = 5e-2  # majorana_zero_mode_parity: cluster ceiling in energy units
 
 
 def spectral_flow(path: FluxPath, mu: float) -> SpectralFlowResult:
@@ -264,7 +268,7 @@ def majorana_form(H: np.ndarray, num_sites: int) -> np.ndarray:
     return 0.5 * (T - T.T)
 
 
-def z2_spectral_flow(path: FluxPath, sym=None, kernel_tol: float = 1e-8) -> dict:
+def z2_spectral_flow(path: FluxPath, sym=None) -> dict:
     """Parity of the Pfaffian sign change along a particle-hole symmetric path.
 
     Every sample is rotated to its real skew form; the path is cut at kernel
@@ -287,7 +291,7 @@ def z2_spectral_flow(path: FluxPath, sym=None, kernel_tol: float = 1e-8) -> dict
         T = majorana_form(H, num_sites)
         scale = np.abs(T).max()
         smin = np.abs(np.linalg.eigvalsh(1j * T)).min()
-        if smin < kernel_tol * max(scale, 1.0):
+        if smin < _PFAFFIAN_KERNEL_TOL * max(scale, 1.0):
             touches.append(t)
             signs.append((t, 0.0))
             continue
@@ -318,8 +322,7 @@ def _halfflux_modes(open_model: ModelDefinition, realization_seed: int, plaquett
 
 
 def halfflux_kernel_parity(model: ModelDefinition, realization_seed: int = 0,
-                           plaquette=None, margin: float = 1e2,
-                           scale_cap: float = 1e-2) -> dict:
+                           plaquette=None) -> dict:
     """Half the near-kernel dimension mod 2 at half flux, defect-localized.
 
     Open-chain realization: the model is restricted to open boundaries, flux
@@ -330,7 +333,7 @@ def halfflux_kernel_parity(model: ModelDefinition, realization_seed: int = 0,
     if plaquette is None:
         plaquette = (model.lattice.linear_sizes[0] // 2,)
     half, aw, vecs = _halfflux_modes(model.with_boundary(0, OPEN), realization_seed, plaquette)
-    count = _near_zero_cluster(aw, margin, scale_cap * aw[-1])
+    count = _near_zero_cluster(aw, _ZERO_MODE_MARGIN, _HALFFLUX_SCALE_CAP * aw[-1])
     loc = localized_mode_count(vecs[:, :count], half.lattice.window(np.add(plaquette, 0.5), 0.25))
     if loc % 2:
         raise MarginTooSmallError("odd defect-localized zero count; window unreliable")
@@ -341,8 +344,7 @@ def halfflux_kernel_parity(model: ModelDefinition, realization_seed: int = 0,
 
 
 def majorana_zero_mode_parity(model: ModelDefinition, realization_seed: int = 0,
-                              plaquette=None, margin: float = 1e2,
-                              scale_cap: float = 5e-2) -> dict:
+                              plaquette=None) -> dict:
     """Kernel parity at half flux against the bulk pairing parity, d = 2.
 
     The sample is opened on both axes with the flux at the center; the
@@ -357,7 +359,7 @@ def majorana_zero_mode_parity(model: ModelDefinition, realization_seed: int = 0,
     if plaquette is None:
         plaquette = (n1 // 2, n2 // 2)
     half, aw, vecs = _halfflux_modes(model.with_boundaries(OPEN), realization_seed, plaquette)
-    count = _near_zero_cluster(aw, margin, scale_cap)
+    count = _near_zero_cluster(aw, _ZERO_MODE_MARGIN, _MAJORANA_SCALE_CAP)
     loc = localized_mode_count(vecs[:, :count], half.lattice.window(np.add(plaquette, 0.5), 0.25))
     parity = loc % 2
     bulk = build_hamiltonian(model.with_boundaries(PERIODIC), realization_seed)

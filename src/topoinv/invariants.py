@@ -59,6 +59,9 @@ from .spectral import FermiProjection, diagonalize, fermi_projection
 
 _HARDY_CUT = 1e-6  # hardy_index: singular values below this count as kernel
 _HARDY_RADIUS_FRAC = 0.25  # hardy_index: radius of the origin window, as a fraction of the sample
+_SINGULAR_FLOOR = 1e-3  # fermi_unitary: smallest singular value of the off-diagonal block
+_SPIN_GAP_FLOOR = 1e-3  # spin_chern: smallest gap of the compressed spin operator P s_z P
+_VEG_MARGIN = 0.5  # veg_invariant: clearance of the contour below the lowest level
 _Z2_CUT = 1e-4  # z2_kernel_parity: kernel cut, as a fraction of the largest singular value
 _Z2_MARGIN = 1e2  # z2_kernel_parity: least ratio across the cut
 _Z2_RADIUS_FRAC = 0.25  # z2_kernel_parity: radius of the origin window, as a fraction of the sample
@@ -225,8 +228,7 @@ class FermiUnitary:
     min_singular: float
 
 
-def fermi_unitary(P: FermiProjection, sym: SymmetrySpec,
-                  singular_threshold: float = 1e-3) -> FermiUnitary:
+def fermi_unitary(P: FermiProjection, sym: SymmetrySpec) -> FermiUnitary:
     """Polar phase U of the off-diagonal block of 2P in the chiral eigenbasis.
 
     Accepts approximately chiral samples as long as the block stays
@@ -243,9 +245,9 @@ def fermi_unitary(P: FermiProjection, sym: SymmetrySpec,
         raise NotChiralError("chiral operator sectors have unequal dimension")
     block = 2.0 * apply_fiber(minus.conj().T, apply_fiber(plus, P.projector, "right"), "left")
     uu, sv, vv = np.linalg.svd(block)
-    if sv.min() < singular_threshold:
+    if sv.min() < _SINGULAR_FLOOR:
         raise BlockSingularError(
-            f"off-diagonal block singular value {sv.min():.2e} below {singular_threshold:.0e}")
+            f"off-diagonal block singular value {sv.min():.2e} below {_SINGULAR_FLOOR:.0e}")
     U = uu @ vv
     return FermiUnitary(matrix=U, sample=sample, fiber=L // 2, min_singular=float(sv.min()))
 
@@ -635,8 +637,7 @@ def z2_kernel_parity(T: FredholmCompression | np.ndarray, sym: SymmetrySpec,
                         margin=float(ratio), total_small=count, localized=loc)
 
 
-def spin_chern(P: FermiProjection, s_z: np.ndarray, gap_floor: float = 1e-3,
-               region: str = "all", rho: float = 0.5):
+def spin_chern(P: FermiProjection, s_z: np.ndarray, region: str = "all", rho: float = 0.5):
     """Pairing of the positive spectral half of P s^z P.
 
     Returns (result for the positive sector, gap of the compressed spin
@@ -651,8 +652,8 @@ def spin_chern(P: FermiProjection, s_z: np.ndarray, gap_floor: float = 1e-3,
     if not pos.any() or not neg.any():
         raise SpinSpectrumGaplessError("compressed spin operator has one-sided spectrum")
     gap = float(mw[pos].min() - mw[neg].max())
-    if gap < gap_floor:
-        raise SpinSpectrumGaplessError(f"spin gap {gap:.2e} below {gap_floor:.0e}")
+    if gap < _SPIN_GAP_FLOOR:
+        raise SpinSpectrumGaplessError(f"spin gap {gap:.2e} below {_SPIN_GAP_FLOOR:.0e}")
     ch_p, ch_m = (_chern_even(V @ V.conj().T, sample, (1, 2), region, rho)
                   for V in (occ @ mv[:, pos], occ @ mv[:, neg]))
     ch = _chern_even(P.projector, sample, (1, 2), region, rho)
@@ -761,8 +762,7 @@ def streda_derivative(model: ModelDefinition, I, axes=(1, 2), k_step: int = 1,
     return float(lhs), float(rhs)
 
 
-def veg_invariant(P: FermiProjection, I=(1, 2), n_t: int = 64,
-                  margin: float = 0.5) -> InvariantResult:
+def veg_invariant(P: FermiProjection, I=(1, 2), n_t: int = 64) -> InvariantResult:
     """Resolvent-loop evaluation of the even pairing.
 
     Discretizes the contour integral over a circle enclosing the occupied
@@ -780,8 +780,8 @@ def veg_invariant(P: FermiProjection, I=(1, 2), n_t: int = 64,
     if not (w < mu).any() or not (w > mu).any():
         raise ContourHitsSpectrumError("mu outside the spectrum")
     lo = w.min()
-    center = 0.5 * (lo - margin + mu)
-    radius = 0.5 * (mu - lo + margin)
+    center = 0.5 * (lo - _VEG_MARGIN + mu)
+    radius = 0.5 * (mu - lo + _VEG_MARGIN)
     zs = center + radius * np.exp(2j * np.pi * np.arange(n_t) / n_t)
     dist = np.abs(w[None, :] - zs[:, None]).min()
     if dist < 1e-6:

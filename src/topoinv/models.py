@@ -3,8 +3,8 @@
 Builds dense Hermitian samples of hopping Hamiltonians on d-dimensional
 lattices (d = 1, 2, 3) with L orbitals per site, uniform magnetic field in
 a fixed axial gauge, i.i.d. on-site disorder, open or periodic boundaries,
-half-space restriction, and local flux insertion.  Ships a small zoo of
-named models and a symmetry-class detector.
+and local flux insertion.  Ships a small zoo of named models and a
+symmetry-class detector.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -15,7 +15,10 @@ Conventions fixed here and relied on everywhere else:
 * the magnetic phase on a unit step +e_k from site m is
   sum_{j>k} B[k, j] * m_j, with a seam correction -B[i, j] * N_j * m_i on
   wrapping j-steps so every plaquette in axes (i, j) carries flux -B[i, j];
-  on a torus this requires B[i, j] * N_i * N_j in 2 pi Z.
+  on a torus this requires B[i, j] * N_i * N_j in 2 pi Z;
+* one bond table (`_bonds`) places every bond for assembly, magnetic
+  translations and flux insertion; there a bond is the segment from its
+  source to source + a, and the string cell p has 0 <= p_k <= N_k - 2.
 """
 
 from __future__ import annotations
@@ -390,10 +393,6 @@ class HamiltonianSample:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def position_arrays(self) -> np.ndarray:
-        """Per-global-index coordinates, shape (hilbert_dim, d)."""
-        return self.lattice.positions()
-
 
 def _bonds(lattice: LatticeSpec, B: np.ndarray,
            a: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -480,97 +479,65 @@ def dual_translations(lattice: LatticeSpec, B: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def restrict_half_space(sample: HamiltonianSample) -> HamiltonianSample:
-    """Dirichlet truncation: relabel the last axis open and drop its wrap bonds."""
-    model = sample.model.with_boundary(sample.lattice.dimension - 1, OPEN)
-    return build_hamiltonian(model, sample.realization_seed)
-
-
-def _string_phases(x_from: np.ndarray, y_from: np.ndarray, x_to: np.ndarray,
-                   y_to: np.ndarray, px: float, py: float, t: float,
-                   active: np.ndarray, half: bool = False) -> np.ndarray:
-    """Phases for straight bonds against a vertical string through (px, py).
-
-    Full gauge (half=False): bonds crossing the upward ray {x = px, y > py}
-    pick up exp(+-2 pi i t).  Mirror-split gauge (half=True): the full
-    vertical line, with exp(+-i pi t) above py and the conjugate below, so a
-    reflection about the line y = py maps the phase field to its conjugate.
-    Only pairs flagged active (actual bonds) are validated against the center.
-    """
-    dx = x_to - x_from
-    out = np.ones(dx.shape, dtype=complex)
-    moving = dx != 0
-    s = np.zeros_like(dx)
-    s[moving] = (px - x_from[moving]) / dx[moving]
-    crossing = moving & (s > 0.0) & (s < 1.0)
-    y_cross = y_from + s * (y_to - y_from)
-    if np.any(crossing & active & (np.abs(y_cross - py) < 1e-9)):
-        raise BadDimensionError(
-            "a bond passes through the flux plaquette center; shift the plaquette")
-    sgn = np.sign(dx)
-    if half:
-        side = np.where(y_cross > py, 1.0, -1.0)
-        out[crossing] = np.exp(1j * np.pi * t * sgn[crossing] * side[crossing])
-    else:
-        up = crossing & (y_cross > py)
-        out[up] = np.exp(2j * np.pi * t * sgn[up])
-    return out
-
-
 def insert_flux(sample: HamiltonianSample, t: float, plaquette: Sequence[int]) -> HamiltonianSample:
     """Thread flux 2*pi*t through one lattice cell.
 
-    d = 2: string gauge, the phase sits on bonds crossing the half-line going
-    up from the plaquette center, so t = 1 returns the input exactly and
-    t = 1/2 phases are real.  d = 1 with a two-component fiber: the fiber is
-    read as the two legs of a strip and the strip cell at the given column is
-    threaded with a mirror-split gauge, which preserves a particle-hole
-    symmetry exchanging the legs along the whole path; there t = 1 is a local
-    gauge conjugation of the input on open chains.
+    Each bond of a hopping a with a_0 > 0 is the segment from its source to
+    source + a, wrap bonds included.  A bond crossing the string (or its image
+    one period on) has block (target, source) multiplied by the string phase
+    and block (source, target) by its conjugate.  d = 2, second axis open:
+    exp(2 pi i t) on the bonds crossing the half-line up from the plaquette
+    center, so t = 1 returns the input exactly.  d = 1, two-component fiber,
+    nearest-neighbor hopping: the legs of a strip in a mirror-split gauge,
+    exp(+-i pi t) above the midline between the legs and its conjugate below,
+    which keeps a particle-hole symmetry exchanging the legs along the path.
+
+    The plaquette has one entry per axis with 0 <= p_k <= N_k - 2 (N_0 - 1 on
+    a periodic axis 0), and a periodic axis 0 exceeds twice the hop range so
+    that no two bonds share a block; else ParamOutOfRangeError.
     """
-    lat = sample.lattice
-    L = lat.fiber
+    lat, model = sample.lattice, sample.model
+    strip = lat.dimension == 1 and lat.fiber == 2
+    if lat.dimension != 2 and not strip:
+        raise BadDimensionError("flux insertion is defined for d = 2 or the d = 1 two-leg strip")
+    if lat.dimension == 2 and lat.boundary[1] != OPEN:
+        raise BadDimensionError("flux insertion needs an open second axis for the string to leave")
+    if strip and model.max_hop_range > 1:
+        raise BadDimensionError("two-leg flux insertion supports nearest-neighbor hopping only")
+    last = tuple(n - 1 if flag == PERIODIC else n - 2
+                 for n, flag in zip(lat.linear_sizes, lat.boundary))
+    if len(plaquette) != lat.dimension or not all(0 <= p <= m for p, m in zip(plaquette, last)):
+        raise ParamOutOfRangeError(f"plaquette {tuple(plaquette)} is not a cell of the sample: "
+                                   f"axis k takes 0..m_k with m = {last}")
+    if lat.boundary[0] == PERIODIC and lat.linear_sizes[0] <= 2 * model.max_hop_range:
+        raise ParamOutOfRangeError("flux insertion on a periodic axis 0 needs N_0 > 2 * hop range")
     H = sample.matrix.copy()
-    if t == 0.0:
-        return HamiltonianSample(matrix=H, model=sample.model,
-                                 realization_seed=sample.realization_seed)
-    coords = lat.site_coords().astype(float)
-
-    if lat.dimension == 2:
-        if lat.boundary[1] != OPEN:
-            raise BadDimensionError(
-                "flux insertion needs the second axis open so the string can leave the sample")
-        px, py = plaquette[0] + 0.5, plaquette[1] + 0.5
-        X, Y = coords[:, 0], coords[:, 1]
-        x_from = np.broadcast_to(X[None, :], (len(X), len(X)))
-        # unroll wrap bonds by minimal image so the segment geometry is local
-        x_to = x_from + lat.minimal_image(X[:, None] - X[None, :], 0)
-        y_from = np.broadcast_to(Y[None, :], x_from.shape)
-        y_to = np.broadcast_to(Y[:, None], x_from.shape)
-        blocks = H.reshape(len(X), L, len(X), L)
-        active = np.abs(blocks).max(axis=(1, 3)) > 0
-        blocks *= _string_phases(x_from, y_from, x_to, y_to, px, py, t, active)[:, None, :, None]
-        return HamiltonianSample(matrix=H, model=sample.model,
-                                 realization_seed=sample.realization_seed)
-
-    if lat.dimension == 1 and L == 2:
-        if sample.model.max_hop_range > 1:
-            raise BadDimensionError("two-leg flux insertion supports nearest-neighbor hopping only")
-        px = plaquette[0] + 0.4
-        N = lat.linear_sizes[0]
-        xs = np.repeat(coords[:, 0], 2)
-        ys = np.tile(np.array([0.0, 1.0]), N)
-        x_from = np.broadcast_to(xs[None, :], (2 * N, 2 * N))
-        x_to = x_from + lat.minimal_image(xs[:, None] - xs[None, :], 0)
-        y_from = np.broadcast_to(ys[None, :], x_from.shape)
-        y_to = np.broadcast_to(ys[:, None], x_from.shape)
-        active = np.abs(H) > 0
-        ph = _string_phases(x_from, y_from, x_to, y_to, px, 0.5, t, active, half=True)
-        H *= ph
-        return HamiltonianSample(matrix=H, model=sample.model,
-                                 realization_seed=sample.realization_seed)
-
-    raise BadDimensionError("flux insertion is defined for d = 2 or the d = 1 two-leg strip")
+    if t != 0.0:
+        coords = lat.site_coords()
+        px, py = (plaquette[0] + 0.4, 0.5) if strip else (plaquette[0] + 0.5, plaquette[1] + 0.5)
+        blocks = H.reshape(lat.num_sites, lat.fiber, lat.num_sites, lat.fiber)
+        for a, _ in model.positive_hoppings():
+            if a[0] == 0:
+                continue  # parallel to the string
+            src, tgt, _ = _bonds(lat, model.field.B, a)
+            # where the segment meets the string line or its next image: a crossing below 1
+            s = (px - coords[src, 0]) % lat.linear_sizes[0] / a[0]
+            crossing = s < 1.0
+            if strip:  # x = p + 0.4 keeps the crossings off the midline; (bond, target, source leg)
+                legs = np.arange(2.0)
+                above = legs + s[crossing, None, None] * (legs[:, None] - legs) > py
+                phase = np.exp(1j * np.pi * t * np.where(above, 1.0, -1.0))
+            else:
+                y_cross = coords[src, 1] + s * a[1]
+                if np.any(crossing & (np.abs(y_cross - py) < 1e-9)):
+                    raise BadDimensionError(
+                        "a bond passes through the flux plaquette center; shift the plaquette")
+                crossing &= y_cross > py
+                phase = np.full((1, 1, 1), np.exp(2j * np.pi * t))
+            src, tgt = src[crossing], tgt[crossing]
+            blocks[tgt, :, src, :] *= phase
+            blocks[src, :, tgt, :] *= phase.conj().swapaxes(1, 2)
+    return HamiltonianSample(matrix=H, model=model, realization_seed=sample.realization_seed)
 
 
 # ---------------------------------------------------------------------------

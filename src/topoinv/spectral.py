@@ -17,7 +17,8 @@ from scipy.linalg import lapack
 from .errors import ConvergenceFailureError, GapMismatchError, NoGapError
 from .models import HamiltonianSample
 
-_MIN_GAP = 1e-8
+_MIN_GAP = 1e-8  # detect_gap: narrowest gap, and closest level to mu, it accepts
+_C_NORM_ORDER = 6  # SwitchFunction.c_norm: highest derivative order in the norm
 _ORTHO_TOL = 1e-10  # largest max|V^H V - I| accepted from a partial solve
 _TIE_TOL = 1e-10  # relative spacing below which two levels count as one degenerate level
 
@@ -182,7 +183,7 @@ class FermiProjection:
         return V @ V.conj().T
 
 
-def detect_gap(eigen: EigenData, mu: float, min_width: float = _MIN_GAP) -> tuple[float, float]:
+def detect_gap(eigen: EigenData, mu: float) -> tuple[float, float]:
     """Maximal open interval around mu free of eigenvalues.
 
     Eigenvalues alone suffice, from the whole spectrum or from an occupied
@@ -190,8 +191,8 @@ def detect_gap(eigen: EigenData, mu: float, min_width: float = _MIN_GAP) -> tupl
     """
     eigen.require_full("detect_gap", vectors=False, mu=mu)
     w = eigen.eigenvalues
-    if np.any(np.abs(w - mu) < min_width):
-        raise NoGapError(f"an eigenvalue lies within {min_width:.0e} of mu={mu}")
+    if np.any(np.abs(w - mu) < _MIN_GAP):
+        raise NoGapError(f"an eigenvalue lies within {_MIN_GAP:.0e} of mu={mu}")
     below = w[w <= mu]
     above = w[w > mu]
     if not len(above) and eigen.window is not None and eigen.window[1] < np.inf:
@@ -200,8 +201,8 @@ def detect_gap(eigen: EigenData, mu: float, min_width: float = _MIN_GAP) -> tupl
     # an empty side extends the gap to the spectral edge
     lo = float(below[-1]) if len(below) else -np.inf
     hi = float(above[0]) if len(above) else np.inf
-    if hi - lo < min_width:
-        raise NoGapError(f"gap around mu={mu} has width {hi - lo:.3e} < {min_width:.0e}")
+    if hi - lo < _MIN_GAP:
+        raise NoGapError(f"gap around mu={mu} has width {hi - lo:.3e} < {_MIN_GAP:.0e}")
     return (lo, hi)
 
 
@@ -277,15 +278,15 @@ class SwitchFunction:
         integrand = norm * (p ** s) * ((1 - p) ** s)
         return integrand.integ()
 
-    def c_norm(self, k_max: int = 6) -> float:
-        """max over k <= k_max of sup |f^(k)|, from the closed-form polynomial."""
+    def c_norm(self) -> float:
+        """max over k <= _C_NORM_ORDER of sup |f^(k)|, from the closed-form polynomial."""
         a, b = self.gap
         scale = 1.0 / (b - a)
         grid = np.linspace(0.0, 1.0, 2001)
         factor = 2.0 if self.kind == "ind" else 1.0
         best = 1.0
         poly = self._poly
-        for k in range(1, k_max + 1):
+        for k in range(1, _C_NORM_ORDER + 1):
             poly = poly.deriv()
             best = max(best, factor * float(np.abs(poly(grid)).max()) * scale ** k)
         return best

@@ -188,7 +188,7 @@ def test_criterion_09_property_suite():
     # Leibniz rule and vanishing trace of derivatives
     sample = build_hamiltonian(make_named_model("harper", sizes=9, b12=0.0))
     rng = np.random.default_rng(0)
-    pos = sample.position_arrays()[:, :2]
+    pos = sample.lattice.positions()[:, :2]
     mats = []
     for _ in range(2):
         A = rng.normal(size=(sample.dim, sample.dim)) + 1j * rng.normal(size=(sample.dim, sample.dim))

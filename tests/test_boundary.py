@@ -202,7 +202,7 @@ def test_spin_budget_is_commutator_two_norm():
     f = SwitchFunction("exp", half.bulk_gap)
     _, budget = spin_edge_current(half, f, model.metadata["s_z"])
     H, s_z = half.hamiltonian.matrix, np.kron(np.eye(half.lattice.num_sites), model.metadata["s_z"])
-    want = np.linalg.norm(H @ s_z - s_z @ H, 2) * f.c_norm(6)
+    want = np.linalg.norm(H @ s_z - s_z @ H, 2) * f.c_norm()
     assert want > 0.0
     assert abs(budget - want) < 1e-12 * want
 

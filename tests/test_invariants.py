@@ -83,7 +83,7 @@ def test_leibniz_rule(seed):
     rng = np.random.default_rng(seed)
     sample = build_hamiltonian(make_harper(9, b12=0.0))
     n = sample.dim
-    pos = sample.position_arrays()[:, :2]
+    pos = sample.lattice.positions()[:, :2]
 
     def finite_range(rg):
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -271,7 +271,7 @@ def test_dirac_phase_d1_hardy_projection():
     sample = build_hamiltonian(make_named_model("ssh", sizes=16, m=0.0, boundary="open"))
     dp = dirac_phase(sample)
     e = dp.E
-    pos = sample.position_arrays()[:, 0]
+    pos = sample.lattice.positions()[:, 0]
     assert np.array_equal(e, (pos > dp.origin[0]).astype(float))
 
 

@@ -11,8 +11,8 @@ from topoinv import (
     build_hamiltonian,
     classify_caz,
     insert_flux,
+    make_half_space,
     make_named_model,
-    restrict_half_space,
 )
 from topoinv.errors import (
     BadDimensionError,
@@ -263,7 +263,7 @@ def test_classify_caz_invariant_under_fiber_rotation():
 def test_restrict_half_space_entries_and_edge_modes():
     model = make_named_model("harper", sizes=6)
     torus = build_hamiltonian(model)
-    half = restrict_half_space(torus)
+    half = build_hamiltonian(model.with_boundary(1, OPEN))
     assert half.lattice.boundary == (PERIODIC, OPEN)
     # retained entries agree except on the dropped wrap bonds
     N = 6
@@ -280,7 +280,7 @@ def test_restrict_half_space_entries_and_edge_modes():
 
 def test_harper_halfspace_edge_spectrum_in_gap(harper24_projection):
     model, P = harper24_projection
-    half = restrict_half_space(build_hamiltonian(model))
+    half = build_hamiltonian(model.with_boundary(1, OPEN))
     ev = np.linalg.eigvalsh(half.matrix)
     lo, hi = P.gap
     assert np.any((ev > lo + 0.05) & (ev < hi - 0.05))
@@ -314,8 +314,8 @@ def test_insert_flux_bad_dimension():
 
 def test_half_space_forces_open_axis():
     model = make_named_model("harper", sizes=6)
-    half = restrict_half_space(build_hamiltonian(model))
-    assert half.lattice.boundary[-1] == OPEN
+    half = make_half_space(model, -1.4)
+    assert half.hamiltonian.lattice.boundary == (PERIODIC, OPEN)
 
 
 def test_unknown_model_parameter_rejected():

@@ -18,7 +18,7 @@ from topoinv import (
 )
 from topoinv import spectral
 from topoinv.errors import GapMismatchError, NoGapError
-from topoinv.models import PERIODIC, restrict_half_space
+from topoinv.models import OPEN, PERIODIC
 from topoinv.spectral import orthogonality_residual
 
 
@@ -100,7 +100,7 @@ def test_switch_function_shapes():
     # derivative matches a finite difference
     d_num = np.gradient(f(xs), xs)
     assert np.abs(f.derivative(xs) - d_num).max() < 1e-2
-    assert f.c_norm(6) >= 1.0
+    assert f.c_norm() >= 1.0
 
 
 def test_eval_switch_trivial_and_bulk(harper24_eigen):
@@ -122,7 +122,7 @@ def test_eval_switch_halfspace_nontrivial(harper24_eigen):
     model, eig = harper24_eigen
     nb = 24 * 24 // 3
     gap = detect_gap(eig, 0.5 * (eig.eigenvalues[nb - 1] + eig.eigenvalues[nb]))
-    half = restrict_half_space(build_hamiltonian(model))
+    half = build_hamiltonian(model.with_boundary(1, OPEN))
     heig = diagonalize(half)
     f = SwitchFunction("exp", gap)
     with pytest.raises(GapMismatchError):
@@ -138,7 +138,7 @@ def test_matrix_element_locality_strong_gap():
     sample = build_hamiltonian(model)
     eig = diagonalize(sample)
     P = fermi_projection(eig, 0.0).projector
-    pos = sample.position_arrays()
+    pos = sample.lattice.positions()
     dist = np.abs(pos[:, 0][:, None] - pos[:, 0][None, :])
     dist = np.maximum(dist, np.abs(pos[:, 1][:, None] - pos[:, 1][None, :]))
     far = dist > 6

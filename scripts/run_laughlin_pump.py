@@ -22,9 +22,9 @@ MASS = 1.0
 model = make_named_model("qwz", sizes=N, boundary="open", mass=MASS)
 sample = build_hamiltonian(model)
 path = FluxPath(base=sample, plaquette=(N // 2, N // 2))
-# t = 0 in full first: the flow reads its window from that decomposition
-pi = pair_index(fermi_projection(path.eigen_at(0.0), 0.0), dirac_phase(sample))
+# one full decomposition of the base sample serves the pair index and the flow at t = 0
 flow = spectral_flow(path, 0.0)
+pi = pair_index(fermi_projection(path.base_eigen, 0.0), dirac_phase(sample))
 print(f"spectral flow {flow.net} (raw {flow.raw_net}), pair index {pi.rounded} ({pi.value:+.5f})")
 
 with open("flow.csv", "w") as fh:

@@ -179,7 +179,7 @@ def _edge_pairing(half: HalfSpaceSample, f: SwitchFunction, window: np.ndarray,
     return float(2 * np.pi * pairing.real / transverse)
 
 
-def boundary_winding(bu: BoundaryUnitary, I=(1,)) -> InvariantResult:
+def boundary_winding(bu: BoundaryUnitary) -> InvariantResult:
     """Edge pairing of the boundary unitary, traced over the near face.
 
     Demands the depth profile to have decayed below the floor at the deepest
@@ -188,8 +188,6 @@ def boundary_winding(bu: BoundaryUnitary, I=(1,)) -> InvariantResult:
     edges (about exp(-depth/xi) with xi a few layers), so the floor
     matches desk-scale slabs; thin cylinders still trip it.
     """
-    if tuple(I) != (1,):
-        raise GapMismatchError("boundary winding implemented for I = (1,) in d = 2")
     sample = bu.half.hamiltonian
     n_d = sample.lattice.linear_sizes[-1]
     mid = n_d // 2
@@ -215,19 +213,19 @@ def boundary_current(half: HalfSpaceSample, f: SwitchFunction,
     return _edge_pairing(half, f, window)
 
 
-def spin_edge_current(half: HalfSpaceSample, f: SwitchFunction, s_z: np.ndarray,
-                      budget_constant: float = 1.0) -> tuple[float, float]:
+def spin_edge_current(half: HalfSpaceSample, f: SwitchFunction,
+                      s_z: np.ndarray) -> tuple[float, float]:
     """Spin-weighted edge current plus its correction budget.
 
-    The budget is budget_constant * ||[H, s_z]|| * ||f||_{C^6}; the returned
-    value approaches the spin pairing of the bulk when the commutator is
-    small.  For Hermitian s_z, i[H, s_z] is Hermitian, so its spectral norm
-    is its largest |eigenvalue|.
+    The budget is ||[H, s_z]|| * ||f||_{C^6}; the returned value approaches
+    the spin pairing of the bulk when the commutator is small.  For
+    Hermitian s_z, i[H, s_z] is Hermitian, so its spectral norm is its
+    largest |eigenvalue|.
     """
     val = _edge_pairing(half, f, _near_window(half.hamiltonian), observable=s_z)
     H = half.hamiltonian.matrix
     comm = 1j * (apply_fiber(s_z, H, "right") - apply_fiber(s_z, H, "left"))
-    budget = budget_constant * np.abs(np.linalg.eigvalsh(comm)).max() * f.c_norm()
+    budget = np.abs(np.linalg.eigvalsh(comm)).max() * f.c_norm()
     return val, float(budget)
 
 

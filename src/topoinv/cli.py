@@ -22,6 +22,8 @@ from .models import MODEL_NAMES
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         config = dataclasses.replace(config, base_seed=args.seed)
     if args.out is not None:
         config = dataclasses.replace(config, out_dir=Path(args.out))

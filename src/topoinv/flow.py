@@ -10,6 +10,7 @@ is reported alongside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -45,12 +46,11 @@ _CAYLEY = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0)
 
 @dataclass
 class FluxPath:
-    """Samples along one flux insertion, their decompositions and the torus companion's, cached."""
+    """Samples along one flux insertion; the base sample's full decomposition is kept."""
 
     base: HamiltonianSample
     plaquette: tuple[int, ...]
     ts: list[float] = field(default_factory=lambda: list(np.linspace(0.0, 1.0, 21)))
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         ts = sorted(set(float(t) for t in self.ts))
@@ -59,32 +59,19 @@ class FluxPath:
         self.ts = ts
 
     def sample_at(self, t: float) -> HamiltonianSample:
-        if t not in self._cache:
-            self._cache[t] = insert_flux(self.base, t, self.plaquette)
-        return self._cache[t]
+        return insert_flux(self.base, t, self.plaquette)
 
-    def eigen_at(self, t: float, window: tuple[float, float] | None = None) -> EigenData:
-        """Decomposition of the sample at t: full, or covering at least `window`.
-
-        A windowed request is served by the full decomposition of the same t
-        when that is cached, so a caller that needs t in full asks first.
-        """
-        full = ("eig", t, None)
-        key = ("eig", t, window)
-        if full in self._cache:
-            return self._cache[full]
-        if key not in self._cache:
-            self._cache[key] = diagonalize(self.sample_at(t), window=window)
-        return self._cache[key]
+    @cached_property
+    def base_eigen(self) -> EigenData:
+        """Full decomposition of the base sample, which is the sample at t = 0."""
+        return diagonalize(self.base)
 
 
 def _companion_half_width(path: FluxPath, mu: float) -> float:
     """Distance from mu to the nearer edge of the gap of the base model's periodic companion."""
-    if "companion" not in path._cache:
-        torus = path.base.model.with_boundaries(PERIODIC)
-        path._cache["companion"] = diagonalize(build_hamiltonian(torus, path.base.realization_seed),
-                                               vectors=False)
-    gap = detect_gap(path._cache["companion"], mu)
+    torus = path.base.model.with_boundaries(PERIODIC)
+    gap = detect_gap(diagonalize(build_hamiltonian(torus, path.base.realization_seed),
+                                 vectors=False), mu)
     return min(mu - gap[0], gap[1] - mu)
 
 
@@ -134,8 +121,8 @@ def spectral_flow(path: FluxPath, mu: float) -> SpectralFlowResult:
     counts toward the net flow when its branch localizes at the flux
     plaquette; the unfiltered count is reported too.  The window is the gap
     of the periodic companion of the base model, since the open base sample
-    carries edge spectrum inside the gap.  Each sample is solved only on that
-    window.
+    carries edge spectrum inside the gap.  Each sample but the base is solved
+    only on that window; t = 0 reads the base's full decomposition.
     """
     width = _companion_half_width(path, mu)
     energies = (mu - width, mu + width)
@@ -143,10 +130,15 @@ def spectral_flow(path: FluxPath, mu: float) -> SpectralFlowResult:
     ts = list(path.ts)
     dt_floor = 2.0 ** (-_MAX_REFINE)
 
+    solved = {}
+
     def levels(t):
-        eig = path.eigen_at(t, energies)
-        inside = np.abs(eig.eigenvalues - mu) < width
-        return eig.eigenvalues[inside], eig.eigenvectors[:, inside]
+        """In-window eigenvalues and eigenvectors at t; each t is solved once."""
+        if t not in solved:
+            eig = path.base_eigen if t == 0.0 else diagonalize(path.sample_at(t), window=energies)
+            inside = np.abs(eig.eigenvalues - mu) < width
+            solved[t] = eig.eigenvalues[inside], eig.eigenvectors[:, inside]
+        return solved[t]
 
     def matched(t0, t1):
         """Overlap assignment of the levels at t0 to those at t1, and its worst overlap."""
@@ -268,16 +260,16 @@ def majorana_form(H: np.ndarray, num_sites: int) -> np.ndarray:
     return 0.5 * (T - T.T)
 
 
-def z2_spectral_flow(path: FluxPath, sym=None) -> dict:
+def z2_spectral_flow(path: FluxPath) -> dict:
     """Parity of the Pfaffian sign change along a particle-hole symmetric path.
 
     Every sample is rotated to its real skew form; the path is cut at kernel
     touchings and the Pfaffian sign tracked on the gapped stretches.  The
     result compares the first and last gapped segments; endpoints touching
-    zero are an error.
+    zero are an error.  The particle-hole operator is the base model's.
     """
     num_sites = path.base.lattice.num_sites
-    sym = sym if sym is not None else path.base.model.symmetry
+    sym = path.base.model.symmetry
     if sym.s_ph is None:
         raise SymmetryBrokenAtHalfFluxError("path samples must declare a particle-hole operator")
     if path.ts[0] != 0.0 or path.ts[-1] != 1.0:
@@ -321,8 +313,7 @@ def _halfflux_modes(open_model: ModelDefinition, realization_seed: int, plaquett
     return half, np.abs(eig.eigenvalues)[order], eig.eigenvectors[:, order]
 
 
-def halfflux_kernel_parity(model: ModelDefinition, realization_seed: int = 0,
-                           plaquette=None) -> dict:
+def halfflux_kernel_parity(model: ModelDefinition, realization_seed: int = 0) -> dict:
     """Half the near-kernel dimension mod 2 at half flux, defect-localized.
 
     Open-chain realization: the model is restricted to open boundaries, flux
@@ -330,8 +321,7 @@ def halfflux_kernel_parity(model: ModelDefinition, realization_seed: int = 0,
     counted only when localized at the cell; a topological open chain also
     carries end modes, which the window excludes.
     """
-    if plaquette is None:
-        plaquette = (model.lattice.linear_sizes[0] // 2,)
+    plaquette = (model.lattice.linear_sizes[0] // 2,)
     half, aw, vecs = _halfflux_modes(model.with_boundary(0, OPEN), realization_seed, plaquette)
     count = _near_zero_cluster(aw, _ZERO_MODE_MARGIN, _HALFFLUX_SCALE_CAP * aw[-1])
     loc = localized_mode_count(vecs[:, :count], half.lattice.window(np.add(plaquette, 0.5), 0.25))
@@ -343,8 +333,7 @@ def halfflux_kernel_parity(model: ModelDefinition, realization_seed: int = 0,
             "smallest": aw[:max(count + 2, 4)].tolist()}
 
 
-def majorana_zero_mode_parity(model: ModelDefinition, realization_seed: int = 0,
-                              plaquette=None) -> dict:
+def majorana_zero_mode_parity(model: ModelDefinition, realization_seed: int = 0) -> dict:
     """Kernel parity at half flux against the bulk pairing parity, d = 2.
 
     The sample is opened on both axes with the flux at the center; the
@@ -356,8 +345,7 @@ def majorana_zero_mode_parity(model: ModelDefinition, realization_seed: int = 0,
     if model.lattice.dimension != 2:
         raise SymmetryBrokenAtHalfFluxError("needs a two-dimensional sample")
     n1, n2 = model.lattice.linear_sizes
-    if plaquette is None:
-        plaquette = (n1 // 2, n2 // 2)
+    plaquette = (n1 // 2, n2 // 2)
     half, aw, vecs = _halfflux_modes(model.with_boundaries(OPEN), realization_seed, plaquette)
     count = _near_zero_cluster(aw, _ZERO_MODE_MARGIN, _MAJORANA_SCALE_CAP)
     loc = localized_mode_count(vecs[:, :count], half.lattice.window(np.add(plaquette, 0.5), 0.25))

@@ -57,6 +57,8 @@ class ExperimentConfig:
         if realizations < 1:
             raise ConfigError("[ensemble] realizations must be >= 1")
         base_seed = config_number("ensemble", "base_seed", ens.get("base_seed", 0), int)
+        if base_seed < 0:
+            raise ConfigError(f"[ensemble] base_seed must be >= 0, got {base_seed}")
         out = sections.get("output", {}).get("dir")
         tol = config_number("tolerances", "quantization",
                             sections.get("tolerances", {}).get("quantization", 0.1))
@@ -86,12 +88,20 @@ class ResultRecord:
                    "x".join(str(n) for n in self.sizes), key, self.values[key])
 
 
+_TASK_KEYS = {"mu": float, "mu_states": int, "n_t": int, "k_step": int,
+              "index_set": tuple, "generator": tuple}
+
+
 def _task_value(key: str, text: str):
-    """A [task] value with its number(s) converted; ConfigError if one is not a number."""
-    if key in ("index_set", "generator"):
+    """A [task] value with its number(s) converted; ConfigError if no task reads the
+    key or a value is not a number."""
+    kind = _TASK_KEYS.get(key)
+    if kind is None:
+        raise ConfigError(f"[task] {key} is read by no task; "
+                          f"known keys: name, {', '.join(_TASK_KEYS)}")
+    if kind is tuple:
         return tuple(config_number("task", key, x, int) for x in text.split())
-    kind = {"mu": float, "mu_states": int, "n_t": int, "k_step": int}.get(key)
-    return text if kind is None else config_number("task", key, text, kind)
+    return config_number("task", key, text, kind)
 
 
 def _state_count(params: dict, dim: int) -> int:
@@ -206,13 +216,11 @@ def _task_laughlin(model, params, seed):
     sample = build_hamiltonian(model.with_boundaries(OPEN), seed)
     n = model.lattice.linear_sizes
     plaq = (n[0] // 2, n[1] // 2)
-    mu = params.get("mu", 0.0)
     path = fl.FluxPath(base=sample, plaquette=plaq)
-    # insert_flux(sample, 0) copies the base matrix, so t = 0 is the base decomposition;
-    # solved in full before the flow, which then reads its window from it
-    P = fermi_projection(path.eigen_at(0.0), mu)
+    # the base decomposition serves mu, the pair index and the flow at t = 0
+    mu = _resolve_mu(params, path.base_eigen)
     sf = fl.spectral_flow(path, mu)
-    pi = iv.pair_index(P, iv.dirac_phase(sample))
+    pi = iv.pair_index(fermi_projection(path.base_eigen, mu), iv.dirac_phase(sample))
     return {"spectral_flow": sf.net, "pair_index": pi.rounded,
             "pair_index_raw": pi.value,
             "quantization_error": float(abs(sf.net - pi.rounded)),
@@ -315,6 +323,8 @@ def _realize(configs: list[ExperimentConfig],
     payloads = [(c.sections, c.task, c.task_params, c.base_seed + i)
                 for c in configs for i in range(c.realizations)]
     n_workers = workers if workers is not None else worker_count()
+    if n_workers < 1:
+        raise ConfigError(f"workers (--workers) must be >= 1, got {n_workers}")
     if n_workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             flat = list(pool.map(_run_one, payloads))

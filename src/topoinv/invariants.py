@@ -28,7 +28,6 @@ from .errors import (
     BlockSingularError,
     ContourHitsSpectrumError,
     EvenIndexSetError,
-    FluxQuantizationError,
     MarginTooSmallError,
     NotAntisymmetricError,
     NotChiralError,
@@ -55,15 +54,18 @@ from .models import (
     build_hamiltonian,
     make_named_model,
 )
-from .spectral import FermiProjection, diagonalize, fermi_projection
+from .spectral import FermiProjection, occupied_projection
 
 _HARDY_CUT = 1e-6  # hardy_index: singular values below this count as kernel
 _HARDY_RADIUS_FRAC = 0.25  # hardy_index: radius of the origin window, as a fraction of the sample
 _SINGULAR_FLOOR = 1e-3  # fermi_unitary: smallest singular value of the off-diagonal block
 _SPIN_GAP_FLOOR = 1e-3  # spin_chern: smallest gap of the compressed spin operator P s_z P
+_SPIN_CORE_RHO = 0.5  # spin_chern: core window width, as a fraction of each open axis
 _VEG_MARGIN = 0.5  # veg_invariant: clearance of the contour below the lowest level
 _Z2_CUT = 1e-4  # z2_kernel_parity: kernel cut, as a fraction of the largest singular value
 _Z2_MARGIN = 1e2  # z2_kernel_parity: least ratio across the cut
+_ORACLE_NK_START = 6  # chern_kspace_oracle: first momentum grid of the Chern sum
+_ORACLE_TOL = 1e-3  # chern_kspace_oracle: stability and quantization tolerance
 _Z2_RADIUS_FRAC = 0.25  # z2_kernel_parity: radius of the origin window, as a fraction of the sample
 
 # ---------------------------------------------------------------------------
@@ -123,16 +125,9 @@ def _window_trace(factors, keep=slice(None)) -> complex:
     return complex(np.sum(rows * last[:, keep].T))
 
 
-def trace_per_volume(A: np.ndarray, sample: HamiltonianSample, region: str = "all",
-                     rho: float = 0.5) -> complex:
-    """Normalized lattice trace (1/#sites) sum_n tr_L <n|A|n>.
-
-    region="core" restricts the site sum to the central window on open axes
-    to suppress boundary contamination; the normalization is the number of
-    sites actually summed.
-    """
-    keep, n_sites = _site_window(sample, region, rho)
-    return _window_trace([A], keep) / n_sites
+def trace_per_volume(A: np.ndarray, sample: HamiltonianSample) -> complex:
+    """Normalized lattice trace (1/#sites) sum_n tr_L <n|A|n>."""
+    return _window_trace([A]) / sample.lattice.num_sites
 
 
 def _validate_index_set(I, d: int) -> tuple[int, ...]:
@@ -379,8 +374,7 @@ def _winding_1d(h, nk: int, s_ch: np.ndarray) -> float:
     return total / (2 * np.pi)
 
 
-def chern_kspace_oracle(model: ModelDefinition, bands: int, I,
-                        nk_start: int = 6, tol: float = 1e-3) -> InvariantResult:
+def chern_kspace_oracle(model: ModelDefinition, bands: int, I) -> InvariantResult:
     """Brute-force momentum-space pairing on refining grids until stable.
 
     Even |I| = 2: lattice field-strength (link-plaquette) sum over the lowest
@@ -393,11 +387,12 @@ def chern_kspace_oracle(model: ModelDefinition, bands: int, I,
     h, q = _bloch_builder(model)
     sample_geom = build_hamiltonian(model, 0)
     if I == (1, 2):
-        nk = nk_start
+        nk = _ORACLE_NK_START
         prev = None
         for _ in range(6):
             val = _fhs_sum(h, nk, bands)
-            if prev is not None and abs(val - prev) < tol and abs(val - round(val)) < tol:
+            if prev is not None and abs(val - prev) < _ORACLE_TOL \
+                    and abs(val - round(val)) < _ORACLE_TOL:
                 return _make_result(val, I, "kspace-fhs", sample_geom, "integers", nk=nk)
             prev = val
             nk *= 2
@@ -405,11 +400,12 @@ def chern_kspace_oracle(model: ModelDefinition, bands: int, I,
     if I == (1,) and d == 1:
         if model.symmetry.s_ch is None:
             raise NotChiralError("winding oracle needs a chiral operator")
-        nk = max(nk_start * 8, 64)
+        nk = max(_ORACLE_NK_START * 8, 64)
         prev = None
         for _ in range(5):
             val = _winding_1d(h, nk, model.symmetry.s_ch)
-            if prev is not None and abs(val - prev) < tol and abs(val - round(val)) < tol:
+            if prev is not None and abs(val - prev) < _ORACLE_TOL \
+                    and abs(val - round(val)) < _ORACLE_TOL:
                 return _make_result(val, I, "kspace-fhs", sample_geom, "integers", nk=nk)
             prev = val
             nk *= 2
@@ -637,7 +633,7 @@ def z2_kernel_parity(T: FredholmCompression | np.ndarray, sym: SymmetrySpec,
                         margin=float(ratio), total_small=count, localized=loc)
 
 
-def spin_chern(P: FermiProjection, s_z: np.ndarray, region: str = "all", rho: float = 0.5):
+def spin_chern(P: FermiProjection, s_z: np.ndarray, region: str = "all"):
     """Pairing of the positive spectral half of P s^z P.
 
     Returns (result for the positive sector, gap of the compressed spin
@@ -654,9 +650,9 @@ def spin_chern(P: FermiProjection, s_z: np.ndarray, region: str = "all", rho: fl
     gap = float(mw[pos].min() - mw[neg].max())
     if gap < _SPIN_GAP_FLOOR:
         raise SpinSpectrumGaplessError(f"spin gap {gap:.2e} below {_SPIN_GAP_FLOOR:.0e}")
-    ch_p, ch_m = (_chern_even(V @ V.conj().T, sample, (1, 2), region, rho)
+    ch_p, ch_m = (_chern_even(V @ V.conj().T, sample, (1, 2), region, _SPIN_CORE_RHO)
                   for V in (occ @ mv[:, pos], occ @ mv[:, neg]))
-    ch = _chern_even(P.projector, sample, (1, 2), region, rho)
+    ch = _chern_even(P.projector, sample, (1, 2), region, _SPIN_CORE_RHO)
     residue = float(np.real(ch_p + ch_m - ch))
     res = _make_result(ch_p, (1, 2), "spin-chern", sample, "integers",
                        spin_gap=gap, sum_rule_residue=residue)
@@ -715,14 +711,6 @@ def pfaffian(A: np.ndarray) -> float:
 # field derivatives and resolvent route
 # ---------------------------------------------------------------------------
 
-def _tracked_gap_projection(model: ModelDefinition, state_count: int) -> FermiProjection:
-    eig = diagonalize(build_hamiltonian(model, 0), states=state_count)
-    w = eig.eigenvalues
-    if not w[state_count] - w[state_count - 1] > 1e-8:
-        raise FluxQuantizationError("tracked gap closed at this field value")
-    return fermi_projection(eig, 0.5 * (w[state_count - 1] + w[state_count]))
-
-
 def streda_derivative(model: ModelDefinition, I, axes=(1, 2), k_step: int = 1,
                       state_count_fn=None) -> tuple[float, float]:
     """Finite-difference magnetic derivative of Ch_I against Ch_{I + axes} / 2 pi.
@@ -754,7 +742,11 @@ def streda_derivative(model: ModelDefinition, I, axes=(1, 2), k_step: int = 1,
             count = int(round(b * n_ij / (2 * np.pi))) * lat.fiber
         else:
             count = state_count_fn(m, b)
-        P = _tracked_gap_projection(m, count)
+        sample = build_hamiltonian(m, 0)
+        if not 1 <= count < sample.dim:
+            raise ParamOutOfRangeError(f"field {b:.6g} puts {count} of {sample.dim} states "
+                                       "below the tracked gap")
+        P = occupied_projection(sample, states=count)
         values[b] = (P, chern_projection(P, I).raw.real)
     lhs = (values[b0 + delta][1] - values[b0 - delta][1]) / (2 * delta)
     bigI = tuple(sorted(set(I) | {i, j}))
@@ -762,8 +754,8 @@ def streda_derivative(model: ModelDefinition, I, axes=(1, 2), k_step: int = 1,
     return float(lhs), float(rhs)
 
 
-def veg_invariant(P: FermiProjection, I=(1, 2), n_t: int = 64) -> InvariantResult:
-    """Resolvent-loop evaluation of the even pairing.
+def veg_invariant(P: FermiProjection, n_t: int = 64) -> InvariantResult:
+    """Resolvent-loop evaluation of the even pairing Ch_{(1, 2)}.
 
     Discretizes the contour integral over a circle enclosing the occupied
     spectrum with n_t nodes and a forward difference for the loop
@@ -773,9 +765,7 @@ def veg_invariant(P: FermiProjection, I=(1, 2), n_t: int = 64) -> InvariantResul
     """
     P.eigen.require_full("veg_invariant")
     sample, mu = P.sample, P.mu
-    I = _validate_index_set(I, sample.lattice.dimension)
-    if I != (1, 2):
-        raise BadDimensionError("resolvent route implemented for I = (1, 2)")
+    _validate_index_set((1, 2), sample.lattice.dimension)
     w, V = P.eigen.eigenvalues, P.eigen.eigenvectors
     if not (w < mu).any() or not (w > mu).any():
         raise ContourHitsSpectrumError("mu outside the spectrum")
@@ -798,15 +788,14 @@ def veg_invariant(P: FermiProjection, I=(1, 2), n_t: int = 64) -> InvariantResul
         # the six signed slot orders of the full trace are three cyclic copies of two
         total += _window_trace([K[:, None] * A, B]) - _window_trace([K[:, None] * B, A])
     raw = total / (2.0 * sample.lattice.num_sites * n_t)
-    return _make_result(raw, I, "veg", sample, "integers", n_t=n_t)
+    return _make_result(raw, (1, 2), "veg", sample, "integers", n_t=n_t)
 
 
 # ---------------------------------------------------------------------------
 # pairing-range audit
 # ---------------------------------------------------------------------------
 
-def pairing_range_check(d: int, b12: float, I, J, sizes: int = 24,
-                        mu_states: int | None = None) -> tuple[float, float]:
+def pairing_range_check(d: int, b12: float, I, J, sizes: int = 24) -> tuple[float, float]:
     """Measured pairing of a realized generator against its predicted value.
 
     Realizable generators at desk scale: J = () is the identity projection,
@@ -825,8 +814,12 @@ def pairing_range_check(d: int, b12: float, I, J, sizes: int = 24,
         predicted = 1.0 if I == () else 0.0
         return measured, predicted
     model = make_named_model("harper", sizes=sizes, b12=b12)
-    count = mu_states if mu_states is not None else int(round(b12 * sizes * sizes / (2 * np.pi)))
-    P = _tracked_gap_projection(model, count)
+    count = int(round(b12 * sizes * sizes / (2 * np.pi)))
+    sample = build_hamiltonian(model, 0)
+    if not 1 <= count < sample.dim:
+        raise ParamOutOfRangeError(f"field {b12:.6g} puts {count} of {sample.dim} states "
+                                   "below the lowest gap")
+    P = occupied_projection(sample, states=count)
     measured = float(chern_projection(P, I).raw.real)
     setI, setJ = set(I), set(J)
     if setI - setJ:

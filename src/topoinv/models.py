@@ -544,6 +544,7 @@ def insert_flux(sample: HamiltonianSample, t: float, plaquette: Sequence[int]) -
 # symmetry classification
 # ---------------------------------------------------------------------------
 
+_CAZ_TOL = 1e-10  # classify_caz: largest symmetry deviation, relative to max(|H|, 1)
 _CAZ_COMPLEX = {(False, False, False): ("A", 0), (False, False, True): ("AIII", 1)}
 _CAZ_REAL = {
     (+1, 0): ("AI", 0),
@@ -557,8 +558,7 @@ _CAZ_REAL = {
 }
 
 
-def classify_caz(sample: HamiltonianSample | np.ndarray, sym: SymmetrySpec,
-                 tol: float = 1e-10) -> tuple[str, int]:
+def classify_caz(sample: HamiltonianSample | np.ndarray, sym: SymmetrySpec) -> tuple[str, int]:
     """Detect the symmetry class of a sample from the declared fiber operators.
 
     Tests s_tr* conj(H) s_tr = H, s_ph* conj(H) s_ph = -H and
@@ -569,7 +569,7 @@ def classify_caz(sample: HamiltonianSample | np.ndarray, sym: SymmetrySpec,
     scale = max(np.abs(H).max(), 1.0)
 
     def holds(op, kind):
-        return op is not None and symmetry_deviation(H, op, kind) <= tol * scale
+        return op is not None and symmetry_deviation(H, op, kind) <= _CAZ_TOL * scale
 
     has_tr, has_ph, has_ch = holds(sym.s_tr, "tr"), holds(sym.s_ph, "ph"), holds(sym.s_ch, "ch")
 

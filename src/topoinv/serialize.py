@@ -161,10 +161,13 @@ def model_from_config(sections: dict) -> ModelDefinition:
     disorder = None
     if "disorder" in sections:
         dsec = sections["disorder"]
+        seed = config_number("disorder", "seed", dsec.get("seed", 0), int)
+        if seed < 0:
+            raise ConfigError(f"[disorder] seed must be >= 0, got {seed}")
         disorder = DisorderSpec(
             family=dsec.get("family", "diagonal-scalar"),
             strength=config_number("disorder", "strength", dsec.get("strength", 0.0)),
-            seed=config_number("disorder", "seed", dsec.get("seed", 0), int),
+            seed=seed,
         )
     name = model_sec.get("name", "custom")
     if name != "custom":

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from topoinv import (
     diagonalize,
     dirac_phase,
     fermi_projection,
+    flow,
     halfflux_kernel_parity,
     insert_flux,
     kramers_halfflux_probe,
@@ -92,12 +96,27 @@ def test_flow_trace_rows():
     assert ts[0] == 0.0 and ts[-1] == 1.0
 
 
-def test_windowed_flow_matches_full_decompositions():
+def test_windowed_flow_matches_full_decompositions(monkeypatch):
     sample, windowed = qwz_flux_path(lam=0.3, seed=2, n=12)
-    full = FluxPath(base=sample, plaquette=windowed.plaquette)
-    for t in full.ts:
-        assert full.eigen_at(t).window is None
-    a, b = spectral_flow(windowed, 0.0), spectral_flow(full, 0.0)
+    inner = flow.diagonalize
+    solves = []
+
+    def spy(s, window=None, vectors=True, **kwargs):
+        solves.append((s, window, vectors))
+        return inner(s, window, vectors, **kwargs)
+
+    monkeypatch.setattr(flow, "diagonalize", spy)
+    a = spectral_flow(windowed, 0.0)
+    width = _companion_half_width(windowed, 0.0)
+    sampled = [(s, window) for s, window, vectors in solves if vectors and s is not sample]
+    # each flux value but t = 0 was solved (a skipped one too), and only on the window
+    assert len(sampled) >= len(a.branches) - 1
+    assert all(window == (-width, width) for _, window in sampled)
+
+    # the same flow with every flux value solved in full
+    monkeypatch.setattr(flow, "diagonalize",
+                        lambda s, window=None, vectors=True, **kwargs: inner(s, None, vectors))
+    b = spectral_flow(FluxPath(base=sample, plaquette=windowed.plaquette), 0.0)
     assert (a.net, a.raw_net) == (b.net, b.raw_net)
     assert abs(a.min_overlap - b.min_overlap) < 1e-12
     assert [(c["t"], c["direction"]) for c in a.crossings] == \
@@ -106,10 +125,25 @@ def test_windowed_flow_matches_full_decompositions():
     rows_a, rows_b = flow_trace(a), flow_trace(b)
     assert [(t, k) for t, _, k in rows_a] == [(t, k) for t, _, k in rows_b]
     assert max(abs(ea - eb) for (_, ea, _), (_, eb, _) in zip(rows_a, rows_b)) < 1e-12
-    width = _companion_half_width(windowed, 0.0)
-    assert windowed.eigen_at(0.5, (-width, width)).window == (-width, width)
-    # a windowed request is served by a cached full decomposition of the same t
-    assert full.eigen_at(0.5, (-1.0, 1.0)) is full.eigen_at(0.5)
+
+
+def test_flux_path_keeps_only_the_base_decomposition():
+    sample, path = qwz_flux_path(n=10)
+    spectral_flow(path, 0.0)
+    assert set(vars(path)) == {"base", "plaquette", "ts", "base_eigen"}
+    assert path.base_eigen.sample is sample and path.base_eigen.window is None
+
+
+def test_laughlin_pump_script(tmp_path):
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_laughlin_pump.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("spectral flow 1 (raw 0), pair index 1 ")
+    lines = (tmp_path / "flow.csv").read_text().splitlines()
+    assert lines[0] == "t,eigenvalue,branch" and len(lines) > 21
 
 
 @pytest.mark.parametrize("seed", [2, 4])

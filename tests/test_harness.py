@@ -9,7 +9,7 @@ import pytest
 from topoinv import harness
 from topoinv.errors import ConfigError
 from topoinv.harness import ExperimentConfig, run_experiment, sweep
-from topoinv.models import make_named_model
+from topoinv.models import OPEN, build_hamiltonian, make_named_model
 from topoinv.serialize import (
     config_from_model,
     load_matrix,
@@ -19,6 +19,7 @@ from topoinv.serialize import (
     save_matrix_csv,
     serialize_config,
 )
+from topoinv.spectral import diagonalize
 
 SSH_CFG = """
 [model]
@@ -374,6 +375,16 @@ def test_cli_gate_of_difference_tasks(tmp_path, task):
     assert main([task, "--config", str(cfg)]) == 2
 
 
+def test_cli_streda_without_field_is_an_error(tmp_path, capsys):
+    from topoinv.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(HARPER_STREDA_CFG.replace("b12 = 0.0872664625997165", "b12 = 0.0")
+                   .replace("sizes = 24 24", "sizes = 8 8"))
+    assert main(["streda", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: field ")
+
+
 @pytest.mark.parametrize("tolerance, code", [("0.1", 0), ("1e-12", 2)])
 def test_cli_sweep_exit_code(tmp_path, tolerance, code):
     from topoinv.cli import main
@@ -490,3 +501,43 @@ def test_cli_caz_label(tmp_path, model, label):
     proc = cli("caz", "--config", str(cfg))
     assert proc.returncode == 0, proc.stderr
     assert f"label={label} " in proc.stdout
+
+
+@pytest.mark.parametrize("old, new, flags, entry", [
+    ("base_seed = 0", "base_seed = -1", [], "[ensemble] base_seed"),
+    ("base_seed = 0", "base_seed = 0", ["--seed", "-3"], "--seed"),
+    ("[ensemble]", "[disorder]\nstrength = 0.1\nseed = -2\n\n[ensemble]", [], "[disorder] seed"),
+    ("base_seed = 0", "base_seed = 0", ["--workers", "0"], "--workers"),
+    ("base_seed = 0", "base_seed = 0", ["--workers", "-4"], "--workers"),
+])
+def test_cli_rejects_negative_seed_or_worker_count(tmp_path, capsys, old, new, flags, entry):
+    from topoinv.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    text = SSH_CFG.replace("sizes = 64", "sizes = 8").replace("realizations = 1", "realizations = 2")
+    cfg.write_text(text.replace(old, new))
+    assert main(["winding", "--config", str(cfg), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and entry in err
+
+
+@pytest.mark.parametrize("line", ["mu_stats = 16", "mu_state = 4", "plaquette = 4 4"])
+def test_cli_rejects_task_key_no_task_reads(tmp_path, capsys, line):
+    from topoinv.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SSH_CFG.replace("mu = 0.0", f"mu = 0.0\n{line}"))
+    assert main(["winding", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [task] {line.split()[0]} is read by no task")
+
+
+def test_laughlin_reads_mu_states():
+    config = config_of("[model]\nname = qwz\nmass = 1.0\n[lattice]\nsizes = 10 10\n"
+                       "[task]\nname = laughlin\nmu_states = 102\n")
+    model = config.model()
+    w = diagonalize(build_hamiltonian(model.with_boundaries(OPEN), 0)).eigenvalues
+    run = harness.TASKS["laughlin"].run
+    # the 102nd and 103rd levels are edge levels above mu = 0, inside the bulk gap
+    by_states = run(model, config.task_params, 0)
+    assert by_states == run(model, {"mu": float(0.5 * (w[101] + w[102]))}, 0)
+    assert by_states["pair_index_raw"] != run(model, {"mu": 0.0}, 0)["pair_index_raw"]

@@ -32,10 +32,12 @@ from topoinv import (
 from topoinv.errors import (
     BadDimensionError,
     EvenIndexSetError,
+    NoGapError,
     NotAntisymmetricError,
     OddDimensionError,
     OddIndexSetError,
     OriginOnLatticeError,
+    ParamOutOfRangeError,
 )
 from topoinv.invariants import trs_fredholm
 from topoinv.models import PERIODIC, SIGMA_0
@@ -429,6 +431,19 @@ def test_streda_atomic_insulator_zero():
     model = ModelDefinition(lat, MagneticFieldSpec.zero(2), (), np.diag([2.0, -2.0]))
     lhs, rhs = streda_derivative(model, (), state_count_fn=lambda m, b: 64)
     assert abs(lhs) < 1e-12 and abs(rhs) < 1e-10
+
+
+def test_tracked_gap_state_count_checked():
+    # b12 = 0: the field step below puts -1 states under the tracked gap
+    with pytest.raises(ParamOutOfRangeError):
+        streda_derivative(make_harper(8, b12=0.0), ())
+    with pytest.raises(ParamOutOfRangeError):
+        pairing_range_check(2, 0.0, (1, 2), (1, 2), sizes=8)
+    # a count that splits the 64-fold lower level finds no gap
+    lat = LatticeSpec(2, (8, 8), (PERIODIC, PERIODIC), 2)
+    model = ModelDefinition(lat, MagneticFieldSpec.zero(2), (), np.diag([2.0, -2.0]))
+    with pytest.raises(NoGapError):
+        streda_derivative(model, (), state_count_fn=lambda m, b: 10)
 
 
 def test_veg_matches_direct_pairing():

@@ -40,6 +40,7 @@ from .models import (
     ModelDefinition,
     apply_fiber,
     build_hamiltonian,
+    chiral_sectors,
 )
 from .spectral import EigenData, SwitchFunction, detect_gap, diagonalize
 
@@ -72,6 +73,13 @@ class HalfSpaceSample:
         return diagonalize(self.hamiltonian, window=self.bulk_gap)
 
 
+def companion_eigen(model: ModelDefinition, realization_seed: int = 0) -> EigenData:
+    """Eigenvalues of the periodic companion of the model: the torus whose gap
+    certifies the bulk gap of every open or half-open sample of the model."""
+    return diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC), realization_seed),
+                       vectors=False)
+
+
 def make_half_space(model: ModelDefinition, mu: float, realization_seed: int = 0,
                     companion: EigenData | None = None) -> HalfSpaceSample:
     """Certify the gap at mu on the torus companion, then open the last axis.
@@ -81,8 +89,7 @@ def make_half_space(model: ModelDefinition, mu: float, realization_seed: int = 0
     (`occupied_projection(...).eigen`) as `companion`.
     """
     if companion is None:
-        companion = diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC),
-                                                  realization_seed), vectors=False)
+        companion = companion_eigen(model, realization_seed)
     gap = detect_gap(companion, mu)
     half_model = model.with_boundary(model.lattice.dimension - 1, OPEN)
     half = build_hamiltonian(half_model, realization_seed)
@@ -196,8 +203,7 @@ def boundary_winding(bu: BoundaryUnitary) -> InvariantResult:
             f"deviation {bu.depth_profile[mid]:.2e} at depth {mid} exceeds {_DECAY_FLOOR:.0e}")
     window = _near_window(sample)
     val = _edge_pairing(bu.half, bu.switch, window)
-    return _make_result(val, (1,), "nc-realspace", sample, "integers",
-                        decay_length=bu.decay_length)
+    return _make_result(val, decay_length=bu.decay_length)
 
 
 def boundary_current(half: HalfSpaceSample, f: SwitchFunction,
@@ -299,8 +305,7 @@ def ind_map(half: HalfSpaceSample, f: SwitchFunction, s_ch: np.ndarray,
         raise GapMismatchError("ind map needs an odd switch")
     eig = diagonalize(half.hamiltonian)
     sample = half.hamiltonian
-    w, v = np.linalg.eigh(s_ch)
-    plus = v[:, w > 0.5]
+    plus, _ = chiral_sectors(s_ch)
     window = _near_window(sample)
     # window rows of A; with Pi = plus plus*, diag A (1 (x) Pi) A* holds the squared
     # row norms of A (1 (x) plus), and each windowed site adds rank Pi to the reference

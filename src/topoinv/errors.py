@@ -63,10 +63,6 @@ class EvenIndexSetError(TopoError):
     pass
 
 
-class SingularInputError(TopoError):
-    pass
-
-
 class NotChiralError(TopoError):
     pass
 

@@ -23,7 +23,9 @@ from .errors import (
     PfaffianUnderflowError,
     SymmetryBrokenAtHalfFluxError,
 )
+from .boundary import companion_eigen
 from .invariants import (
+    _DEFECT_RADIUS_FRAC,
     _near_zero_cluster,
     _pfaffian_sign_logabs,
     chern_projection,
@@ -69,9 +71,7 @@ class FluxPath:
 
 def _companion_half_width(path: FluxPath, mu: float) -> float:
     """Distance from mu to the nearer edge of the gap of the base model's periodic companion."""
-    torus = path.base.model.with_boundaries(PERIODIC)
-    gap = detect_gap(diagonalize(build_hamiltonian(torus, path.base.realization_seed),
-                                 vectors=False), mu)
+    gap = detect_gap(companion_eigen(path.base.model, path.base.realization_seed), mu)
     return min(mu - gap[0], gap[1] - mu)
 
 
@@ -101,7 +101,6 @@ class SpectralFlowResult:
 _OVERLAP_FLOOR = 0.7  # smallest matched overlap |<v0, v1>|^2 a step accepts
 _MAX_REFINE = 6  # bisection rounds of one step: steps no shorter than 2^-6
 _WEIGHT_FLOOR = 0.5  # plaquette weight above which a crossing counts toward the net flow
-_RADIUS_FRAC = 0.25  # radius of the plaquette window, as a fraction of the sample
 _KRAMERS_OVERLAP = 1e-6  # largest |<v, S conj(v)>| of a Kramers-degenerate level
 _PFAFFIAN_KERNEL_TOL = 1e-8  # smallest |E| / max(|T|, 1) of a flux sample the Pfaffian sign reads
 _ZERO_MODE_MARGIN = 1e2  # half-flux kernels: ratio that separates the near-zero cluster
@@ -126,7 +125,7 @@ def spectral_flow(path: FluxPath, mu: float) -> SpectralFlowResult:
     """
     width = _companion_half_width(path, mu)
     energies = (mu - width, mu + width)
-    window = path.base.lattice.window(np.add(path.plaquette, 0.5), _RADIUS_FRAC)
+    window = path.base.lattice.window(np.add(path.plaquette, 0.5), _DEFECT_RADIUS_FRAC)
     ts = list(path.ts)
     dt_floor = 2.0 ** (-_MAX_REFINE)
 
@@ -218,8 +217,7 @@ def kramers_halfflux_probe(model: ModelDefinition, plaquette,
     if sym.s_tr is None or sym.eta_tr != -1:
         raise SymmetryBrokenAtHalfFluxError("model does not declare an odd time reversal")
     sample0 = build_hamiltonian(model, realization_seed)
-    gap = detect_gap(diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC),
-                                                   realization_seed), vectors=False), 0.0)
+    gap = detect_gap(companion_eigen(model, realization_seed), 0.0)
     half = insert_flux(sample0, 0.5, plaquette)
     for tag, Ht in (("t=0", sample0.matrix), ("t=1/2", half.matrix)):
         _require_symmetry(Ht, sym.s_tr, "tr", 1e-9, f"at {tag}")
@@ -302,15 +300,16 @@ def z2_spectral_flow(path: FluxPath) -> dict:
 
 
 def _halfflux_modes(open_model: ModelDefinition, realization_seed: int, plaquette):
-    """Half-flux sample of the open model, particle-hole checked, with its
-    spectrum ordered by |E|: (sample, |E| ascending, eigenvectors in that order)."""
+    """Half-flux sample of the open model, particle-hole checked: (|E| ascending,
+    eigenvectors in that order, window about the plaquette)."""
     half = insert_flux(build_hamiltonian(open_model, realization_seed), 0.5, plaquette)
     if open_model.symmetry.s_ph is None:
         raise SymmetryBrokenAtHalfFluxError("model must declare a particle-hole operator")
     _require_symmetry(half.matrix, open_model.symmetry.s_ph, "ph", 1e-10, "at half flux")
     eig = diagonalize(half)
     order = np.argsort(np.abs(eig.eigenvalues))
-    return half, np.abs(eig.eigenvalues)[order], eig.eigenvectors[:, order]
+    window = half.lattice.window(np.add(plaquette, 0.5), _DEFECT_RADIUS_FRAC)
+    return np.abs(eig.eigenvalues)[order], eig.eigenvectors[:, order], window
 
 
 def halfflux_kernel_parity(model: ModelDefinition, realization_seed: int = 0) -> dict:
@@ -322,9 +321,9 @@ def halfflux_kernel_parity(model: ModelDefinition, realization_seed: int = 0) ->
     carries end modes, which the window excludes.
     """
     plaquette = (model.lattice.linear_sizes[0] // 2,)
-    half, aw, vecs = _halfflux_modes(model.with_boundary(0, OPEN), realization_seed, plaquette)
+    aw, vecs, window = _halfflux_modes(model.with_boundary(0, OPEN), realization_seed, plaquette)
     count = _near_zero_cluster(aw, _ZERO_MODE_MARGIN, _HALFFLUX_SCALE_CAP * aw[-1])
-    loc = localized_mode_count(vecs[:, :count], half.lattice.window(np.add(plaquette, 0.5), 0.25))
+    loc = localized_mode_count(vecs[:, :count], window)
     if loc % 2:
         raise MarginTooSmallError("odd defect-localized zero count; window unreliable")
     parity = (loc // 2) % 2
@@ -346,9 +345,9 @@ def majorana_zero_mode_parity(model: ModelDefinition, realization_seed: int = 0)
         raise SymmetryBrokenAtHalfFluxError("needs a two-dimensional sample")
     n1, n2 = model.lattice.linear_sizes
     plaquette = (n1 // 2, n2 // 2)
-    half, aw, vecs = _halfflux_modes(model.with_boundaries(OPEN), realization_seed, plaquette)
+    aw, vecs, window = _halfflux_modes(model.with_boundaries(OPEN), realization_seed, plaquette)
     count = _near_zero_cluster(aw, _ZERO_MODE_MARGIN, _MAJORANA_SCALE_CAP)
-    loc = localized_mode_count(vecs[:, :count], half.lattice.window(np.add(plaquette, 0.5), 0.25))
+    loc = localized_mode_count(vecs[:, :count], window)
     parity = loc % 2
     bulk = build_hamiltonian(model.with_boundaries(PERIODIC), realization_seed)
     ch = chern_projection(occupied_projection(bulk, 0.0), (1, 2))

@@ -94,14 +94,17 @@ _TASK_KEYS = {"mu": float, "mu_states": int, "n_t": int, "k_step": int,
 
 def _task_value(key: str, text: str):
     """A [task] value with its number(s) converted; ConfigError if no task reads the
-    key or a value is not a number."""
+    key, a value is not a number, or a count (n_t, k_step) is below 1."""
     kind = _TASK_KEYS.get(key)
     if kind is None:
         raise ConfigError(f"[task] {key} is read by no task; "
                           f"known keys: name, {', '.join(_TASK_KEYS)}")
     if kind is tuple:
         return tuple(config_number("task", key, x, int) for x in text.split())
-    return config_number("task", key, text, kind)
+    value = config_number("task", key, text, kind)
+    if key in ("n_t", "k_step") and value < 1:
+        raise ConfigError(f"task.{key} must be >= 1, got {value}")
+    return value
 
 
 def _state_count(params: dict, dim: int) -> int:
@@ -149,7 +152,7 @@ def _projection(model, params, seed):
 
 def _half_space(model, params, seed):
     """Half-space sample with its torus companion solved here, for eigenvalues only."""
-    eig = diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC), seed), vectors=False)
+    eig = bd.companion_eigen(model, seed)
     return bd.make_half_space(model, _resolve_mu(params, eig), seed, companion=eig)
 
 
@@ -181,8 +184,9 @@ def _task_spin_chern(model, params, seed):
     s_z = model.metadata.get("s_z")
     if s_z is None:
         raise ConfigError("model carries no spin operator; spin-chern undefined")
-    res, gap, residue = iv.spin_chern(P, np.asarray(s_z), region=_region(model))
-    return _values(res, spin_gap=gap, sum_rule_residue=residue)
+    res = iv.spin_chern(P, np.asarray(s_z), region=_region(model))
+    return _values(res, spin_gap=res.extra["spin_gap"],
+                   sum_rule_residue=res.extra["sum_rule_residue"])
 
 
 def _task_bbc(model, params, seed):
@@ -207,7 +211,7 @@ def _task_boundary_current(model, params, seed):
 def _task_streda(model, params, seed):
     del seed  # field derivative runs on the clean model
     I = params.get("index_set", ())
-    lhs, rhs = iv.streda_derivative(model, I, axes=(1, 2), k_step=params.get("k_step", 1))
+    lhs, rhs = iv.streda_derivative(model, I, k_step=params.get("k_step", 1))
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-12)
     return {"lhs": lhs, "rhs": rhs, "difference": abs(lhs - rhs), "relative": rel}
 

@@ -38,7 +38,6 @@ from .errors import (
     OddIndexSetError,
     OriginOnLatticeError,
     ParamOutOfRangeError,
-    SingularInputError,
     SpinSpectrumGaplessError,
     ThresholdAmbiguityError,
     UnsupportedGeneratorError,
@@ -52,12 +51,13 @@ from .models import (
     SymmetrySpec,
     apply_fiber,
     build_hamiltonian,
+    chiral_sectors,
     make_named_model,
 )
 from .spectral import FermiProjection, occupied_projection
 
 _HARDY_CUT = 1e-6  # hardy_index: singular values below this count as kernel
-_HARDY_RADIUS_FRAC = 0.25  # hardy_index: radius of the origin window, as a fraction of the sample
+_DEFECT_RADIUS_FRAC = 0.25  # window about a Dirac origin or flux plaquette: radius / sample size
 _SINGULAR_FLOOR = 1e-3  # fermi_unitary: smallest singular value of the off-diagonal block
 _SPIN_GAP_FLOOR = 1e-3  # spin_chern: smallest gap of the compressed spin operator P s_z P
 _SPIN_CORE_RHO = 0.5  # spin_chern: core window width, as a fraction of each open axis
@@ -66,7 +66,6 @@ _Z2_CUT = 1e-4  # z2_kernel_parity: kernel cut, as a fraction of the largest sin
 _Z2_MARGIN = 1e2  # z2_kernel_parity: least ratio across the cut
 _ORACLE_NK_START = 6  # chern_kspace_oracle: first momentum grid of the Chern sum
 _ORACLE_TOL = 1e-3  # chern_kspace_oracle: stability and quantization tolerance
-_Z2_RADIUS_FRAC = 0.25  # z2_kernel_parity: radius of the origin window, as a fraction of the sample
 
 # ---------------------------------------------------------------------------
 # geometry helpers
@@ -149,27 +148,15 @@ def _signed_permutations(I: tuple[int, ...]):
 # result record
 # ---------------------------------------------------------------------------
 
-def _error_proxy(value: float, admissible: str | None) -> float:
-    if admissible == "integers":
-        return abs(value - round(value))
-    if admissible == "even-integers":
-        return abs(value - 2 * round(value / 2))
-    if admissible == "z2":
-        return abs(value - round(value)) if value < 1.5 else abs(value - 1)
-    return float("nan")
-
-
 @dataclass(frozen=True)
 class InvariantResult:
-    """One computed pairing with its provenance and quantization proxy."""
+    """One computed pairing: its real value, the raw complex trace, the distance
+    to the nearest integer (nan where no integer is expected) and the kernel's
+    certificates in `extra`."""
 
     value: float
     raw: complex
-    index_set: tuple[int, ...]
-    estimator: str
-    sizes: tuple[int, ...]
     error_proxy: float
-    samples: int = 1
     extra: dict = field(default_factory=dict)
 
     @property
@@ -177,13 +164,10 @@ class InvariantResult:
         return int(round(self.value))
 
 
-def _make_result(raw: complex, I, estimator: str, sample: HamiltonianSample,
-                 admissible: str | None = "integers", **extra) -> InvariantResult:
+def _make_result(raw: complex, integer: bool = True, **extra) -> InvariantResult:
     value = float(np.real(raw))
-    return InvariantResult(value=value, raw=complex(raw), index_set=tuple(I),
-                           estimator=estimator, sizes=sample.lattice.linear_sizes,
-                           error_proxy=_error_proxy(value, admissible),
-                           extra=dict(extra))
+    proxy = abs(value - round(value)) if integer else float("nan")
+    return InvariantResult(value=value, raw=complex(raw), error_proxy=proxy, extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +192,7 @@ def chern_projection(P: FermiProjection, I, region: str = "all",
     I = _validate_index_set(I, sample.lattice.dimension)
     if len(I) % 2:
         raise OddIndexSetError("projection pairing needs an even index set")
-    raw = _chern_even(P.projector, sample, I, region, rho)
-    admissible = "integers" if I else None
-    return _make_result(raw, I, "nc-realspace", sample, admissible)
+    return _make_result(_chern_even(P.projector, sample, I, region, rho), integer=bool(I))
 
 
 @dataclass(frozen=True)
@@ -232,10 +214,7 @@ def fermi_unitary(P: FermiProjection, sym: SymmetrySpec) -> FermiUnitary:
     if sym.s_ch is None:
         raise NotChiralError("no chiral operator declared")
     sample = P.sample
-    L = sample.lattice.fiber
-    w, v = np.linalg.eigh(sym.s_ch)
-    plus = v[:, w > 0.5]
-    minus = v[:, w < -0.5]
+    plus, minus = chiral_sectors(sym.s_ch)
     if plus.shape[1] != minus.shape[1]:
         raise NotChiralError("chiral operator sectors have unequal dimension")
     block = 2.0 * apply_fiber(minus.conj().T, apply_fiber(plus, P.projector, "right"), "left")
@@ -243,8 +222,8 @@ def fermi_unitary(P: FermiProjection, sym: SymmetrySpec) -> FermiUnitary:
     if sv.min() < _SINGULAR_FLOOR:
         raise BlockSingularError(
             f"off-diagonal block singular value {sv.min():.2e} below {_SINGULAR_FLOOR:.0e}")
-    U = uu @ vv
-    return FermiUnitary(matrix=U, sample=sample, fiber=L // 2, min_singular=float(sv.min()))
+    return FermiUnitary(matrix=uu @ vv, sample=sample, fiber=plus.shape[1],
+                        min_singular=float(sv.min()))
 
 
 def _odd_coeff(card: int) -> complex:
@@ -254,24 +233,9 @@ def _odd_coeff(card: int) -> complex:
     return 1j * (1j * np.pi) ** ((card - 1) // 2) / double_fact
 
 
-def chern_unitary(U: FermiUnitary | np.ndarray, I, sample: HamiltonianSample | None = None,
-                  fiber: int | None = None, region: str = "all",
-                  rho: float = 0.5) -> InvariantResult:
-    """Odd-cocycle pairing (winding) of an invertible operator."""
-    if isinstance(U, FermiUnitary):
-        sample = U.sample
-        per_site = U.fiber
-        mat = U.matrix
-        cond_floor = U.min_singular
-    else:
-        if sample is None:
-            raise ValueError("raw matrices need the sample for geometry")
-        mat = np.asarray(U)
-        per_site = fiber if fiber is not None else sample.lattice.fiber
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv.min() < 1e-8:
-            raise SingularInputError("input operator is numerically singular")
-        cond_floor = float(sv.min())
+def chern_unitary(U: FermiUnitary, I, region: str = "all", rho: float = 0.5) -> InvariantResult:
+    """Odd-cocycle pairing (winding) of the Fermi unitary, on its reduced fiber."""
+    sample, per_site, mat = U.sample, U.fiber, U.matrix
     I = _validate_index_set(I, sample.lattice.dimension)
     if len(I) % 2 == 0:
         raise EvenIndexSetError("invertible pairing needs an odd index set")
@@ -280,9 +244,7 @@ def chern_unitary(U: FermiUnitary | np.ndarray, I, sample: HamiltonianSample | N
     keep, n_sites = _site_window(sample, region, rho, per_site)
     total = sum(sgn * _window_trace([dU[i] for i in perm], keep)
                 for perm, sgn in _signed_permutations(I)) / n_sites
-    raw = _odd_coeff(len(I)) * total
-    return _make_result(raw, I, "nc-realspace", sample, "integers",
-                        min_singular=cond_floor)
+    return _make_result(_odd_coeff(len(I)) * total, min_singular=U.min_singular)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +311,7 @@ def _fhs_sum(h, nk: int, nband: int) -> float:
 
 
 def _winding_1d(h, nk: int, s_ch: np.ndarray) -> float:
-    w, v = np.linalg.eigh(s_ch)
-    plus = v[:, w > 0.5]
-    minus = v[:, w < -0.5]
+    plus, minus = chiral_sectors(s_ch)
     ks = np.linspace(0, 2 * np.pi, nk, endpoint=False)
     prev = None
     total = 0.0
@@ -385,7 +345,6 @@ def chern_kspace_oracle(model: ModelDefinition, bands: int, I) -> InvariantResul
     d = model.lattice.dimension
     I = _validate_index_set(I, d)
     h, q = _bloch_builder(model)
-    sample_geom = build_hamiltonian(model, 0)
     if I == (1, 2):
         nk = _ORACLE_NK_START
         prev = None
@@ -393,7 +352,7 @@ def chern_kspace_oracle(model: ModelDefinition, bands: int, I) -> InvariantResul
             val = _fhs_sum(h, nk, bands)
             if prev is not None and abs(val - prev) < _ORACLE_TOL \
                     and abs(val - round(val)) < _ORACLE_TOL:
-                return _make_result(val, I, "kspace-fhs", sample_geom, "integers", nk=nk)
+                return _make_result(val, nk=nk)
             prev = val
             nk *= 2
         raise NotConvergedError(f"momentum-space sum did not stabilize (last {prev})")
@@ -406,7 +365,7 @@ def chern_kspace_oracle(model: ModelDefinition, bands: int, I) -> InvariantResul
             val = _winding_1d(h, nk, model.symmetry.s_ch)
             if prev is not None and abs(val - prev) < _ORACLE_TOL \
                     and abs(val - round(val)) < _ORACLE_TOL:
-                return _make_result(val, I, "kspace-fhs", sample_geom, "integers", nk=nk)
+                return _make_result(val, nk=nk)
             prev = val
             nk *= 2
         raise NotConvergedError(f"winding sum did not stabilize (last {prev})")
@@ -491,16 +450,13 @@ def pair_index(P: FermiProjection, dirac: DiracPhase, power: int = 3,
     g = dirac.G
     D = (g[:, None] * P.projector) * g.conj()[None, :] - P.projector
     keep = core_mask(P.sample, rho, center=dirac.origin)
-    raw = _window_trace([D] * power, keep)
-    out = _make_result(raw, tuple(range(1, dirac.dimension + 1)), "pair-index",
-                       P.sample, "integers")
+    out = _make_result(_window_trace([D] * power, keep))
     if out.error_proxy > 0.1:
         raise NotConvergedError(f"pair index raw value {out.value:.3f} too far from an integer")
     return out
 
 
-def hardy_index(U: FermiUnitary | np.ndarray, dirac: DiracPhase,
-                sample: HamiltonianSample | None = None) -> InvariantResult:
+def hardy_index(U: FermiUnitary, dirac: DiracPhase) -> InvariantResult:
     """Index of the Hardy compression E U E by kernel counting.
 
     Small singular values of E U E + (1 - E) are classified by which side of
@@ -508,31 +464,24 @@ def hardy_index(U: FermiUnitary | np.ndarray, dirac: DiracPhase,
     ones the cokernel) and counted only when localized at the Hardy origin;
     the partner modes produced by the finite geometry sit at the sample
     boundary and are excluded.  E is diagonal and constant on each site, so
-    it is read at the fiber of U (the chiral half for a FermiUnitary).  As E
-    is 0/1, E U E + (1 - E) is the block U[e][:, e] plus an identity on the
-    rest: only the block is decomposed, and its singular vectors, padded
-    with zeros, are those of the whole.
+    it is read at the reduced fiber of U, the chiral half.  As E is 0/1,
+    E U E + (1 - E) is the block U[e][:, e] plus an identity on the rest:
+    only the block is decomposed, and its singular vectors, padded with
+    zeros, are those of the whole.
     """
     if dirac.dimension != 1:
         raise BadDimensionError("Hardy index implemented for d = 1")
-    if isinstance(U, FermiUnitary):
-        sample, mat, per_site = U.sample, U.matrix, U.fiber
-    else:
-        if sample is None:
-            raise ValueError("raw matrices need the sample for geometry")
-        mat = np.asarray(U)
-        per_site = mat.shape[0] // sample.lattice.num_sites
+    sample, mat, per_site = U.sample, U.matrix, U.fiber
     e = np.repeat(dirac.E[::sample.lattice.fiber], per_site) > 0.5
     uu, sv, vv = np.linalg.svd(mat[np.ix_(e, e)])
     small = sv < _HARDY_CUT
     if np.any((~small) & (sv < 10 * _HARDY_CUT)) or np.any(small & (sv > _HARDY_CUT / 10)):
         raise ThresholdAmbiguityError("singular values within a factor 10 of the threshold")
     # the zero padding off the block contributes nothing to the window weight
-    keep = sample.lattice.window(dirac.origin, _HARDY_RADIUS_FRAC, per_site)[e]
+    keep = sample.lattice.window(dirac.origin, _DEFECT_RADIUS_FRAC, per_site)[e]
     ker = localized_mode_count(vv.conj().T[:, small], keep)
     cok = localized_mode_count(uu[:, small], keep)
-    return _make_result(float(ker - cok), (1,), "hardy-index", sample, "integers",
-                        total_small=int(small.sum()))
+    return _make_result(float(ker - cok), total_small=int(small.sum()))
 
 
 @dataclass(frozen=True)
@@ -582,7 +531,7 @@ def _antisymmetry_bound(T: FredholmCompression, sym: SymmetrySpec, m_norm: float
             + (1 + m_norm) * (2 * y + y * y))
 
 
-def z2_kernel_parity(T: FredholmCompression | np.ndarray, sym: SymmetrySpec,
+def z2_kernel_parity(T: FredholmCompression, sym: SymmetrySpec,
                      sample: HamiltonianSample, origin: np.ndarray) -> InvariantResult:
     """Parity of the near-kernel dimension of an antisymmetric compression.
 
@@ -593,7 +542,7 @@ def z2_kernel_parity(T: FredholmCompression | np.ndarray, sym: SymmetrySpec,
     T = V M V* + (1 - V V*) is block diagonal over Ran V and its complement,
     where it is the identity: its singular values are the k of M and dim - k
     ones, and its right singular vectors for small singular values are V times
-    those of M.  A raw matrix T is the case V = 1.
+    those of M.
 
     The antisymmetry check does not form T either: `_antisymmetry_bound`
     bounds ||T S + (T S)^T||_F, hence its largest entry.  Since
@@ -601,8 +550,8 @@ def z2_kernel_parity(T: FredholmCompression | np.ndarray, sym: SymmetrySpec,
     when the bound exceeds 1e-8 ||T||_F / dim raises whenever the entrywise
     check max|T S + (T S)^T| > 1e-8 max|T S| would.
     """
-    if not isinstance(T, FredholmCompression):
-        T = FredholmCompression(basis=np.eye(len(T)), matrix=np.asarray(T))
+    if sym.s_tr is None:
+        raise NotAntisymmetricError("no time-reversal operator declared; T s_tr is undefined")
     V, M = T.basis, T.matrix
     dim, k = V.shape
     _, sv, vv = np.linalg.svd(M)
@@ -626,18 +575,16 @@ def z2_kernel_parity(T: FredholmCompression | np.ndarray, sym: SymmetrySpec,
                 f"singular-value margin below {_Z2_MARGIN:.0f}; use the spin route")
         ratio = sorted_sv[count] / max(sorted_sv[count - 1], 1e-300)
     small = sv < sorted_sv[count - 1] * (1 + 1e-12) if count else sv < tol
-    keep = sample.lattice.window(origin, _Z2_RADIUS_FRAC)
+    keep = sample.lattice.window(origin, _DEFECT_RADIUS_FRAC)
     loc = localized_mode_count(V @ vv[small].conj().T, keep)
-    raw = float(loc % 2)
-    return _make_result(raw, (1, 2), "z2-parity", sample, "z2",
-                        margin=float(ratio), total_small=count, localized=loc)
+    return _make_result(float(loc % 2), margin=float(ratio), total_small=count, localized=loc)
 
 
-def spin_chern(P: FermiProjection, s_z: np.ndarray, region: str = "all"):
+def spin_chern(P: FermiProjection, s_z: np.ndarray, region: str = "all") -> InvariantResult:
     """Pairing of the positive spectral half of P s^z P.
 
-    Returns (result for the positive sector, gap of the compressed spin
-    operator, sum-rule residue Ch(P+) + Ch(P-) - Ch(P)).
+    `extra` holds the gap of the compressed spin operator (`spin_gap`) and
+    the sum-rule residue Ch(P+) + Ch(P-) - Ch(P) (`sum_rule_residue`).
     """
     sample = P.sample
     occ = P.occupied
@@ -653,10 +600,7 @@ def spin_chern(P: FermiProjection, s_z: np.ndarray, region: str = "all"):
     ch_p, ch_m = (_chern_even(V @ V.conj().T, sample, (1, 2), region, _SPIN_CORE_RHO)
                   for V in (occ @ mv[:, pos], occ @ mv[:, neg]))
     ch = _chern_even(P.projector, sample, (1, 2), region, _SPIN_CORE_RHO)
-    residue = float(np.real(ch_p + ch_m - ch))
-    res = _make_result(ch_p, (1, 2), "spin-chern", sample, "integers",
-                       spin_gap=gap, sum_rule_residue=residue)
-    return res, gap, residue
+    return _make_result(ch_p, spin_gap=gap, sum_rule_residue=float(np.real(ch_p + ch_m - ch)))
 
 
 # ---------------------------------------------------------------------------
@@ -711,35 +655,34 @@ def pfaffian(A: np.ndarray) -> float:
 # field derivatives and resolvent route
 # ---------------------------------------------------------------------------
 
-def streda_derivative(model: ModelDefinition, I, axes=(1, 2), k_step: int = 1,
+def streda_derivative(model: ModelDefinition, I, k_step: int = 1,
                       state_count_fn=None) -> tuple[float, float]:
-    """Finite-difference magnetic derivative of Ch_I against Ch_{I + axes} / 2 pi.
+    """Finite-difference magnetic derivative of Ch_I in B_12 against Ch_{I + (1, 2)} / 2 pi.
 
     The Fermi level tracks a fixed gap across the field values; by default
     the gap above one flux quantum worth of states per step, which is the
     lowest gap of the scalar hopping model.  Returns (lhs, rhs).
     """
     lat = model.lattice
-    d = lat.dimension
-    I = _validate_index_set(I, d)
-    i, j = axes
-    if i in I or j in I:
-        raise BadDimensionError("axes must not already appear in I")
-    n_ij = lat.linear_sizes[i - 1] * lat.linear_sizes[j - 1]
-    delta = 2 * np.pi * k_step / n_ij
+    if lat.dimension < 2:
+        raise BadDimensionError("the field derivative needs the axes 1 and 2")
+    I = _validate_index_set(I, lat.dimension)
+    if 1 in I or 2 in I:
+        raise BadDimensionError("I must not contain the field axes 1 and 2")
+    n_12 = lat.linear_sizes[0] * lat.linear_sizes[1]
+    delta = 2 * np.pi * k_step / n_12
 
     def with_field(b):
         B = model.field.B.copy()
-        B[i - 1, j - 1] = b
-        B[j - 1, i - 1] = -b
+        B[0, 1], B[1, 0] = b, -b
         return replace(model, field=MagneticFieldSpec(B))
 
-    b0 = model.field.B[i - 1, j - 1]
+    b0 = model.field.B[0, 1]
     values = {}
     for b in (b0 - delta, b0, b0 + delta):
         m = with_field(b)
         if state_count_fn is None:
-            count = int(round(b * n_ij / (2 * np.pi))) * lat.fiber
+            count = int(round(b * n_12 / (2 * np.pi))) * lat.fiber
         else:
             count = state_count_fn(m, b)
         sample = build_hamiltonian(m, 0)
@@ -749,7 +692,7 @@ def streda_derivative(model: ModelDefinition, I, axes=(1, 2), k_step: int = 1,
         P = occupied_projection(sample, states=count)
         values[b] = (P, chern_projection(P, I).raw.real)
     lhs = (values[b0 + delta][1] - values[b0 - delta][1]) / (2 * delta)
-    bigI = tuple(sorted(set(I) | {i, j}))
+    bigI = tuple(sorted(set(I) | {1, 2}))
     rhs = chern_projection(values[b0][0], bigI).raw.real / (2 * np.pi)
     return float(lhs), float(rhs)
 
@@ -788,7 +731,7 @@ def veg_invariant(P: FermiProjection, n_t: int = 64) -> InvariantResult:
         # the six signed slot orders of the full trace are three cyclic copies of two
         total += _window_trace([K[:, None] * A, B]) - _window_trace([K[:, None] * B, A])
     raw = total / (2.0 * sample.lattice.num_sites * n_t)
-    return _make_result(raw, (1, 2), "veg", sample, "integers", n_t=n_t)
+    return _make_result(raw, n_t=n_t)
 
 
 # ---------------------------------------------------------------------------

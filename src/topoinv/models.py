@@ -141,6 +141,12 @@ def symmetry_deviation(H: np.ndarray, op: np.ndarray, kind: str) -> float:
     return float(np.abs(X + sign * H).max())
 
 
+def chiral_sectors(s_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns spanning the +1 and the -1 eigenspaces of a chiral fiber operator."""
+    w, v = np.linalg.eigh(s_ch)
+    return v[:, w > 0.5], v[:, w < -0.5]
+
+
 @dataclass(frozen=True)
 class MagneticFieldSpec:
     """Uniform magnetic field, one antisymmetric flux matrix in radians per plaquette."""
@@ -558,14 +564,14 @@ _CAZ_REAL = {
 }
 
 
-def classify_caz(sample: HamiltonianSample | np.ndarray, sym: SymmetrySpec) -> tuple[str, int]:
+def classify_caz(sample: HamiltonianSample, sym: SymmetrySpec) -> tuple[str, int]:
     """Detect the symmetry class of a sample from the declared fiber operators.
 
     Tests s_tr* conj(H) s_tr = H, s_ph* conj(H) s_ph = -H and
     s_ch* H s_ch = -H, reads the declared parities, and returns the class
     label together with its row index in the tenfold classification.
     """
-    H = sample.matrix if isinstance(sample, HamiltonianSample) else np.asarray(sample)
+    H = sample.matrix
     scale = max(np.abs(H).max(), 1.0)
 
     def holds(op, kind):

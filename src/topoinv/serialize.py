@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -139,12 +140,16 @@ def read_config_file(path) -> dict:
 
 
 def config_number(section: str, key: str, value, kind=float):
-    """kind(value) for the config entry section.key; ConfigError when it does not convert."""
+    """kind(value) for the config entry section.key; ConfigError when it does not
+    convert or is not finite."""
     try:
-        return kind(value)
+        number = kind(value)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{section}.{key} must be {noun}, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
+    return number
 
 
 def model_from_config(sections: dict) -> ModelDefinition:

@@ -166,7 +166,7 @@ def test_criterion_08_z2_consistency():
         torus = make_named_model("kane_mele_qsh", sizes=12, mass=mass, rashba=0.1,
                                  disorder=dis)
         P = occupied_projection(build_hamiltonian(torus, 1), 0.0)
-        sch, _, _ = spin_chern(P, torus.metadata["s_z"])
+        sch = spin_chern(P, torus.metadata["s_z"])
         open_model = make_named_model("kane_mele_qsh", sizes=14, boundary="open",
                                       mass=mass, rashba=0.1, disorder=dis)
         sample = build_hamiltonian(open_model, 1)

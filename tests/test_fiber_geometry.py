@@ -37,7 +37,7 @@ def ref_positions(lat, per_site):
 
 
 def ref_core_mask(lat, rho, center, per_site):
-    # invariants.core_mask and the inline window of chern_unitary
+    # invariants.core_mask: LatticeSpec.window on the open axes
     pos = ref_positions(lat, per_site)
     keep = np.ones(pos.shape[0], dtype=bool)
     for axis in range(lat.dimension):
@@ -50,7 +50,8 @@ def ref_core_mask(lat, rho, center, per_site):
 
 
 def ref_defect_mask(lat, center, radius_frac, per_site, spinor=1):
-    # invariants._defect_mask, flow._defect_window and the inline window of hardy_index
+    # LatticeSpec.window about a Dirac origin or flux plaquette, as hardy_index,
+    # z2_kernel_parity and the flow windows call it
     pos = ref_positions(lat, per_site)
     keep = np.ones(pos.shape[0], dtype=bool)
     for axis in range(lat.dimension):
@@ -63,7 +64,7 @@ def ref_defect_mask(lat, center, radius_frac, per_site, spinor=1):
 
 
 def ref_displacement(lat, axis, per_site):
-    # invariants.displacement_matrix and chern_unitary's disp
+    # invariants.displacement_matrix
     x = ref_positions(lat, per_site)[:, axis]
     d = x[:, None] - x[None, :]
     if lat.boundary[axis] == PERIODIC:

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -452,6 +453,44 @@ def test_cli_mu_states_out_of_range(tmp_path, capsys, k):
     assert main(["winding", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: task.mu_states must be between 1 and 63")
+
+
+QWZ_6 = "[model]\nname = qwz\nmass = 1.0\n[lattice]\nsizes = 6 6\n"
+HARPER_8 = "[model]\nname = harper\nb12 = 0.7853981633974483\n[lattice]\nsizes = 8 8\n"
+SSH_8 = "[model]\nname = ssh\nm = 0.5\n[lattice]\nsizes = 8\n"
+
+
+@pytest.mark.parametrize("task, text, message", [
+    ("veg", QWZ_6 + "[task]\nname = veg\nmu = 0.0\nn_t = 0\n", "task.n_t must be >= 1, got 0"),
+    ("streda", HARPER_8 + "[task]\nname = streda\nk_step = 0\n", "task.k_step must be >= 1, got 0"),
+    ("winding", SSH_8 + "[task]\nname = winding\nmu = nan\n", "task.mu must be finite, got 'nan'"),
+    ("winding", SSH_8.replace("m = 0.5", "m = inf") + "[task]\nname = winding\nmu = 0.0\n",
+     "model.m must be finite, got 'inf'"),
+    ("z2", QWZ_6 + "[task]\nname = z2\nmu = 0.0\n", "no time-reversal operator declared"),
+    ("streda", SSH_8 + "[task]\nname = streda\n", "the field derivative needs the axes 1 and 2"),
+], ids=["veg-n_t-0", "streda-k_step-0", "winding-mu-nan", "ssh-m-inf", "z2-qwz", "streda-ssh"])
+def test_cli_invalid_config_is_an_error(tmp_path, capsys, task, text, message):
+    """Configs that once ended in a traceback end in an error line and exit 1."""
+    from topoinv.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([task, "--config", str(cfg), "--workers", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_every_error_type_is_raised():
+    """Every error class but the base is raised somewhere in the package, so none is dead."""
+    package = Path(__file__).resolve().parent.parent / "src" / "topoinv"
+    tree = ast.parse((package / "errors.py").read_text())
+    declared = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} - {"TopoError"}
+    raised = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert declared <= raised, sorted(declared - raised)
 
 
 def test_traced_functions_exist():

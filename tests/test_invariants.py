@@ -39,7 +39,7 @@ from topoinv.errors import (
     OriginOnLatticeError,
     ParamOutOfRangeError,
 )
-from topoinv.invariants import trs_fredholm
+from topoinv.invariants import FermiUnitary, FredholmCompression, trs_fredholm
 from topoinv.models import PERIODIC, SIGMA_0
 
 
@@ -132,9 +132,9 @@ def test_index_set_parity_guards(harper24_projection):
     _, P = harper24_projection
     with pytest.raises(OddIndexSetError):
         chern_projection(P, (1,))
-    U = np.eye(P.sample.dim)
+    U = FermiUnitary(matrix=np.eye(P.sample.dim), sample=P.sample, fiber=1, min_singular=1.0)
     with pytest.raises(EvenIndexSetError):
-        chern_unitary(U, (1, 2), sample=P.sample, fiber=1)
+        chern_unitary(U, (1, 2))
 
 
 def test_cocycle_antisymmetry(harper24_projection):
@@ -196,7 +196,8 @@ def test_ssh_winding_values():
 
 def test_identity_winding_zero():
     sample = build_hamiltonian(make_harper(6))
-    res = chern_unitary(np.eye(sample.dim), (1,), sample=sample, fiber=1)
+    U = FermiUnitary(matrix=np.eye(sample.dim), sample=sample, fiber=1, min_singular=1.0)
+    res = chern_unitary(U, (1,))
     assert res.value == 0.0
 
 
@@ -320,7 +321,8 @@ def test_hardy_index_identity_zero():
     from topoinv import make_named_model
     model = make_named_model("ssh", sizes=64, m=0.0)
     sample = build_hamiltonian(model)
-    res = hardy_index(np.eye(64), dirac_phase(sample), sample=sample)
+    U = FermiUnitary(matrix=np.eye(64), sample=sample, fiber=1, min_singular=1.0)
+    res = hardy_index(U, dirac_phase(sample))
     assert res.rounded == 0
 
 
@@ -348,7 +350,8 @@ def test_z2_parity_values():
 def test_z2_parity_antisymmetric_unitary_trivial():
     model, sample, _ = qsh_open(6, 1.0, rashba=0.0)
     n = sample.dim // 2
-    T = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    T = FredholmCompression(basis=np.eye(sample.dim),
+                           matrix=np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]])))
     sym = SymmetrySpec(s_tr=np.eye(4), eta_tr=+1)
     # T itself is antisymmetric and unitary: empty kernel, parity 0
     res = z2_kernel_parity(T, sym, sample, np.array([3.5, 3.5]))
@@ -357,7 +360,8 @@ def test_z2_parity_antisymmetric_unitary_trivial():
 
 def test_z2_parity_rejects_nonantisymmetric():
     model, sample, P = qsh_open(6, 1.0)
-    bad = np.eye(sample.dim) + np.diag(np.arange(sample.dim) * 0.01)
+    bad = FredholmCompression(basis=np.eye(sample.dim),
+                              matrix=np.eye(sample.dim) + np.diag(np.arange(sample.dim) * 0.01))
     sym = SymmetrySpec(s_tr=np.kron(np.array([[0., -1.], [1., 0.]]), np.eye(2)), eta_tr=-1)
     with pytest.raises(NotAntisymmetricError):
         z2_kernel_parity(bad, sym, sample, np.array([2.5, 2.5]))
@@ -370,10 +374,10 @@ def test_spin_chern_values():
                        (dict(mass=1.0, rashba=0.1, zeeman=0.1), 1)):
         model = make_named_model("kane_mele_qsh", sizes=10, **kw)
         P = fermi_projection(diagonalize(build_hamiltonian(model)), 0.0)
-        res, gap, residue = spin_chern(P, model.metadata["s_z"])
+        res = spin_chern(P, model.metadata["s_z"])
         assert res.rounded == expect
-        assert gap > 0.5
-        assert abs(residue) < 1e-3
+        assert res.extra["spin_gap"] > 0.5
+        assert abs(res.extra["sum_rule_residue"]) < 1e-3
 
 
 # ---------------------------------------------------------------------------

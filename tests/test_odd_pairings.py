@@ -29,7 +29,7 @@ from topoinv import (
 )
 from topoinv.boundary import _near_window
 from topoinv.errors import SurfaceBandAmbiguousError, ThresholdAmbiguityError
-from topoinv.invariants import _window_trace, localized_mode_count
+from topoinv.invariants import FermiUnitary, _window_trace, localized_mode_count
 from topoinv.models import MagneticFieldSpec, apply_fiber
 
 TOL = 1e-12
@@ -111,25 +111,19 @@ def test_hardy_index_matches_reference(m, strength, seed):
     P = fermi_projection(diagonalize(sample), 0.0)
     U = fermi_unitary(P, model.symmetry)
     dp = dirac_phase(sample)
-    # the chiral half, as a FermiUnitary and as a raw matrix; the full-fiber
-    # flat band operator 1 - 2P and the identity as raw matrices
+    # the chiral half; on the full fiber the flat band operator 1 - 2P and
+    # the identity, both unitary
+    def full_fiber(mat):
+        return FermiUnitary(matrix=mat, sample=sample, fiber=sample.lattice.fiber, min_singular=1.0)
+
     flat = np.eye(sample.dim) - 2 * P.projector
-    cases = [(U, U.matrix, U.fiber), (U.matrix, U.matrix, U.fiber),
-             (flat, flat, sample.lattice.fiber),
-             (np.eye(sample.dim), np.eye(sample.dim), sample.lattice.fiber)]
-    for arg, mat, per_site in cases:
-        want = outcome(ref_hardy_index, mat, sample, per_site)
-        got = outcome(hardy_index, arg, dp, sample=sample)
+    for arg in (U, full_fiber(flat), full_fiber(np.eye(sample.dim))):
+        want = outcome(ref_hardy_index, arg.matrix, sample, arg.fiber)
+        got = outcome(hardy_index, arg, dp)
         if isinstance(want, type):
             assert got is want
             continue
         assert (got.value, got.extra["total_small"]) == want
-
-
-def test_hardy_index_raw_matrix_needs_sample():
-    sample = build_hamiltonian(make_named_model("ssh", sizes=16))
-    with pytest.raises(ValueError, match="sample"):
-        hardy_index(np.eye(sample.dim), dirac_phase(sample))
 
 
 # --- chiral boundary map -----------------------------------------------------

@@ -48,6 +48,7 @@ from topoinv import (
 from topoinv.boundary import _layer_indices, _near_window
 from topoinv.errors import NoGapError, NotConvergedError, ParamOutOfRangeError
 from topoinv.invariants import (
+    FermiUnitary,
     _odd_coeff,
     core_mask,
     displacement_matrix,
@@ -264,11 +265,13 @@ def test_chern_unitary_matches_reference(lat, seed, region, rho, data):
     mat = unitary(rng, n) @ np.diag(rng.uniform(0.5, 2.0, n)) @ unitary(rng, n)
     sets = [(a,) for a in range(1, lat.dimension + 1)] + ([(1, 2, 3)] if lat.dimension == 3 else [])
     I = data.draw(st.sampled_from(sets))
+    U = FermiUnitary(matrix=mat, sample=sample, fiber=per_site,
+                     min_singular=np.linalg.svd(mat, compute_uv=False).min())
     if region == "core" and not core_mask(sample, rho).any():
         with pytest.raises(ParamOutOfRangeError):
-            chern_unitary(mat, I, sample=sample, fiber=reduced, region=region, rho=rho)
+            chern_unitary(U, I, region=region, rho=rho)
         return
-    got = chern_unitary(mat, I, sample=sample, fiber=reduced, region=region, rho=rho).raw
+    got = chern_unitary(U, I, region=region, rho=rho).raw
     assert abs(got - ref_chern_unitary(mat, I, sample, per_site, region, rho)) < TOL
 
 
@@ -498,8 +501,7 @@ def test_occupied_z2_parity_and_spin_chern(size, mass, strength, seed):
     sample = build_hamiltonian(torus, seed)
     got, want = occupied_projection(sample, 0.0), full_projection(sample, 0.0)
     assert_same_projection(got, want)
-    (res_got, gap_got, residue_got), (res_want, gap_want, residue_want) = (
-        spin_chern(P, torus.metadata["s_z"]) for P in (got, want))
+    res_got, res_want = (spin_chern(P, torus.metadata["s_z"]) for P in (got, want))
     assert abs(res_got.raw - res_want.raw) < TOL
-    assert abs(gap_got - gap_want) < TOL
-    assert abs(residue_got - residue_want) < TOL
+    assert abs(res_got.extra["spin_gap"] - res_want.extra["spin_gap"]) < TOL
+    assert abs(res_got.extra["sum_rule_residue"] - res_want.extra["sum_rule_residue"]) < TOL

@@ -8,7 +8,6 @@ the pair index of the same sample.
 from topoinv import (
     FluxPath,
     build_hamiltonian,
-    dirac_phase,
     fermi_projection,
     make_named_model,
     pair_index,
@@ -24,7 +23,7 @@ sample = build_hamiltonian(model)
 path = FluxPath(base=sample, plaquette=(N // 2, N // 2))
 # one full decomposition of the base sample serves the pair index and the flow at t = 0
 flow = spectral_flow(path, 0.0)
-pi = pair_index(fermi_projection(path.base_eigen, 0.0), dirac_phase(sample))
+pi = pair_index(fermi_projection(path.base_eigen, 0.0))
 print(f"spectral flow {flow.net} (raw {flow.raw_net}), pair index {pi.rounded} ({pi.value:+.5f})")
 
 with open("flow.csv", "w") as fh:

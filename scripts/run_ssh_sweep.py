@@ -16,7 +16,7 @@ for m in masses.tolist():
         continue  # gap closes
     model = make_named_model("ssh", sizes=N, m=m)
     P = occupied_projection(build_hamiltonian(model), 0.0)
-    res = chern_unitary(fermi_unitary(P, model.symmetry), (1,))
+    res = chern_unitary(fermi_unitary(P), (1,))
     rows.append((m, res.value, res.rounded))
     print(f"m={m:+.3f}  winding={res.value:+.6f} -> {res.rounded}")
 

@@ -35,10 +35,6 @@ class InconsistentSymmetriesError(TopoError):
     """Declared chiral operator contradicts the product of TRS and PHS."""
 
 
-class OriginOnLatticeError(TopoError):
-    """Dirac origin coincides with a lattice site."""
-
-
 # --- spectral ---
 
 class ConvergenceFailureError(TopoError):

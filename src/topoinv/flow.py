@@ -178,7 +178,6 @@ def spectral_flow(path: FluxPath, mu: float) -> SpectralFlowResult:
                 # measure localization away from the degeneracy point
                 vec = V0[:, r] if abs(E0[r] - mu) > abs(E1[c] - mu) else V1[:, c]
                 crossings.append({"t": 0.5 * (t0 + t1), "direction": int(np.sign(E1[c] - E0[r])),
-                                  "multiplicity": 1,
                                   "weight": float((np.abs(vec) ** 2 * window).sum()),
                                   "branch": int(next_ids[c])})
         branches.append((t1, E1, next_ids))

@@ -22,7 +22,7 @@ import numpy as np
 from . import boundary as bd
 from . import flow as fl
 from . import invariants as iv
-from .errors import ConfigError
+from .errors import BadDimensionError, ConfigError
 from .models import OPEN, PERIODIC, build_hamiltonian, classify_caz
 from .serialize import (
     config_number,
@@ -156,26 +156,19 @@ def _half_space(model, params, seed):
     return bd.make_half_space(model, _resolve_mu(params, eig), seed, companion=eig)
 
 
-def _region(model):
-    """Bulk trace region: every site on a torus, else the core window away from the edges."""
-    return "all" if all(b == PERIODIC for b in model.lattice.boundary) else "core"
-
-
 def _task_chern(model, params, seed):
     P = _projection(model, params, seed)
-    return _values(iv.chern_projection(P, params.get("index_set", (1, 2)), region=_region(model)))
+    return _values(iv.chern_projection(P, params.get("index_set", (1, 2))))
 
 
 def _task_winding(model, params, seed):
-    U = iv.fermi_unitary(_projection(model, params, seed), model.symmetry)
+    U = iv.fermi_unitary(_projection(model, params, seed))
     return _values(iv.chern_unitary(U, params.get("index_set", (1,))))
 
 
 def _task_z2(model, params, seed):
     P = _projection(model.with_boundaries(OPEN), params, seed)
-    dirac = iv.dirac_phase(P.sample)
-    T = iv.trs_fredholm(P, dirac)
-    res = iv.z2_kernel_parity(T, model.symmetry, P.sample, dirac.origin)
+    res = iv.z2_kernel_parity(iv.trs_fredholm(P))
     return _values(res, margin=res.extra["margin"])
 
 
@@ -184,7 +177,7 @@ def _task_spin_chern(model, params, seed):
     s_z = model.metadata.get("s_z")
     if s_z is None:
         raise ConfigError("model carries no spin operator; spin-chern undefined")
-    res = iv.spin_chern(P, np.asarray(s_z), region=_region(model))
+    res = iv.spin_chern(P, np.asarray(s_z))
     return _values(res, spin_gap=res.extra["spin_gap"],
                    sum_rule_residue=res.extra["sum_rule_residue"])
 
@@ -217,14 +210,15 @@ def _task_streda(model, params, seed):
 
 
 def _task_laughlin(model, params, seed):
+    if model.lattice.dimension != 2:
+        raise BadDimensionError("the flux pump needs a d = 2 sample")
     sample = build_hamiltonian(model.with_boundaries(OPEN), seed)
     n = model.lattice.linear_sizes
-    plaq = (n[0] // 2, n[1] // 2)
-    path = fl.FluxPath(base=sample, plaquette=plaq)
+    path = fl.FluxPath(base=sample, plaquette=(n[0] // 2, n[1] // 2))
     # the base decomposition serves mu, the pair index and the flow at t = 0
     mu = _resolve_mu(params, path.base_eigen)
     sf = fl.spectral_flow(path, mu)
-    pi = iv.pair_index(fermi_projection(path.base_eigen, mu), iv.dirac_phase(sample))
+    pi = iv.pair_index(fermi_projection(path.base_eigen, mu))
     return {"spectral_flow": sf.net, "pair_index": pi.rounded,
             "pair_index_raw": pi.value,
             "quantization_error": float(abs(sf.net - pi.rounded)),
@@ -252,18 +246,15 @@ def _task_veg(model, params, seed):
 
 def _task_pairing_range(model, params, seed):
     del seed
-    I = params.get("index_set", ())
-    J = params.get("generator", (1, 2))
-    b12 = model.field.B[0, 1]
     measured, predicted = iv.pairing_range_check(
-        model.lattice.dimension, b12, I, J, sizes=model.lattice.linear_sizes[0])
+        model, params.get("index_set", ()), params.get("generator", (1, 2)))
     return {"measured": measured, "predicted": predicted,
             "difference": abs(measured - predicted)}
 
 
 def _task_caz(model, params, seed):
     sample = build_hamiltonian(model, seed)
-    label, j = classify_caz(sample, model.symmetry)
+    label, j = classify_caz(sample)
     return {"label": label, "value": float(j), "rounded": j, "quantization_error": 0.0}
 
 

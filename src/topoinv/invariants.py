@@ -8,10 +8,10 @@ antisymmetrized-cocycle convention
     Ch_I(A) = i (i pi)^{(|I|-1)/2} / |I|!! * sum_rho sgn(rho) T(prod_j A^-1 D_{rho_j} A)
 
 with D_j A = i [X_j, A] and T the trace per unit volume (minimal-image
-displacements on periodic axes).  All finite-volume regularizations that the
-infinite-volume theory does not need (core windows for open samples,
-localization filters for kernel counting) are explicit parameters with
-documented defaults.
+displacements on periodic axes).  Each pairing reads its trace window, Dirac
+phase and symmetry operators from the sample it is handed; the finite-volume
+regularizations that the infinite-volume theory does not need (core windows
+for open samples, localization filters for kernel counting) are constants.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
     NotPeriodicError,
     OddDimensionError,
     OddIndexSetError,
-    OriginOnLatticeError,
     ParamOutOfRangeError,
     SpinSpectrumGaplessError,
     ThresholdAmbiguityError,
@@ -56,11 +55,11 @@ from .models import (
 )
 from .spectral import FermiProjection, occupied_projection
 
+_CORE_RHO = 0.5  # core window of an open sample: width as a fraction of each open axis
 _HARDY_CUT = 1e-6  # hardy_index: singular values below this count as kernel
 _DEFECT_RADIUS_FRAC = 0.25  # window about a Dirac origin or flux plaquette: radius / sample size
 _SINGULAR_FLOOR = 1e-3  # fermi_unitary: smallest singular value of the off-diagonal block
 _SPIN_GAP_FLOOR = 1e-3  # spin_chern: smallest gap of the compressed spin operator P s_z P
-_SPIN_CORE_RHO = 0.5  # spin_chern: core window width, as a fraction of each open axis
 _VEG_MARGIN = 0.5  # veg_invariant: clearance of the contour below the lowest level
 _Z2_CUT = 1e-4  # z2_kernel_parity: kernel cut, as a fraction of the largest singular value
 _Z2_MARGIN = 1e2  # z2_kernel_parity: least ratio across the cut
@@ -83,29 +82,23 @@ def nc_derivative(A: np.ndarray, sample: HamiltonianSample, axis: int) -> np.nda
     return 1j * displacement_matrix(sample, axis) * A
 
 
-def core_mask(sample: HamiltonianSample, rho: float = 0.5,
-              center: np.ndarray | None = None, per_site: int | None = None) -> np.ndarray:
-    """Central-window mask per global index.
-
-    Open axes keep |x - c| <= rho * N / 2; periodic axes keep everything.
-    The default center is the geometric middle.
-    """
+def core_mask(sample: HamiltonianSample, center: np.ndarray | None = None,
+              per_site: int | None = None) -> np.ndarray:
+    """Central-window mask per global index: |x - c| <= _CORE_RHO * N / 2 on open
+    axes, everything on periodic ones.  The default center, the geometric
+    middle, always keeps a site: the half width N / 4 is at least 1 / 2."""
     lat = sample.lattice
     if center is None:
         center = [(n - 1) / 2 for n in lat.linear_sizes]
-    return lat.window(center, [rho / 2 if b == OPEN else np.inf for b in lat.boundary], per_site)
+    half = [_CORE_RHO / 2 if b == OPEN else np.inf for b in lat.boundary]
+    return lat.window(center, half, per_site)
 
 
-def _site_window(sample: HamiltonianSample, region: str, rho: float,
-                 per_site: int | None = None):
-    """(rows summed, number of sites they cover): all rows, or the core window."""
-    if region == "all":
+def _site_window(sample: HamiltonianSample, per_site: int | None = None):
+    """(rows summed, number of sites they cover): all rows on a torus, else the core window."""
+    if all(b == PERIODIC for b in sample.lattice.boundary):
         return slice(None), sample.lattice.num_sites
-    if region != "core":
-        raise ValueError("region must be 'all' or 'core'")
-    keep = core_mask(sample, rho, per_site=per_site)
-    if not keep.any():
-        raise ParamOutOfRangeError(f"core window of rho={rho} holds no site")
+    keep = core_mask(sample, per_site=per_site)
     return keep, int(keep.sum()) // (per_site or sample.lattice.fiber)
 
 
@@ -174,25 +167,23 @@ def _make_result(raw: complex, integer: bool = True, **extra) -> InvariantResult
 # cocycles
 # ---------------------------------------------------------------------------
 
-def _chern_even(P: np.ndarray, sample: HamiltonianSample, I: tuple[int, ...],
-                region: str, rho: float) -> complex:
+def _chern_even(P: np.ndarray, sample: HamiltonianSample, I: tuple[int, ...]) -> complex:
     half = len(I) // 2
     coeff = (2j * np.pi) ** half / math.factorial(half)
     dP = {i: nc_derivative(P, sample, i - 1) for i in I}
-    keep, n_sites = _site_window(sample, region, rho)
+    keep, n_sites = _site_window(sample)
     total = sum(sgn * _window_trace([P] + [dP[i] for i in perm], keep)
                 for perm, sgn in _signed_permutations(I))
     return coeff * total / n_sites
 
 
-def chern_projection(P: FermiProjection, I, region: str = "all",
-                     rho: float = 0.5) -> InvariantResult:
-    """Even-cocycle pairing of a Fermi projection; |I| = 0 is the state density."""
+def chern_projection(P: FermiProjection, I) -> InvariantResult:
+    """Even-cocycle pairing of a Fermi projection in `_site_window`; |I| = 0: state density."""
     sample = P.sample
     I = _validate_index_set(I, sample.lattice.dimension)
     if len(I) % 2:
         raise OddIndexSetError("projection pairing needs an even index set")
-    return _make_result(_chern_even(P.projector, sample, I, region, rho), integer=bool(I))
+    return _make_result(_chern_even(P.projector, sample, I), integer=bool(I))
 
 
 @dataclass(frozen=True)
@@ -205,16 +196,16 @@ class FermiUnitary:
     min_singular: float
 
 
-def fermi_unitary(P: FermiProjection, sym: SymmetrySpec) -> FermiUnitary:
-    """Polar phase U of the off-diagonal block of 2P in the chiral eigenbasis.
+def fermi_unitary(P: FermiProjection) -> FermiUnitary:
+    """Polar phase U of the off-diagonal block of 2P in the eigenbasis of the model's s_ch.
 
     Accepts approximately chiral samples as long as the block stays
     invertible; the smallest singular value is reported on the result.
     """
-    if sym.s_ch is None:
+    sample, s_ch = P.sample, P.sample.model.symmetry.s_ch
+    if s_ch is None:
         raise NotChiralError("no chiral operator declared")
-    sample = P.sample
-    plus, minus = chiral_sectors(sym.s_ch)
+    plus, minus = chiral_sectors(s_ch)
     if plus.shape[1] != minus.shape[1]:
         raise NotChiralError("chiral operator sectors have unequal dimension")
     block = 2.0 * apply_fiber(minus.conj().T, apply_fiber(plus, P.projector, "right"), "left")
@@ -233,15 +224,15 @@ def _odd_coeff(card: int) -> complex:
     return 1j * (1j * np.pi) ** ((card - 1) // 2) / double_fact
 
 
-def chern_unitary(U: FermiUnitary, I, region: str = "all", rho: float = 0.5) -> InvariantResult:
-    """Odd-cocycle pairing (winding) of the Fermi unitary, on its reduced fiber."""
+def chern_unitary(U: FermiUnitary, I) -> InvariantResult:
+    """Odd-cocycle pairing (winding) of the Fermi unitary, reduced fiber, in `_site_window`."""
     sample, per_site, mat = U.sample, U.fiber, U.matrix
     I = _validate_index_set(I, sample.lattice.dimension)
     if len(I) % 2 == 0:
         raise EvenIndexSetError("invertible pairing needs an odd index set")
     inv = np.linalg.inv(mat)
     dU = {i: inv @ (1j * displacement_matrix(sample, i - 1, per_site) * mat) for i in I}
-    keep, n_sites = _site_window(sample, region, rho, per_site)
+    keep, n_sites = _site_window(sample, per_site)
     total = sum(sgn * _window_trace([dU[i] for i in perm], keep)
                 for perm, sgn in _signed_permutations(I)) / n_sites
     return _make_result(_odd_coeff(len(I)) * total, min_singular=U.min_singular)
@@ -378,7 +369,7 @@ def chern_kspace_oracle(model: ModelDefinition, bands: int, I) -> InvariantResul
 
 @dataclass(frozen=True)
 class DiracPhase:
-    """Phase of the position Dirac operator about an off-lattice origin.
+    """Phase of the position Dirac operator about the middle of the central cell.
 
     d = 2 stores the diagonal unitary G; d = 1 stores the Hardy projection
     E = (1 + sign(X - origin)) / 2 by its diagonal, a 0/1 vector per index.
@@ -390,19 +381,19 @@ class DiracPhase:
     E: np.ndarray | None = None
 
 
-def dirac_phase(sample: HamiltonianSample, origin=None) -> DiracPhase:
+def _dirac_origin(sample: HamiltonianSample) -> np.ndarray:
+    """Middle of the central cell, n // 2 + 0.5 on every axis: no site sits there."""
+    return np.array([n // 2 + 0.5 for n in sample.lattice.linear_sizes])
+
+
+def dirac_phase(sample: HamiltonianSample) -> DiracPhase:
     lat = sample.lattice
     d = lat.dimension
     if d == 3:
         # the Hardy projection of n_hat . sigma has the spinor blocks (n_x -+ i n_y) / 2
         raise BadDimensionError("d = 3 Dirac phase has non-diagonal spinor blocks; not implemented")
-    if origin is None:
-        origin = np.array([n // 2 + 0.5 for n in lat.linear_sizes], dtype=float)
-    else:
-        origin = np.asarray(origin, dtype=float)
+    origin = _dirac_origin(sample)
     rel = lat.positions() - origin[None, :]
-    if np.any(np.all(np.abs(rel) < 1e-12, axis=1)):
-        raise OriginOnLatticeError("Dirac origin coincides with a lattice site")
     if d == 2:
         z = rel[:, 0] + 1j * rel[:, 1]
         return DiracPhase(dimension=2, origin=origin, G=z / np.abs(z))
@@ -433,31 +424,33 @@ def _near_zero_cluster(abs_vals: np.ndarray, margin: float, scale_cap: float) ->
     return count
 
 
-def pair_index(P: FermiProjection, dirac: DiracPhase, power: int = 3,
-               rho: float = 0.5) -> InvariantResult:
-    """Relative index of (P, G P G*) from the windowed trace of an odd power.
+def pair_index(P: FermiProjection, power: int = 3) -> InvariantResult:
+    """Relative index of (P, G P G*), G the Dirac phase of P's sample, from the
+    windowed trace of an odd power.
 
     The full lattice trace of (G P G* - P)^power vanishes identically at
     finite volume (the compensating spectral weight sits on the outer
-    boundary), so the trace is restricted to the central window around the
+    boundary), so the trace is restricted to the core window around the
     Dirac origin, where it converges exponentially to the index of the
     compression of G by P.
     """
-    if dirac.dimension % 2:
+    d = P.sample.lattice.dimension
+    if d % 2:
         raise BadDimensionError("pair index needs even dimension")
-    if power % 2 == 0 or power <= dirac.dimension:
+    if power % 2 == 0 or power <= d:
         raise BadDimensionError("power must be odd and exceed the dimension")
+    dirac = dirac_phase(P.sample)
     g = dirac.G
     D = (g[:, None] * P.projector) * g.conj()[None, :] - P.projector
-    keep = core_mask(P.sample, rho, center=dirac.origin)
+    keep = core_mask(P.sample, center=dirac.origin)
     out = _make_result(_window_trace([D] * power, keep))
     if out.error_proxy > 0.1:
         raise NotConvergedError(f"pair index raw value {out.value:.3f} too far from an integer")
     return out
 
 
-def hardy_index(U: FermiUnitary, dirac: DiracPhase) -> InvariantResult:
-    """Index of the Hardy compression E U E by kernel counting.
+def hardy_index(U: FermiUnitary) -> InvariantResult:
+    """Index of the Hardy compression E U E, E the Hardy projection of U's sample.
 
     Small singular values of E U E + (1 - E) are classified by which side of
     the pairing they belong to (right-singular vectors span the kernel, left
@@ -469,9 +462,10 @@ def hardy_index(U: FermiUnitary, dirac: DiracPhase) -> InvariantResult:
     only the block is decomposed, and its singular vectors, padded with
     zeros, are those of the whole.
     """
-    if dirac.dimension != 1:
-        raise BadDimensionError("Hardy index implemented for d = 1")
     sample, mat, per_site = U.sample, U.matrix, U.fiber
+    if sample.lattice.dimension != 1:
+        raise BadDimensionError("Hardy index implemented for d = 1")
+    dirac = dirac_phase(sample)
     e = np.repeat(dirac.E[::sample.lattice.fiber], per_site) > 0.5
     uu, sv, vv = np.linalg.svd(mat[np.ix_(e, e)])
     small = sv < _HARDY_CUT
@@ -486,21 +480,26 @@ def hardy_index(U: FermiUnitary, dirac: DiracPhase) -> InvariantResult:
 
 @dataclass(frozen=True)
 class FredholmCompression:
-    """T = V M V* + (1 - V V*), held as the compression M (k x k) to the range
-    of the orthonormal columns of V (dim x k); T itself is never formed."""
+    """T = V M V* + (1 - V V*) on a sample, held as the compression M (k x k) to
+    the range of the orthonormal columns of V (dim x k); T itself is never formed."""
 
     basis: np.ndarray
     matrix: np.ndarray
+    sample: HamiltonianSample
 
 
-def trs_fredholm(P: FermiProjection, dirac: DiracPhase) -> FredholmCompression:
-    """The gap-labelled compression P G P + (1 - P) used by the parity index,
-    as M = V* G V over the occupied eigenvectors V of P."""
+def trs_fredholm(P: FermiProjection) -> FredholmCompression:
+    """The compression P G P + (1 - P) of the parity index, G the d = 2 Dirac phase
+    of P's sample, as M = V* G V over the occupied eigenvectors V of P."""
+    if P.sample.lattice.dimension != 2:
+        raise BadDimensionError("the parity index needs the d = 2 Dirac phase")
     V = P.occupied
-    return FredholmCompression(basis=V, matrix=V.conj().T @ (dirac.G[:, None] * V))
+    g = dirac_phase(P.sample).G
+    return FredholmCompression(basis=V, matrix=V.conj().T @ (g[:, None] * V), sample=P.sample)
 
 
-def _antisymmetry_bound(T: FredholmCompression, sym: SymmetrySpec, m_norm: float) -> float:
+def _antisymmetry_bound(V: np.ndarray, M: np.ndarray, sym: SymmetrySpec,
+                        m_norm: float) -> float:
     """Upper bound on ||T S + (T S)^T||_F without forming T, given ||M||_2.
 
     With S = 1 (x) s_tr, real orthogonal with S^2 = eta_tr, and A = M - 1,
@@ -519,7 +518,6 @@ def _antisymmetry_bound(T: FredholmCompression, sym: SymmetrySpec, m_norm: float
     For eta = -1 and a time-reversal invariant Ran V, Y' and the first term
     vanish.
     """
-    V, M = T.basis, T.matrix
     dim, k = V.shape
     eta = sym.eta_tr
     A = M - np.eye(k)
@@ -531,13 +529,13 @@ def _antisymmetry_bound(T: FredholmCompression, sym: SymmetrySpec, m_norm: float
             + (1 + m_norm) * (2 * y + y * y))
 
 
-def z2_kernel_parity(T: FredholmCompression, sym: SymmetrySpec,
-                     sample: HamiltonianSample, origin: np.ndarray) -> InvariantResult:
+def z2_kernel_parity(T: FredholmCompression) -> InvariantResult:
     """Parity of the near-kernel dimension of an antisymmetric compression.
 
-    Requires T s_tr antisymmetric; counts small singular values whose right
-    singular vectors localize at the origin (the symmetry partner of each
-    localized kernel mode lives on the sample boundary at finite volume).
+    Requires T s_tr antisymmetric, s_tr of the sample's model; counts small
+    singular values whose right singular vectors localize at the Dirac origin
+    (the symmetry partner of each localized kernel mode lives on the sample
+    boundary at finite volume).
 
     T = V M V* + (1 - V V*) is block diagonal over Ran V and its complement,
     where it is the identity: its singular values are the k of M and dim - k
@@ -550,13 +548,15 @@ def z2_kernel_parity(T: FredholmCompression, sym: SymmetrySpec,
     when the bound exceeds 1e-8 ||T||_F / dim raises whenever the entrywise
     check max|T S + (T S)^T| > 1e-8 max|T S| would.
     """
+    sample, sym = T.sample, T.sample.model.symmetry
     if sym.s_tr is None:
         raise NotAntisymmetricError("no time-reversal operator declared; T s_tr is undefined")
     V, M = T.basis, T.matrix
     dim, k = V.shape
     _, sv, vv = np.linalg.svd(M)
     top = float(sv.max(initial=0.0))
-    if _antisymmetry_bound(T, sym, top) > 1e-8 * math.sqrt(np.linalg.norm(M) ** 2 + dim - k) / dim:
+    if _antisymmetry_bound(V, M, sym, top) > (
+            1e-8 * math.sqrt(np.linalg.norm(M) ** 2 + dim - k) / dim):
         raise NotAntisymmetricError("T s_tr is not antisymmetric")
     tol = _Z2_CUT * (max(1.0, top) if k < dim else top)
     sorted_sv = np.sort(np.concatenate([sv, np.ones(dim - k)]))
@@ -575,13 +575,13 @@ def z2_kernel_parity(T: FredholmCompression, sym: SymmetrySpec,
                 f"singular-value margin below {_Z2_MARGIN:.0f}; use the spin route")
         ratio = sorted_sv[count] / max(sorted_sv[count - 1], 1e-300)
     small = sv < sorted_sv[count - 1] * (1 + 1e-12) if count else sv < tol
-    keep = sample.lattice.window(origin, _DEFECT_RADIUS_FRAC)
+    keep = sample.lattice.window(_dirac_origin(sample), _DEFECT_RADIUS_FRAC)
     loc = localized_mode_count(V @ vv[small].conj().T, keep)
     return _make_result(float(loc % 2), margin=float(ratio), total_small=count, localized=loc)
 
 
-def spin_chern(P: FermiProjection, s_z: np.ndarray, region: str = "all") -> InvariantResult:
-    """Pairing of the positive spectral half of P s^z P.
+def spin_chern(P: FermiProjection, s_z: np.ndarray) -> InvariantResult:
+    """Pairing of the positive spectral half of P s^z P, in `_site_window`.
 
     `extra` holds the gap of the compressed spin operator (`spin_gap`) and
     the sum-rule residue Ch(P+) + Ch(P-) - Ch(P) (`sum_rule_residue`).
@@ -597,9 +597,9 @@ def spin_chern(P: FermiProjection, s_z: np.ndarray, region: str = "all") -> Inva
     gap = float(mw[pos].min() - mw[neg].max())
     if gap < _SPIN_GAP_FLOOR:
         raise SpinSpectrumGaplessError(f"spin gap {gap:.2e} below {_SPIN_GAP_FLOOR:.0e}")
-    ch_p, ch_m = (_chern_even(V @ V.conj().T, sample, (1, 2), region, _SPIN_CORE_RHO)
+    ch_p, ch_m = (_chern_even(V @ V.conj().T, sample, (1, 2))
                   for V in (occ @ mv[:, pos], occ @ mv[:, neg]))
-    ch = _chern_even(P.projector, sample, (1, 2), region, _SPIN_CORE_RHO)
+    ch = _chern_even(P.projector, sample, (1, 2))
     return _make_result(ch_p, spin_gap=gap, sum_rule_residue=float(np.real(ch_p + ch_m - ch)))
 
 
@@ -608,10 +608,8 @@ def spin_chern(P: FermiProjection, s_z: np.ndarray, region: str = "all") -> Inva
 # ---------------------------------------------------------------------------
 
 def _pfaffian_sign_logabs(A: np.ndarray) -> tuple[float, float]:
-    """Parlett-Reid elimination with partial pivoting; returns (sign, log|Pf|)."""
+    """Parlett-Reid elimination with partial pivoting, n even; returns (sign, log|Pf|)."""
     n = A.shape[0]
-    if n % 2:
-        return 0.0, -np.inf
     A = np.array(A, dtype=float, copy=True)
     sign = 1.0
     logabs = 0.0
@@ -655,6 +653,23 @@ def pfaffian(A: np.ndarray) -> float:
 # field derivatives and resolvent route
 # ---------------------------------------------------------------------------
 
+def _field_gap_projection(model: ModelDefinition, count: int | None = None) -> FermiProjection:
+    """Fermi projection of the clean sample onto its `count` lowest states.
+
+    The default count is round(B_12 N_1 N_2 / 2 pi) states per orbital: one
+    flux quantum's worth, the lowest gap of the scalar hopping model.
+    """
+    sample = build_hamiltonian(model, 0)
+    b = model.field.B[0, 1]
+    if count is None:
+        n = model.lattice.linear_sizes
+        count = int(round(b * (n[0] * n[1]) / (2 * np.pi))) * model.lattice.fiber
+    if not 1 <= count < sample.dim:
+        raise ParamOutOfRangeError(f"field {b:.6g} puts {count} of {sample.dim} states "
+                                   "below the tracked gap")
+    return occupied_projection(sample, states=count)
+
+
 def streda_derivative(model: ModelDefinition, I, k_step: int = 1,
                       state_count_fn=None) -> tuple[float, float]:
     """Finite-difference magnetic derivative of Ch_I in B_12 against Ch_{I + (1, 2)} / 2 pi.
@@ -681,15 +696,7 @@ def streda_derivative(model: ModelDefinition, I, k_step: int = 1,
     values = {}
     for b in (b0 - delta, b0, b0 + delta):
         m = with_field(b)
-        if state_count_fn is None:
-            count = int(round(b * n_12 / (2 * np.pi))) * lat.fiber
-        else:
-            count = state_count_fn(m, b)
-        sample = build_hamiltonian(m, 0)
-        if not 1 <= count < sample.dim:
-            raise ParamOutOfRangeError(f"field {b:.6g} puts {count} of {sample.dim} states "
-                                       "below the tracked gap")
-        P = occupied_projection(sample, states=count)
+        P = _field_gap_projection(m, None if state_count_fn is None else state_count_fn(m, b))
         values[b] = (P, chern_projection(P, I).raw.real)
     lhs = (values[b0 + delta][1] - values[b0 - delta][1]) / (2 * delta)
     bigI = tuple(sorted(set(I) | {1, 2}))
@@ -738,14 +745,14 @@ def veg_invariant(P: FermiProjection, n_t: int = 64) -> InvariantResult:
 # pairing-range audit
 # ---------------------------------------------------------------------------
 
-def pairing_range_check(d: int, b12: float, I, J, sizes: int = 24) -> tuple[float, float]:
+def pairing_range_check(model: ModelDefinition, I, J) -> tuple[float, float]:
     """Measured pairing of a realized generator against its predicted value.
 
     Realizable generators at desk scale: J = () is the identity projection,
-    J = (1, 2) is the lowest-gap projection of the scalar hopping model at
-    field b12 in d = 2.  Returns (measured, predicted).
+    J = (1, 2) is the lowest-gap projection of the clean scalar hopping model
+    at the field and sizes of the d = 2 `model`.  Returns (measured, predicted).
     """
-    if d != 2:
+    if model.lattice.dimension != 2:
         raise UnsupportedGeneratorError("generator audit implemented in d = 2")
     I = tuple(int(x) for x in I)
     J = tuple(int(x) for x in J)
@@ -756,13 +763,8 @@ def pairing_range_check(d: int, b12: float, I, J, sizes: int = 24) -> tuple[floa
         measured = 1.0 if I == () else 0.0
         predicted = 1.0 if I == () else 0.0
         return measured, predicted
-    model = make_named_model("harper", sizes=sizes, b12=b12)
-    count = int(round(b12 * sizes * sizes / (2 * np.pi)))
-    sample = build_hamiltonian(model, 0)
-    if not 1 <= count < sample.dim:
-        raise ParamOutOfRangeError(f"field {b12:.6g} puts {count} of {sample.dim} states "
-                                   "below the lowest gap")
-    P = occupied_projection(sample, states=count)
+    b12 = model.field.B[0, 1]
+    P = _field_gap_projection(make_named_model("harper", sizes=model.lattice.linear_sizes, b12=b12))
     measured = float(chern_projection(P, I).raw.real)
     setI, setJ = set(I), set(J)
     if setI - setJ:

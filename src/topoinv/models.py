@@ -221,10 +221,6 @@ class SymmetrySpec:
             if abs(abs(tr) - len(prod)) > 1e-9:
                 raise InconsistentSymmetriesError("s_ch is not proportional to s_ph @ s_tr")
 
-    @property
-    def empty(self) -> bool:
-        return self.s_tr is None and self.s_ph is None and self.s_ch is None
-
 
 @dataclass(frozen=True)
 class DisorderSpec:
@@ -233,7 +229,6 @@ class DisorderSpec:
     family: str = "diagonal-scalar"
     strength: float = 0.0
     seed: int = 0
-    constraint: SymmetrySpec | None = None
 
     _FAMILIES = ("diagonal-scalar", "diagonal-matrix", "symmetry-constrained-matrix")
 
@@ -243,8 +238,10 @@ class DisorderSpec:
         if self.strength < 0:
             raise ParamOutOfRangeError("disorder strength must be >= 0")
 
-    def sample_site_matrices(self, num_sites: int, fiber: int, realization_seed: int) -> np.ndarray:
-        """Deterministic array of on-site matrices, shape (num_sites, L, L)."""
+    def sample_site_matrices(self, num_sites: int, fiber: int, realization_seed: int,
+                             symmetry: SymmetrySpec) -> np.ndarray:
+        """Deterministic on-site matrices, shape (num_sites, L, L); the
+        symmetry-constrained family keeps the model's `symmetry`."""
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, realization_seed)))
         lam = self.strength
         out = np.zeros((num_sites, fiber, fiber), dtype=complex)
@@ -263,24 +260,22 @@ class DisorderSpec:
                 b = rng.uniform(-1.0, 1.0, size=(fiber, fiber))
                 h = (a + a.T) / 2 + 1j * (b - b.T) / 2
                 v = rng.uniform(-1.0, 1.0)
-                h = self._project(h)
+                h = _symmetric_part(h, symmetry)
                 norm = np.linalg.norm(h, 2)
                 if norm > 1e-14:
                     out[n] = lam * v * h / norm
         return out
 
-    def _project(self, h: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the symmetry-allowed subspace."""
-        c = self.constraint
-        if c is None:
-            return h
-        if c.s_tr is not None:
-            h = (h + c.s_tr.conj().T @ h.conj() @ c.s_tr) / 2
-        if c.s_ph is not None:
-            h = (h - c.s_ph.conj().T @ h.conj() @ c.s_ph) / 2
-        if c.s_ch is not None:
-            h = (h - c.s_ch.conj().T @ h @ c.s_ch) / 2
-        return (h + h.conj().T) / 2
+
+def _symmetric_part(h: np.ndarray, sym: SymmetrySpec) -> np.ndarray:
+    """Orthogonal projection of an on-site matrix onto the symmetry-allowed subspace."""
+    if sym.s_tr is not None:
+        h = (h + sym.s_tr.conj().T @ h.conj() @ sym.s_tr) / 2
+    if sym.s_ph is not None:
+        h = (h - sym.s_ph.conj().T @ h.conj() @ sym.s_ph) / 2
+    if sym.s_ch is not None:
+        h = (h - sym.s_ch.conj().T @ h @ sym.s_ch) / 2
+    return (h + h.conj().T) / 2
 
 
 def _canonical_positive(a: tuple[int, ...]) -> bool:
@@ -316,9 +311,6 @@ class ModelDefinition:
         if any(op is not None and op.shape != (L, L)
                for op in (self.symmetry.s_tr, self.symmetry.s_ph, self.symmetry.s_ch)):
             raise ParamOutOfRangeError("symmetry operators must be L x L")
-        if self.disorder.constraint is None:
-            # symmetry-constrained disorder respects the model's own symmetry
-            object.__setattr__(self, "disorder", replace(self.disorder, constraint=self.symmetry))
         hop = []
         for a, t in self.hoppings:
             a = tuple(int(c) for c in a)
@@ -365,7 +357,8 @@ class ModelDefinition:
             h.update(np.ascontiguousarray(np.round(t, 14)).tobytes())
         h.update(np.ascontiguousarray(np.round(self.onsite, 14)).tobytes())
         h.update(repr((self.disorder.family, self.disorder.strength, self.disorder.seed)).encode())
-        for sym in (self.symmetry, self.disorder.constraint):
+        # twice: the disorder once held its own copy; recorded fingerprints stay valid
+        for sym in (self.symmetry, self.symmetry):
             h.update(repr((sym.eta_tr, sym.eta_ph)).encode())
             for op in (sym.s_tr, sym.s_ph, sym.s_ch):
                 h.update(b"none" if op is None else np.ascontiguousarray(np.round(op, 14)).tobytes())
@@ -450,7 +443,7 @@ def build_hamiltonian(model: ModelDefinition, realization_seed: int = 0) -> Hami
     for a, t in model.positive_hoppings():
         _scatter(H, _bonds(lat, model.field.B, a), t)
     H = H + H.conj().T
-    omega = model.disorder.sample_site_matrices(N, L, realization_seed)
+    omega = model.disorder.sample_site_matrices(N, L, realization_seed, model.symmetry)
     sites = np.arange(N)
     H.reshape(N, L, N, L)[sites, :, sites, :] += model.onsite + omega
     return HamiltonianSample(matrix=H, model=model, realization_seed=realization_seed)
@@ -564,14 +557,14 @@ _CAZ_REAL = {
 }
 
 
-def classify_caz(sample: HamiltonianSample, sym: SymmetrySpec) -> tuple[str, int]:
-    """Detect the symmetry class of a sample from the declared fiber operators.
+def classify_caz(sample: HamiltonianSample) -> tuple[str, int]:
+    """Detect the symmetry class of a sample from the fiber operators its model declares.
 
     Tests s_tr* conj(H) s_tr = H, s_ph* conj(H) s_ph = -H and
     s_ch* H s_ch = -H, reads the declared parities, and returns the class
     label together with its row index in the tenfold classification.
     """
-    H = sample.matrix
+    H, sym = sample.matrix, sample.model.symmetry
     scale = max(np.abs(H).max(), 1.0)
 
     def holds(op, kind):

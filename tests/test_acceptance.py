@@ -18,7 +18,6 @@ from topoinv import (
     chern_projection,
     chern_unitary,
     diagonalize,
-    dirac_phase,
     exp_map,
     fermi_projection,
     fermi_unitary,
@@ -54,7 +53,7 @@ def test_criterion_01_ssh_winding_sweep():
     for m in (-2.0, -0.5, 0.0, 0.5, 2.0):
         model = make_named_model("ssh", sizes=256, m=m)
         P = fermi_projection(diagonalize(build_hamiltonian(model)), 0.0)
-        res = chern_unitary(fermi_unitary(P, model.symmetry), (1,))
+        res = chern_unitary(fermi_unitary(P), (1,))
         values.append(res.value)
         assert abs(res.value - round(res.value)) < 1e-6
     elapsed = time.time() - t0
@@ -69,8 +68,8 @@ def test_criterion_02_local_index_formula():
     model = make_named_model("qwz", sizes=24, boundary="open", mass=1.0)
     sample = build_hamiltonian(model)
     P = occupied_projection(sample, 0.0)
-    pi = pair_index(P, dirac_phase(sample))
-    ch = chern_projection(P, (1, 2), region="core")
+    pi = pair_index(P)
+    ch = chern_projection(P, (1, 2))
     assert pi.rounded == 1
     assert abs(ch.value - pi.value) < 0.05
     dis = DisorderSpec(strength=0.5, seed=2)
@@ -78,7 +77,7 @@ def test_criterion_02_local_index_formula():
     indices = []
     for seed in range(10):
         s = build_hamiltonian(dmodel, seed)
-        indices.append(pair_index(occupied_projection(s, 0.0), dirac_phase(s)).rounded)
+        indices.append(pair_index(occupied_projection(s, 0.0)).rounded)
     elapsed = time.time() - t0
     assert indices == [1] * 10
     assert elapsed < 300.0
@@ -138,7 +137,7 @@ def test_criterion_06_flux_pump_flow():
     for seed in range(5):
         sample = build_hamiltonian(model, seed)
         sf = spectral_flow(FluxPath(base=sample, plaquette=(8, 8)), 0.0)
-        pi = pair_index(fermi_projection(diagonalize(sample), 0.0), dirac_phase(sample))
+        pi = pair_index(fermi_projection(diagonalize(sample), 0.0))
         pairs.append((sf.net, pi.rounded))
         assert sf.net == pi.rounded
     report(6, f"flow = index on 5/5 realizations: {pairs}")
@@ -169,10 +168,8 @@ def test_criterion_08_z2_consistency():
         sch = spin_chern(P, torus.metadata["s_z"])
         open_model = make_named_model("kane_mele_qsh", sizes=14, boundary="open",
                                       mass=mass, rashba=0.1, disorder=dis)
-        sample = build_hamiltonian(open_model, 1)
-        dp = dirac_phase(sample)
-        Pn = occupied_projection(sample, 0.0)
-        parity = z2_kernel_parity(trs_fredholm(Pn, dp), open_model.symmetry, sample, dp.origin)
+        Pn = occupied_projection(build_hamiltonian(open_model, 1), 0.0)
+        parity = z2_kernel_parity(trs_fredholm(Pn))
         assert sch.rounded % 2 == int(parity.value)
         outcomes.append((mass, lam, sch.rounded, int(parity.value)))
     report(8, f"(mass, lam, spin pairing, parity): {outcomes}")

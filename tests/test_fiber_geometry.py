@@ -135,15 +135,16 @@ def test_symmetry_deviation_vanishes_on_symmetric_samples():
 # --- windows and minimal images ----------------------------------------------
 
 @settings(max_examples=80, deadline=None)
-@given(lattices(), st.integers(0, 2 ** 32 - 1), fractions(0.05, 1.0, (0.5, 1.0)), st.integers(1, 4),
-       st.booleans())
-def test_core_window_matches_reference(lat, seed, rho, per_site, default_center):
+@given(lattices(), st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.booleans())
+def test_core_window_matches_reference(lat, seed, per_site, default_center):
     center = None if default_center else centers(lat, np.random.default_rng(seed))
     sample = SimpleNamespace(lattice=lat)
     for reduced in (None, per_site):
-        got = core_mask(sample, rho, center, per_site=reduced)
-        want = ref_core_mask(lat, rho, center, reduced or lat.fiber)
+        got = core_mask(sample, center, per_site=reduced)
+        want = ref_core_mask(lat, 0.5, center, reduced or lat.fiber)
         assert np.array_equal(got, want)
+        # about the geometric middle the window always holds a site
+        assert center is not None or got.any()
 
 
 @settings(max_examples=80, deadline=None)

@@ -13,7 +13,6 @@ from topoinv import (
     SymmetrySpec,
     build_hamiltonian,
     diagonalize,
-    dirac_phase,
     fermi_projection,
     flow,
     halfflux_kernel_parity,
@@ -62,7 +61,7 @@ def test_spectral_flow_matches_pair_index_disordered():
     for seed in (1, 2):
         sample, path = qwz_flux_path(lam=0.3, seed=seed)
         res = spectral_flow(path, 0.0)
-        pi = pair_index(fermi_projection(diagonalize(sample), 0.0), dirac_phase(sample))
+        pi = pair_index(fermi_projection(diagonalize(sample), 0.0))
         assert res.net == pi.rounded == 1
 
 

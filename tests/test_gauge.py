@@ -72,10 +72,10 @@ def ref_peierls_target(coord, a, lattice, B):
     return index, phase
 
 
-def ref_site_matrices(disorder, num_sites, fiber, realization_seed):
+def ref_site_matrices(disorder, num_sites, fiber, realization_seed, symmetry):
     """On-site disorder with the per-site diagonal loop of the matrix family."""
     if disorder.family != "diagonal-matrix" or disorder.strength == 0.0:
-        return disorder.sample_site_matrices(num_sites, fiber, realization_seed)
+        return disorder.sample_site_matrices(num_sites, fiber, realization_seed, symmetry)
     rng = np.random.default_rng(np.random.SeedSequence((disorder.seed, realization_seed)))
     u = rng.uniform(-1.0, 1.0, size=(num_sites, fiber))
     return np.array([disorder.strength * np.diag(row) for row in u], dtype=complex)
@@ -93,7 +93,7 @@ def ref_build_hamiltonian(model, realization_seed=0):
                 continue
             H[target * L:(target + 1) * L, n * L:(n + 1) * L] += np.exp(1j * phase) * t
     H = H + H.conj().T
-    omega = ref_site_matrices(model.disorder, lat.num_sites, L, realization_seed)
+    omega = ref_site_matrices(model.disorder, lat.num_sites, L, realization_seed, model.symmetry)
     for n in range(lat.num_sites):
         H[n * L:(n + 1) * L, n * L:(n + 1) * L] += model.onsite + omega[n]
     return H

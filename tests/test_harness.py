@@ -10,7 +10,7 @@ import pytest
 from topoinv import harness
 from topoinv.errors import ConfigError
 from topoinv.harness import ExperimentConfig, run_experiment, sweep
-from topoinv.models import OPEN, build_hamiltonian, make_named_model
+from topoinv.models import MODEL_NAMES, OPEN, build_hamiltonian, make_named_model
 from topoinv.serialize import (
     config_from_model,
     load_matrix,
@@ -477,6 +477,30 @@ def test_cli_invalid_config_is_an_error(tmp_path, capsys, task, text, message):
     cfg.write_text(text)
     assert main([task, "--config", str(cfg), "--workers", "1"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+ZOO_SIZES = {1: "8", 2: "6 6", 3: "4 4 4"}
+ZOO_CASES = [pytest.param(task, name, "", id=f"{task}-{name}")
+             for name in MODEL_NAMES for task in harness.TASKS]
+# gapped d = 1 chains that reach the z2 kernels
+ZOO_CASES += [pytest.param("z2", "ssh", "m = 2.0", id="z2-ssh-m2"),
+              pytest.param("z2", "kitaev_chain", "mu = 2.0", id="z2-kitaev_chain-mu2")]
+
+
+@pytest.mark.parametrize("task, name, param", ZOO_CASES)
+def test_every_task_on_every_zoo_model_exits_cleanly(tmp_path, capsys, task, name, param):
+    """No task lets an exception escape the CLI on any shipped model: it computes
+    (exit 0 or 2) or refuses with an error line (exit 1)."""
+    from topoinv.cli import main
+
+    sizes = ZOO_SIZES[make_named_model(name).lattice.dimension]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[model]\nname = {name}\n{param}\n[lattice]\nsizes = {sizes}\n"
+                   f"[task]\nname = {task}\n")
+    code = main([task, "--config", str(cfg), "--workers", "1"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_every_error_type_is_raised():

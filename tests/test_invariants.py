@@ -36,7 +36,6 @@ from topoinv.errors import (
     NotAntisymmetricError,
     OddDimensionError,
     OddIndexSetError,
-    OriginOnLatticeError,
     ParamOutOfRangeError,
 )
 from topoinv.invariants import FermiUnitary, FredholmCompression, trs_fredholm
@@ -190,7 +189,7 @@ def ssh_projection(n, m, lam=0.0, seed=0):
 def test_ssh_winding_values():
     for m, expect in ((0.0, 1), (0.5, 1), (2.0, 0)):
         model, P = ssh_projection(64, m)
-        res = chern_unitary(fermi_unitary(P, model.symmetry), (1,))
+        res = chern_unitary(fermi_unitary(P), (1,))
         assert abs(res.value - expect) < 1e-6
 
 
@@ -203,7 +202,7 @@ def test_identity_winding_zero():
 
 def test_fermi_unitary_reconstruction():
     model, P = ssh_projection(32, 0.5)
-    U = fermi_unitary(P, model.symmetry)
+    U = fermi_unitary(P)
     n = 32
     w, v = np.linalg.eigh(model.symmetry.s_ch)
     basis = np.hstack([np.kron(np.eye(n), v[:, w > 0.5]), np.kron(np.eye(n), v[:, w < -0.5])])
@@ -217,7 +216,7 @@ def test_fermi_unitary_stable_under_chiral_breaking():
     base = make_named_model("ssh", sizes=64, m=0.9)
     perturbed = dataclasses.replace(base, onsite=base.onsite + 0.05 * SIGMA_0)
     P = fermi_projection(diagonalize(build_hamiltonian(perturbed)), 0.0)
-    U = fermi_unitary(P, base.symmetry)
+    U = fermi_unitary(P)
     assert U.min_singular > 1e-3
     assert chern_unitary(U, (1,)).rounded == 1
 
@@ -250,7 +249,7 @@ def test_oracle_equivalence_with_real_space():
     ks = chern_kspace_oracle(model, 1, (1, 2)).value
     assert abs(rs - ks) < 1e-3
     sshm, Ps = ssh_projection(256, 0.5)
-    rs1 = chern_unitary(fermi_unitary(Ps, sshm.symmetry), (1,)).value
+    rs1 = chern_unitary(fermi_unitary(Ps), (1,)).value
     ks1 = chern_kspace_oracle(sshm, 1, (1,)).value
     assert abs(rs1 - ks1) < 1e-3
 
@@ -263,10 +262,6 @@ def test_dirac_phase_properties(qwz_open20):
     _, sample, _ = qwz_open20
     dp = dirac_phase(sample)
     assert np.abs(np.abs(dp.G) - 1.0).max() < 1e-12
-    # diagonal, so symmetric as a matrix
-    chain = build_hamiltonian(make_harper(6).with_boundary(1, "open"))
-    with pytest.raises(OriginOnLatticeError):
-        dirac_phase(sample, origin=(3.0, 4.0))
 
 
 def test_dirac_phase_d1_hardy_projection():
@@ -289,11 +284,10 @@ def test_dirac_phase_d3_refused():
 
 def test_pair_index_values(qwz_open20):
     _, sample, P = qwz_open20
-    dp = dirac_phase(sample)
-    res = pair_index(P, dp)
+    res = pair_index(P)
     assert res.rounded == 1 and res.error_proxy < 0.05
     zero = dataclasses.replace(P, rank=0)
-    assert pair_index(zero, dp).value == 0.0
+    assert pair_index(zero).value == 0.0
 
 
 def test_pair_index_disordered():
@@ -303,7 +297,7 @@ def test_pair_index_disordered():
                                  disorder=DisorderSpec(strength=0.5, seed=2))
         sample = build_hamiltonian(model, seed)
         P = fermi_projection(diagonalize(sample), 0.0)
-        assert pair_index(P, dirac_phase(sample)).rounded == 1
+        assert pair_index(P).rounded == 1
 
 
 def test_hardy_index_values():
@@ -312,8 +306,8 @@ def test_hardy_index_values():
         model = make_named_model("ssh", sizes=256, m=m)
         sample = build_hamiltonian(model)
         P = fermi_projection(diagonalize(sample), 0.0)
-        U = fermi_unitary(P, model.symmetry)
-        res = hardy_index(U, dirac_phase(sample))
+        U = fermi_unitary(P)
+        res = hardy_index(U)
         assert res.rounded == expect
 
 
@@ -322,7 +316,7 @@ def test_hardy_index_identity_zero():
     model = make_named_model("ssh", sizes=64, m=0.0)
     sample = build_hamiltonian(model)
     U = FermiUnitary(matrix=np.eye(64), sample=sample, fiber=1, min_singular=1.0)
-    res = hardy_index(U, dirac_phase(sample))
+    res = hardy_index(U)
     assert res.rounded == 0
 
 
@@ -341,30 +335,33 @@ def qsh_open(n, mass, lam=0.0, seed=0, rashba=0.1):
 def test_z2_parity_values():
     for mass, expect in ((1.0, 1.0), (3.0, 0.0)):
         model, sample, P = qsh_open(14, mass)
-        dp = dirac_phase(sample)
-        res = z2_kernel_parity(trs_fredholm(P, dp), model.symmetry, sample, dp.origin)
+        res = z2_kernel_parity(trs_fredholm(P))
         assert res.value == expect
         assert res.extra["margin"] > 1e2
 
 
 def test_z2_parity_antisymmetric_unitary_trivial():
     model, sample, _ = qsh_open(6, 1.0, rashba=0.0)
+    # a sample whose model declares s_tr = 1, eta = +1
+    model = dataclasses.replace(model, symmetry=SymmetrySpec(s_tr=np.eye(4), eta_tr=+1))
+    sample = dataclasses.replace(sample, model=model)
     n = sample.dim // 2
     T = FredholmCompression(basis=np.eye(sample.dim),
-                           matrix=np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]])))
-    sym = SymmetrySpec(s_tr=np.eye(4), eta_tr=+1)
+                            matrix=np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]])),
+                            sample=sample)
     # T itself is antisymmetric and unitary: empty kernel, parity 0
-    res = z2_kernel_parity(T, sym, sample, np.array([3.5, 3.5]))
+    res = z2_kernel_parity(T)
     assert res.value == 0.0
 
 
 def test_z2_parity_rejects_nonantisymmetric():
     model, sample, P = qsh_open(6, 1.0)
     bad = FredholmCompression(basis=np.eye(sample.dim),
-                              matrix=np.eye(sample.dim) + np.diag(np.arange(sample.dim) * 0.01))
-    sym = SymmetrySpec(s_tr=np.kron(np.array([[0., -1.], [1., 0.]]), np.eye(2)), eta_tr=-1)
+                              matrix=np.eye(sample.dim) + np.diag(np.arange(sample.dim) * 0.01),
+                              sample=sample)
+    assert model.symmetry.eta_tr == -1
     with pytest.raises(NotAntisymmetricError):
-        z2_kernel_parity(bad, sym, sample, np.array([2.5, 2.5]))
+        z2_kernel_parity(bad)
 
 
 def test_spin_chern_values():
@@ -442,7 +439,7 @@ def test_tracked_gap_state_count_checked():
     with pytest.raises(ParamOutOfRangeError):
         streda_derivative(make_harper(8, b12=0.0), ())
     with pytest.raises(ParamOutOfRangeError):
-        pairing_range_check(2, 0.0, (1, 2), (1, 2), sizes=8)
+        pairing_range_check(make_harper(8, b12=0.0), (1, 2), (1, 2))
     # a count that splits the 64-fold lower level finds no gap
     lat = LatticeSpec(2, (8, 8), (PERIODIC, PERIODIC), 2)
     model = ModelDefinition(lat, MagneticFieldSpec.zero(2), (), np.diag([2.0, -2.0]))
@@ -473,11 +470,11 @@ def test_veg_trivial_and_convergence_order():
 
 def test_pairing_range_table():
     b = 2 * np.pi * 8 / 576
-    m, p = pairing_range_check(2, 2 * np.pi / 3, (1, 2), (1, 2), sizes=24)
+    m, p = pairing_range_check(make_harper(24, b12=2 * np.pi / 3), (1, 2), (1, 2))
     assert p == 1.0 and abs(m - p) < 5e-3
-    m, p = pairing_range_check(2, b, (1, 2), (), sizes=12)
+    m, p = pairing_range_check(make_harper(12, b12=b), (1, 2), ())
     assert m == 0.0 and p == 0.0
-    m, p = pairing_range_check(2, b, (), (1, 2), sizes=24)
+    m, p = pairing_range_check(make_harper(24, b12=b), (), (1, 2))
     assert abs(p - b / (2 * np.pi)) < 1e-12
     assert abs(m - p) < 1e-10
 
@@ -487,7 +484,7 @@ def test_quantization_pair_vs_realspace():
     model = make_named_model("qwz", sizes=24, boundary="open", mass=1.0)
     sample = build_hamiltonian(model)
     P = fermi_projection(diagonalize(sample), 0.0)
-    pi = pair_index(P, dirac_phase(sample))
+    pi = pair_index(P)
     assert pi.error_proxy < 0.05
-    ch = chern_projection(P, (1, 2), region="core")
+    ch = chern_projection(P, (1, 2))
     assert abs(ch.value - pi.value) < 0.05

@@ -19,7 +19,6 @@ from topoinv import (
     SwitchFunction,
     build_hamiltonian,
     diagonalize,
-    dirac_phase,
     fermi_projection,
     fermi_unitary,
     hardy_index,
@@ -109,8 +108,7 @@ def test_hardy_index_matches_reference(m, strength, seed):
     model = make_named_model("ssh", sizes=48, m=m, disorder=DisorderSpec(strength=strength, seed=5))
     sample = build_hamiltonian(model, seed)
     P = fermi_projection(diagonalize(sample), 0.0)
-    U = fermi_unitary(P, model.symmetry)
-    dp = dirac_phase(sample)
+    U = fermi_unitary(P)
     # the chiral half; on the full fiber the flat band operator 1 - 2P and
     # the identity, both unitary
     def full_fiber(mat):
@@ -119,7 +117,7 @@ def test_hardy_index_matches_reference(m, strength, seed):
     flat = np.eye(sample.dim) - 2 * P.projector
     for arg in (U, full_fiber(flat), full_fiber(np.eye(sample.dim))):
         want = outcome(ref_hardy_index, arg.matrix, sample, arg.fiber)
-        got = outcome(hardy_index, arg, dp)
+        got = outcome(hardy_index, arg)
         if isinstance(want, type):
             assert got is want
             continue

@@ -46,7 +46,7 @@ from topoinv import (
     z2_kernel_parity,
 )
 from topoinv.boundary import _layer_indices, _near_window
-from topoinv.errors import NoGapError, NotConvergedError, ParamOutOfRangeError
+from topoinv.errors import NoGapError, NotConvergedError
 from topoinv.invariants import (
     FermiUnitary,
     _odd_coeff,
@@ -69,15 +69,20 @@ def ref_signed_permutations(I):
         yield perm, -1 if inv % 2 else +1
 
 
-def ref_trace_per_volume(A, sample, region, rho):
+def ref_region(sample):
+    # harness._region: every site on a full torus, else the core window
+    return "all" if all(b == PERIODIC for b in sample.lattice.boundary) else "core"
+
+
+def ref_trace_per_volume(A, sample, region):
     diag = np.diag(A)
     if region == "all":
         return complex(diag.sum() / sample.lattice.num_sites)
-    keep = core_mask(sample, rho)
+    keep = core_mask(sample)
     return complex(diag[keep].sum() / (int(keep.sum()) // sample.lattice.fiber))
 
 
-def ref_chern_even(P, sample, I, region, rho):
+def ref_chern_even(P, sample, I, region):
     # invariants._chern_even: np.diag of the full products
     half = len(I) // 2
     coeff = (2j * np.pi) ** half / math.factorial(half)
@@ -87,17 +92,17 @@ def ref_chern_even(P, sample, I, region, rho):
         M = P.copy()
         for i in perm:
             M = M @ dP[i]
-        total += sgn * ref_trace_per_volume(M, sample, region, rho)
+        total += sgn * ref_trace_per_volume(M, sample, region)
     return coeff * total
 
 
-def ref_chern_unitary(mat, I, sample, per_site, region, rho):
+def ref_chern_unitary(mat, I, sample, per_site, region):
     # invariants.chern_unitary: eye @ products and np.diag(M)[keep]
     lat = sample.lattice
     inv = np.linalg.inv(mat)
     dU = {i: inv @ (1j * displacement_matrix(sample, i - 1, per_site) * mat) for i in I}
     if region == "core":
-        keep = core_mask(sample, rho, per_site=per_site)
+        keep = core_mask(sample, per_site=per_site)
         norm = keep.sum() / (mat.shape[0] / lat.num_sites)
     else:
         keep = np.ones(mat.shape[0], dtype=bool)
@@ -111,12 +116,13 @@ def ref_chern_unitary(mat, I, sample, per_site, region, rho):
     return _odd_coeff(len(I)) * total
 
 
-def ref_pair_index(P, dirac, power, rho):
+def ref_pair_index(P, power):
     # invariants.pair_index: np.linalg.matrix_power
+    dirac = dirac_phase(P.sample)
     g = dirac.G
     D = (g[:, None] * P.projector) * g.conj()[None, :] - P.projector
     M = np.linalg.matrix_power(D, power)
-    keep = core_mask(P.sample, rho, center=dirac.origin)
+    keep = core_mask(P.sample, center=dirac.origin)
     return np.diag(M)[keep].sum()
 
 
@@ -231,31 +237,28 @@ def gapped_projection(lat, rng):
 
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
-RHOS = st.sampled_from((0.4, 0.5, 0.8, 1.0))
 
 
 # --- cocycles ----------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
-@given(lattices(dims=(2, 3)), SEEDS, st.sampled_from(("all", "core")), RHOS, st.data())
-def test_chern_projection_matches_reference(lat, seed, region, rho, data):
+@given(lattices(dims=(2, 3)), SEEDS, st.data())
+def test_chern_projection_matches_reference(lat, seed, data):
     P = gapped_projection(lat, np.random.default_rng(seed))
     pairs = [(1, 2)] if lat.dimension == 2 else [(1, 2), (1, 3), (2, 3)]
     I = data.draw(st.sampled_from(pairs))
-    if region == "core" and not core_mask(P.sample, rho).any():
-        with pytest.raises(ParamOutOfRangeError):
-            chern_projection(P, I, region=region, rho=rho)
-        return
-    got = chern_projection(P, I, region=region, rho=rho).raw
-    assert abs(got - ref_chern_even(P.projector, P.sample, I, region, rho)) < TOL
+    region = ref_region(P.sample)
+    assert core_mask(P.sample).any()
+    got = chern_projection(P, I).raw
+    assert abs(got - ref_chern_even(P.projector, P.sample, I, region)) < TOL
     # |I| = 0 is the windowed state density
-    got = chern_projection(P, (), region=region, rho=rho).raw
-    assert abs(got - ref_trace_per_volume(P.projector, P.sample, region, rho)) < TOL
+    got = chern_projection(P, ()).raw
+    assert abs(got - ref_trace_per_volume(P.projector, P.sample, region)) < TOL
 
 
 @settings(max_examples=40, deadline=None)
-@given(lattices(), SEEDS, st.sampled_from(("all", "core")), RHOS, st.data())
-def test_chern_unitary_matches_reference(lat, seed, region, rho, data):
+@given(lattices(), SEEDS, st.data())
+def test_chern_unitary_matches_reference(lat, seed, data):
     rng = np.random.default_rng(seed)
     # full fiber (fiber=None) or a reduced space of fewer orbitals per site
     reduced = data.draw(st.one_of(st.none(), st.integers(1, lat.fiber)))
@@ -267,31 +270,27 @@ def test_chern_unitary_matches_reference(lat, seed, region, rho, data):
     I = data.draw(st.sampled_from(sets))
     U = FermiUnitary(matrix=mat, sample=sample, fiber=per_site,
                      min_singular=np.linalg.svd(mat, compute_uv=False).min())
-    if region == "core" and not core_mask(sample, rho).any():
-        with pytest.raises(ParamOutOfRangeError):
-            chern_unitary(U, I, region=region, rho=rho)
-        return
-    got = chern_unitary(U, I, region=region, rho=rho).raw
-    assert abs(got - ref_chern_unitary(mat, I, sample, per_site, region, rho)) < TOL
+    assert core_mask(sample, per_site=per_site).any()
+    got = chern_unitary(U, I).raw
+    assert abs(got - ref_chern_unitary(mat, I, sample, per_site, ref_region(sample))) < TOL
 
 
 # --- index pairings ----------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
 @given(SEEDS, st.integers(6, 9), st.sampled_from((-1.0, 1.0, 3.0)), st.floats(0.0, 1.5),
-       st.sampled_from((3, 5)), RHOS)
-def test_pair_index_matches_reference(seed, size, mass, strength, power, rho):
+       st.sampled_from((3, 5)))
+def test_pair_index_matches_reference(seed, size, mass, strength, power):
     model = make_named_model("qwz", sizes=size, mass=mass, boundary=(OPEN, OPEN),
                              disorder=DisorderSpec(strength=strength, seed=seed))
     sample = build_hamiltonian(model)
     P = fermi_projection(diagonalize(sample), 0.0)
-    dirac = dirac_phase(sample)
-    want = ref_pair_index(P, dirac, power, rho)
+    want = ref_pair_index(P, power)
     if abs(want.real - round(want.real)) > 0.1:
         with pytest.raises(NotConvergedError):
-            pair_index(P, dirac, power, rho)
+            pair_index(P, power)
         return
-    assert abs(pair_index(P, dirac, power, rho).raw - want) < TOL
+    assert abs(pair_index(P, power).raw - want) < TOL
 
 
 @settings(max_examples=15, deadline=None)
@@ -408,8 +407,8 @@ def occupied_spectra(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(occupied_spectra(), SEEDS, st.sampled_from(("all", "core")), st.data())
-def test_occupied_projection_matches_full(case, seed, region, data):
+@given(occupied_spectra(), SEEDS, st.data())
+def test_occupied_projection_matches_full(case, seed, data):
     lat, levels, mu = case
     rng = np.random.default_rng(seed)
     sample = random_sample(lat, rng, rng.permutation(levels))
@@ -417,9 +416,7 @@ def test_occupied_projection_matches_full(case, seed, region, data):
     assert_same_projection(got, want)
     pairs = [(1, 2)] if lat.dimension == 2 else [(1, 2), (1, 3), (2, 3)]
     I = data.draw(st.sampled_from(pairs))
-    if region == "all" or core_mask(sample, 0.5).any():
-        assert abs(chern_projection(got, I, region=region).raw
-                   - chern_projection(want, I, region=region).raw) < TOL
+    assert abs(chern_projection(got, I).raw - chern_projection(want, I).raw) < TOL
     # a mu_states request: the lowest k levels and the one at index k
     k = data.draw(st.integers(1, lat.hilbert_dim - 1))
     w = np.sort(levels)
@@ -445,16 +442,14 @@ def test_occupied_pair_index_and_core_chern(seed, size, mass, strength):
         return
     got = occupied_projection(sample, 0.0)
     assert_same_projection(got, want)
-    assert abs(chern_projection(got, (1, 2), region="core").raw
-               - chern_projection(want, (1, 2), region="core").raw) < TOL
-    dirac = dirac_phase(sample)
+    assert abs(chern_projection(got, (1, 2)).raw - chern_projection(want, (1, 2)).raw) < TOL
     try:
-        ref = pair_index(want, dirac).raw
+        ref = pair_index(want).raw
     except NotConvergedError:
         with pytest.raises(NotConvergedError):
-            pair_index(got, dirac)
+            pair_index(got)
         return
-    assert abs(pair_index(got, dirac).raw - ref) < TOL
+    assert abs(pair_index(got).raw - ref) < TOL
 
 
 @settings(max_examples=25, deadline=None)
@@ -465,7 +460,7 @@ def test_occupied_fermi_unitary_winding(seed, size, m, strength):
     sample = build_hamiltonian(model, seed)
     got, want = occupied_projection(sample, 0.0), full_projection(sample, 0.0)
     assert_same_projection(got, want)
-    U, V = fermi_unitary(got, model.symmetry), fermi_unitary(want, model.symmetry)
+    U, V = fermi_unitary(got), fermi_unitary(want)
     assert abs(U.min_singular - V.min_singular) < TOL
     assert abs(chern_unitary(U, (1,)).raw - chern_unitary(V, (1,)).raw) < TOL
 
@@ -481,8 +476,8 @@ def test_occupied_z2_parity_and_spin_chern(size, mass, strength, seed):
     got, want = occupied_projection(sample, 0.0), full_projection(sample, 0.0)
     assert_same_projection(got, want)
     dp = dirac_phase(sample)
-    res_got = z2_kernel_parity(trs_fredholm(got, dp), open_model.symmetry, sample, dp.origin)
-    res_want = z2_kernel_parity(trs_fredholm(want, dp), open_model.symmetry, sample, dp.origin)
+    res_got = z2_kernel_parity(trs_fredholm(got))
+    res_want = z2_kernel_parity(trs_fredholm(want))
     assert res_got.value == res_want.value
     assert res_got.extra["total_small"] == res_want.extra["total_small"]
     # the margin is a ratio of singular values of T = P G P + (1 - P), each of

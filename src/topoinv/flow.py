@@ -10,10 +10,9 @@ is reported alongside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     BadDimensionError,
@@ -39,16 +38,23 @@ from .models import (
     apply_fiber,
     build_hamiltonian,
     insert_flux,
+    string_block,
     symmetry_deviation,
 )
 from .spectral import EigenData, detect_gap, diagonalize, occupied_projection
 
 _CAYLEY = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0)
+_COUNT_TOL = 1e-10  # level_count: relative distance to a pole or a singular S left undecided
 
 
 @dataclass
 class FluxPath:
-    """Samples along one flux insertion; the base sample's full decomposition is kept."""
+    """Samples along one flux insertion; the base sample's full decomposition is kept.
+
+    H(t) differs from the base only on the rows of the string bonds
+    (`models.string_block`), so the base decomposition and that small block
+    bound each step and count the levels of any H(t) in an interval.
+    """
 
     base: HamiltonianSample
     plaquette: tuple[int, ...]
@@ -67,6 +73,41 @@ class FluxPath:
     def base_eigen(self) -> EigenData:
         """Full decomposition of the base sample, which is the sample at t = 0."""
         return diagonalize(self.base)
+
+    def step_norm(self, t0: float, t1: float) -> float:
+        """||H(t1) - H(t0)||_2, exact from the string block: by Weyl no level
+        moves farther than this between t0 and t1."""
+        (_, b0), (_, b1) = (string_block(self.base, t, self.plaquette) for t in (t0, t1))
+        return float(np.abs(np.linalg.eigvalsh(b1 - b0)).max(initial=0.0))
+
+    def level_count(self, t: float, lo: float, hi: float) -> int | None:
+        """Number of levels of H(t) in (lo, hi), from the base decomposition
+        (lam, V) without a solve of H(t); None when rounding could change it.
+
+        With the string-row change H(t) - H(0) = Q Theta Q* on the rows R
+        (nonzero Theta only) and W = Q* V[R], Haynsworth's inertia additivity
+        counts #{E(t) < E} = #{lam < E} + pos(S) - pos(Theta^-1) with
+        S = Theta^-1 + W diag(1 / (lam - E)) W*.  The count is undecided when
+        E lies within rounding of a pole lam, or S of a singular matrix.
+        """
+        rows, block = string_block(self.base, t, self.plaquette)
+        theta, Q = np.linalg.eigh(block - self.base.matrix[np.ix_(rows, rows)])
+        lam, V = self.base_eigen.eigenvalues, self.base_eigen.eigenvectors
+        scale = max(1.0, np.abs(lam).max(initial=0.0))
+        keep = np.abs(theta) > len(theta) * np.finfo(float).eps * scale  # rounding of the block
+        theta, W = theta[keep], Q[:, keep].conj().T @ V[rows]
+        below = []
+        for E in (lo, hi):
+            gap = lam - E
+            if np.abs(gap).min(initial=np.inf) <= _COUNT_TOL * scale:
+                return None
+            S = np.diag(1.0 / theta) + (W / gap) @ W.conj().T
+            s = np.linalg.eigvalsh(S)
+            size = np.abs(1.0 / theta).max(initial=0.0) + (np.abs(W) ** 2 / np.abs(gap)).sum()
+            if np.abs(s).min(initial=np.inf) <= _COUNT_TOL * size:
+                return None
+            below.append(int((lam < E).sum() + (s > 0).sum() - (theta > 0).sum()))
+        return below[1] - below[0]
 
 
 def _companion_half_width(path: FluxPath, mu: float) -> float:
@@ -87,7 +128,7 @@ class SpectralFlowResult:
     """Signed defect-localized crossing count, with raw count and diagnostics.
 
     `branches` holds, at every flux value the tracking accepted (refined
-    points included), the in-window eigenvalues and their branch ids; each
+    points included), the in-band eigenvalues and their branch ids; each
     crossing names the branch that made it.
     """
 
@@ -98,7 +139,7 @@ class SpectralFlowResult:
     branches: tuple[tuple[float, np.ndarray, np.ndarray], ...]
 
 
-_OVERLAP_FLOOR = 0.7  # smallest matched overlap |<v0, v1>|^2 a step accepts
+_OVERLAP_FLOOR = 0.7  # smallest overlap |<v0, v1>|^2 of a matched pair
 _MAX_REFINE = 6  # bisection rounds of one step: steps no shorter than 2^-6
 _WEIGHT_FLOOR = 0.5  # plaquette weight above which a crossing counts toward the net flow
 _KRAMERS_OVERLAP = 1e-6  # largest |<v, S conj(v)>| of a Kramers-degenerate level
@@ -111,39 +152,56 @@ _MAJORANA_SCALE_CAP = 5e-2  # majorana_zero_mode_parity: cluster ceiling in ener
 def spectral_flow(path: FluxPath, mu: float) -> SpectralFlowResult:
     """Net number of tracked eigenvalue branches moving through mu.
 
-    Branches inside the bulk gap window around mu are matched between
-    consecutive flux values by maximal eigenvector overlap (bijective
-    assignment); intervals whose best overlaps fall below the floor are
-    bisected, up to the refinement limit, after which a degenerate sample
-    point is skipped.  A branch keeps its id across each accepted step, and a
-    level the assignment leaves unmatched starts a fresh one.  A crossing
-    counts toward the net flow when its branch localizes at the flux
-    plaquette; the unfiltered count is reported too.  The window is the gap
-    of the periodic companion of the base model, since the open base sample
-    carries edge spectrum inside the gap.  Each sample but the base is solved
-    only on that window; t = 0 reads the base's full decomposition.
+    Only levels that can cross mu are tracked.  By Weyl no level moves
+    farther than the step norm d = ||H(t1) - H(t0)||_2 within a step, so a
+    crossing starts and ends within d of mu.  The flow solves each flux value
+    on the band |E - mu| < b, b the smaller of twice the largest step norm
+    of the grid and the half-width of the gap of the base model's periodic
+    companion (the open base sample carries edge spectrum inside that gap).
+    t = 0 reads the base's full decomposition; every other flux value is
+    solved with the band's level count certified by `FluxPath.level_count`,
+    which lets `diagonalize` take its sparse shift-invert route.
+
+    Levels at consecutive flux values are matched when their eigenvector
+    overlap is at least the floor; as the floor exceeds 1/2, such a pair is
+    the unique best of its row and column.  A step is accepted when every
+    level within d of mu, at either end, is matched; else it is bisected, up
+    to the refinement limit, after which a degenerate sample point is
+    skipped.  A branch keeps its id across each accepted step, and a level
+    left unmatched starts a fresh one.  A crossing counts toward the net flow
+    when its branch localizes at the flux plaquette; the unfiltered count is
+    reported too.  `min_overlap` is the worst matched overlap of a level
+    within d of mu over the accepted steps.
     """
-    width = _companion_half_width(path, mu)
-    energies = (mu - width, mu + width)
-    window = path.base.lattice.window(np.add(path.plaquette, 0.5), _DEFECT_RADIUS_FRAC)
     ts = list(path.ts)
+    step_norm = cache(path.step_norm)
+    width = min([_companion_half_width(path, mu)]
+                + [2.0 * step_norm(t0, t1) for t0, t1 in zip(ts, ts[1:])])
+    band = (mu - width, mu + width)
+    window = path.base.lattice.window(np.add(path.plaquette, 0.5), _DEFECT_RADIUS_FRAC)
     dt_floor = 2.0 ** (-_MAX_REFINE)
 
     solved = {}
 
     def levels(t):
-        """In-window eigenvalues and eigenvectors at t; each t is solved once."""
+        """In-band eigenvalues and eigenvectors at t; each t is solved once."""
         if t not in solved:
-            eig = path.base_eigen if t == 0.0 else diagonalize(path.sample_at(t), window=energies)
+            eig = path.base_eigen if t == 0.0 else diagonalize(
+                path.sample_at(t), window=band, count=path.level_count(t, *band))
             inside = np.abs(eig.eigenvalues - mu) < width
             solved[t] = eig.eigenvalues[inside], eig.eigenvectors[:, inside]
         return solved[t]
 
     def matched(t0, t1):
-        """Overlap assignment of the levels at t0 to those at t1, and its worst overlap."""
-        O = np.abs(levels(t0)[1].conj().T @ levels(t1)[1]) ** 2
-        rows, cols = linear_sum_assignment(-O)
-        return rows, cols, float(O[rows, cols].min(initial=1.0))
+        """Pairs of levels at t0 and t1 with overlap at or above the floor, and
+        the worst best overlap of a level within the step norm of mu."""
+        (E0, V0), (E1, V1) = levels(t0), levels(t1)
+        O = np.abs(V0.conj().T @ V1) ** 2
+        rows, cols = np.nonzero(O >= _OVERLAP_FLOOR)
+        reach = step_norm(t0, t1)
+        worst = min(O[np.abs(E0 - mu) < reach].max(axis=1, initial=0.0).min(initial=1.0),
+                    O[:, np.abs(E1 - mu) < reach].max(axis=0, initial=0.0).min(initial=1.0))
+        return rows, cols, float(worst)
 
     energies0 = levels(ts[0])[0]
     ids = np.arange(len(energies0))

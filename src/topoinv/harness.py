@@ -194,6 +194,8 @@ def _task_bbc(model, params, seed):
 
 
 def _task_boundary_current(model, params, seed):
+    if model.lattice.dimension == 1:
+        raise BadDimensionError("the edge current needs d >= 2: a d = 1 edge is a point")
     half = _half_space(model, params, seed)
     f = SwitchFunction("exp", half.bulk_gap)
     value = bd.boundary_current(half, f)

@@ -478,6 +478,63 @@ def dual_translations(lattice: LatticeSpec, B: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _string_bonds(sample: HamiltonianSample, plaquette: Sequence[int], check_center: bool):
+    """(source sites, target sites, string angle) of each hopping's bonds crossing the string.
+
+    The bond (target, source) block takes the phase exp(i t angle) at flux t;
+    the angle broadcasts over (bond, target orbital, source orbital).  Validates
+    the plaquette as `insert_flux` documents; with `check_center`, a bond
+    through the plaquette center is refused too.
+    """
+    lat, model = sample.lattice, sample.model
+    strip = lat.dimension == 1 and lat.fiber == 2
+    if lat.dimension != 2 and not strip:
+        raise BadDimensionError("flux insertion is defined for d = 2 or the d = 1 two-leg strip")
+    if lat.dimension == 2 and lat.boundary[1] != OPEN:
+        raise BadDimensionError("flux insertion needs an open second axis for the string to leave")
+    if strip and model.max_hop_range > 1:
+        raise BadDimensionError("two-leg flux insertion supports nearest-neighbor hopping only")
+    last = tuple(n - 1 if flag == PERIODIC else n - 2
+                 for n, flag in zip(lat.linear_sizes, lat.boundary))
+    if len(plaquette) != lat.dimension or not all(0 <= p <= m for p, m in zip(plaquette, last)):
+        raise ParamOutOfRangeError(f"plaquette {tuple(plaquette)} is not a cell of the sample: "
+                                   f"axis k takes 0..m_k with m = {last}")
+    if lat.boundary[0] == PERIODIC and lat.linear_sizes[0] <= 2 * model.max_hop_range:
+        raise ParamOutOfRangeError("flux insertion on a periodic axis 0 needs N_0 > 2 * hop range")
+    coords = lat.site_coords()
+    px, py = (plaquette[0] + 0.4, 0.5) if strip else (plaquette[0] + 0.5, plaquette[1] + 0.5)
+    out = []
+    for a, _ in model.positive_hoppings():
+        if a[0] == 0:
+            continue  # parallel to the string
+        src, tgt, _ = _bonds(lat, model.field.B, a)
+        # where the segment meets the string line or its next image: a crossing below 1
+        s = (px - coords[src, 0]) % lat.linear_sizes[0] / a[0]
+        crossing = s < 1.0
+        if strip:  # x = p + 0.4 keeps the crossings off the midline; (bond, target, source leg)
+            legs = np.arange(2.0)
+            above = legs + s[crossing, None, None] * (legs[:, None] - legs) > py
+            angle = np.pi * np.where(above, 1.0, -1.0)
+        else:
+            y_cross = coords[src, 1] + s * a[1]
+            if check_center and np.any(crossing & (np.abs(y_cross - py) < 1e-9)):
+                raise BadDimensionError(
+                    "a bond passes through the flux plaquette center; shift the plaquette")
+            crossing &= y_cross > py
+            angle = np.full((1, 1, 1), 2 * np.pi)
+        out.append((src[crossing], tgt[crossing], angle))
+    return out
+
+
+def _rephase(blocks: np.ndarray, bonds, t: float) -> None:
+    """Multiply each string bond's (target, source) block of the (N, L, N, L) view
+    `blocks` by exp(i t angle), and its (source, target) block by the conjugate."""
+    for src, tgt, angle in bonds:
+        phase = np.exp(1j * t * angle)
+        blocks[tgt, :, src, :] *= phase
+        blocks[src, :, tgt, :] *= phase.conj().swapaxes(1, 2)
+
+
 def insert_flux(sample: HamiltonianSample, t: float, plaquette: Sequence[int]) -> HamiltonianSample:
     """Thread flux 2*pi*t through one lattice cell.
 
@@ -495,48 +552,31 @@ def insert_flux(sample: HamiltonianSample, t: float, plaquette: Sequence[int]) -
     a periodic axis 0), and a periodic axis 0 exceeds twice the hop range so
     that no two bonds share a block; else ParamOutOfRangeError.
     """
-    lat, model = sample.lattice, sample.model
-    strip = lat.dimension == 1 and lat.fiber == 2
-    if lat.dimension != 2 and not strip:
-        raise BadDimensionError("flux insertion is defined for d = 2 or the d = 1 two-leg strip")
-    if lat.dimension == 2 and lat.boundary[1] != OPEN:
-        raise BadDimensionError("flux insertion needs an open second axis for the string to leave")
-    if strip and model.max_hop_range > 1:
-        raise BadDimensionError("two-leg flux insertion supports nearest-neighbor hopping only")
-    last = tuple(n - 1 if flag == PERIODIC else n - 2
-                 for n, flag in zip(lat.linear_sizes, lat.boundary))
-    if len(plaquette) != lat.dimension or not all(0 <= p <= m for p, m in zip(plaquette, last)):
-        raise ParamOutOfRangeError(f"plaquette {tuple(plaquette)} is not a cell of the sample: "
-                                   f"axis k takes 0..m_k with m = {last}")
-    if lat.boundary[0] == PERIODIC and lat.linear_sizes[0] <= 2 * model.max_hop_range:
-        raise ParamOutOfRangeError("flux insertion on a periodic axis 0 needs N_0 > 2 * hop range")
+    bonds = _string_bonds(sample, plaquette, check_center=t != 0.0)
     H = sample.matrix.copy()
     if t != 0.0:
-        coords = lat.site_coords()
-        px, py = (plaquette[0] + 0.4, 0.5) if strip else (plaquette[0] + 0.5, plaquette[1] + 0.5)
-        blocks = H.reshape(lat.num_sites, lat.fiber, lat.num_sites, lat.fiber)
-        for a, _ in model.positive_hoppings():
-            if a[0] == 0:
-                continue  # parallel to the string
-            src, tgt, _ = _bonds(lat, model.field.B, a)
-            # where the segment meets the string line or its next image: a crossing below 1
-            s = (px - coords[src, 0]) % lat.linear_sizes[0] / a[0]
-            crossing = s < 1.0
-            if strip:  # x = p + 0.4 keeps the crossings off the midline; (bond, target, source leg)
-                legs = np.arange(2.0)
-                above = legs + s[crossing, None, None] * (legs[:, None] - legs) > py
-                phase = np.exp(1j * np.pi * t * np.where(above, 1.0, -1.0))
-            else:
-                y_cross = coords[src, 1] + s * a[1]
-                if np.any(crossing & (np.abs(y_cross - py) < 1e-9)):
-                    raise BadDimensionError(
-                        "a bond passes through the flux plaquette center; shift the plaquette")
-                crossing &= y_cross > py
-                phase = np.full((1, 1, 1), np.exp(2j * np.pi * t))
-            src, tgt = src[crossing], tgt[crossing]
-            blocks[tgt, :, src, :] *= phase
-            blocks[src, :, tgt, :] *= phase.conj().swapaxes(1, 2)
-    return HamiltonianSample(matrix=H, model=model, realization_seed=sample.realization_seed)
+        lat = sample.lattice
+        _rephase(H.reshape(lat.num_sites, lat.fiber, lat.num_sites, lat.fiber), bonds, t)
+    return HamiltonianSample(matrix=H, model=sample.model, realization_seed=sample.realization_seed)
+
+
+def string_block(sample: HamiltonianSample, t: float,
+                 plaquette: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, block): the rows of the bonds `insert_flux` rephases, ascending,
+    and the flux-t sample's matrix on them, equal to
+    `insert_flux(sample, t, plaquette).matrix[np.ix_(rows, rows)]`.
+
+    Only this block differs between flux values, so it bounds the step
+    ||H(t1) - H(t0)||_2 exactly at the cost of a small solve.
+    """
+    bonds = _string_bonds(sample, plaquette, check_center=t != 0.0)
+    L = sample.lattice.fiber
+    sites = np.unique(np.concatenate([np.zeros(0, int)] + [np.r_[s, g] for s, g, _ in bonds]))
+    rows = (sites[:, None] * L + np.arange(L)).ravel()
+    block = sample.matrix[np.ix_(rows, rows)]
+    local = [(np.searchsorted(sites, s), np.searchsorted(sites, g), angle) for s, g, angle in bonds]
+    _rephase(block.reshape(len(sites), L, len(sites), L), local, t)
+    return rows, block
 
 
 # ---------------------------------------------------------------------------

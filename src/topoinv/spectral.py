@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg, special
+from scipy import linalg, sparse, special
 from scipy.linalg import lapack
+from scipy.sparse.linalg import eigsh
 
 from .errors import ConvergenceFailureError, GapMismatchError, NoGapError
 from .models import HamiltonianSample
@@ -20,6 +21,7 @@ from .models import HamiltonianSample
 _MIN_GAP = 1e-8  # detect_gap: narrowest gap, and closest level to mu, it accepts
 _C_NORM_ORDER = 6  # SwitchFunction.c_norm: highest derivative order in the norm
 _ORTHO_TOL = 1e-10  # largest max|V^H V - I| accepted from a partial solve
+_RESIDUAL_TOL = 1e-10  # largest ||Hv - Ev|| / max(1, max|H|) accepted from a shift-invert solve
 _TIE_TOL = 1e-10  # relative spacing below which two levels count as one degenerate level
 
 
@@ -116,9 +118,37 @@ def _partial_eigh(H: np.ndarray, window: tuple[float, float] | None, mu: float |
     return w[keep], v[:, keep].copy(), cut
 
 
+def _shift_invert(H: np.ndarray, window: tuple[float, float],
+                  count: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The `count` eigenpairs nearest the window's midpoint by sparse shift-invert
+    (ARPACK on a sparse LU of H - sigma), or None unless exactly `count` come
+    back, all in lo < E <= hi, with residual and orthogonality within tolerance.
+
+    The start vector is fixed, so equal matrices give equal bytes; without
+    one ARPACK's start depends on the calls made before it.
+    """
+    lo, hi = window
+    if count == 0:
+        return np.zeros(0), np.zeros((len(H), 0), dtype=complex)
+    A = sparse.csr_array(H)
+    v0 = np.random.default_rng(0).standard_normal(len(H))
+    try:
+        w, v = eigsh(A, k=count, sigma=0.5 * (lo + hi), v0=v0)
+    except (RuntimeError, ValueError):  # ARPACK failures, a singular shift, k too large
+        return None
+    order = np.argsort(w)
+    w, v = w[order], v[:, order]
+    residual = np.linalg.norm(A @ v - v * w, axis=0).max()
+    if (len(w) == count and np.all((w > lo) & (w <= hi))
+            and residual <= _RESIDUAL_TOL * max(1.0, np.abs(A.data).max(initial=0.0))
+            and orthogonality_residual(v) <= _ORTHO_TOL):
+        return w, v
+    return None
+
+
 def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = None,
                 vectors: bool = True, *, mu: float | None = None,
-                states: int | None = None) -> EigenData:
+                states: int | None = None, count: int | None = None) -> EigenData:
     """The one entry point for eigensolves of sample matrices; checks Hermiticity.
 
     The default is the full decomposition (LAPACK evd).  `window=(lo, hi)`
@@ -128,11 +158,16 @@ def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = 
     `states=k` the lowest k levels and the level at index k.  Either gives a
     window (-inf, hi] that certifies the gap at the Fermi level by itself,
     with hi = +inf when nothing lies above: all a Fermi projection needs.
-    Every partial solve takes the one route of `_partial_eigh`.
+    Every partial solve takes the one route of `_partial_eigh`, but one: a
+    window with `count=k`, a certified number of levels inside it, is first
+    solved for k eigenpairs by sparse shift-invert (`_shift_invert`); a
+    solve that fails its checks falls back to `_partial_eigh` on the window.
     """
     partial = (window is not None) + (mu is not None) + (states is not None)
     if partial > 1:
         raise ValueError("give at most one of window, mu and states")
+    if count is not None and window is None:
+        raise ValueError("count certifies the levels of a window; give the window")
     if partial and not vectors:
         raise ValueError("a partial solve returns eigenvectors")
     H = sample.matrix
@@ -144,7 +179,10 @@ def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = 
     try:
         if not vectors:
             return EigenData(eigenvalues=np.linalg.eigvalsh(H), eigenvectors=None, sample=sample)
-        if partial:
+        solved = _shift_invert(H, window, count) if count is not None else None
+        if solved is not None:
+            w, v = solved
+        elif partial:
             w, v, window = _partial_eigh(H, window, mu, states)
         else:
             w, v = np.linalg.eigh(H)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from topoinv import (
     DisorderSpec,
@@ -21,6 +23,7 @@ from topoinv import (
     majorana_zero_mode_parity,
     make_named_model,
     pair_index,
+    spectral,
     spectral_flow,
     z2_spectral_flow,
 )
@@ -28,7 +31,7 @@ from topoinv.errors import KernelAtEndpointError, SymmetryBrokenAtHalfFluxError
 from topoinv.flow import _companion_half_width, flow_trace, majorana_form
 from topoinv.harness import load_config
 from topoinv.invariants import _pfaffian_sign_logabs
-from topoinv.models import OPEN, SIGMA_1
+from topoinv.models import OPEN, SIGMA_1, string_block
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,7 +89,7 @@ def test_endpoint_gauge_equivalence():
 
 
 def test_flow_trace_rows():
-    sample, path = qwz_flux_path()
+    sample, path = qwz_flux_path(n=12)
     rows = flow_trace(spectral_flow(path, 0.0))
     assert len(rows) > 0
     branches = {b for _, _, b in rows}
@@ -95,35 +98,67 @@ def test_flow_trace_rows():
     assert ts[0] == 0.0 and ts[-1] == 1.0
 
 
-def test_windowed_flow_matches_full_decompositions(monkeypatch):
-    sample, windowed = qwz_flux_path(lam=0.3, seed=2, n=12)
+def _fully_solved_flow(monkeypatch, path):
+    """spectral_flow with every flux value solved in full, the band cut from that."""
     inner = flow.diagonalize
-    solves = []
+    with monkeypatch.context() as m:
+        m.setattr(flow, "diagonalize",
+                  lambda s, window=None, vectors=True, **kwargs: inner(s, None, vectors))
+        return spectral_flow(FluxPath(base=path.base, plaquette=path.plaquette, ts=path.ts), 0.0)
 
-    def spy(s, window=None, vectors=True, **kwargs):
-        solves.append((s, window, vectors))
-        return inner(s, window, vectors, **kwargs)
 
-    monkeypatch.setattr(flow, "diagonalize", spy)
-    a = spectral_flow(windowed, 0.0)
-    width = _companion_half_width(windowed, 0.0)
-    sampled = [(s, window) for s, window, vectors in solves if vectors and s is not sample]
-    # each flux value but t = 0 was solved (a skipped one too), and only on the window
-    assert len(sampled) >= len(a.branches) - 1
-    assert all(window == (-width, width) for _, window in sampled)
-
-    # the same flow with every flux value solved in full
-    monkeypatch.setattr(flow, "diagonalize",
-                        lambda s, window=None, vectors=True, **kwargs: inner(s, None, vectors))
-    b = spectral_flow(FluxPath(base=sample, plaquette=windowed.plaquette), 0.0)
+def _assert_same_flow(a, b):
     assert (a.net, a.raw_net) == (b.net, b.raw_net)
     assert abs(a.min_overlap - b.min_overlap) < 1e-12
-    assert [(c["t"], c["direction"]) for c in a.crossings] == \
-        [(c["t"], c["direction"]) for c in b.crossings]
+    assert [(c["t"], c["direction"], c["branch"]) for c in a.crossings] == \
+        [(c["t"], c["direction"], c["branch"]) for c in b.crossings]
     assert all(abs(c["weight"] - d["weight"]) < 1e-12 for c, d in zip(a.crossings, b.crossings))
     rows_a, rows_b = flow_trace(a), flow_trace(b)
     assert [(t, k) for t, _, k in rows_a] == [(t, k) for t, _, k in rows_b]
     assert max(abs(ea - eb) for (_, ea, _), (_, eb, _) in zip(rows_a, rows_b)) < 1e-12
+
+
+def test_windowed_flow_matches_full_decompositions(monkeypatch):
+    sample, banded = qwz_flux_path(lam=0.3, seed=2, n=12)
+    inner = flow.diagonalize
+    solves = []
+
+    def spy(s, window=None, vectors=True, **kwargs):
+        solves.append((s, window, vectors, kwargs))
+        return inner(s, window, vectors, **kwargs)
+
+    monkeypatch.setattr(flow, "diagonalize", spy)
+    a = spectral_flow(banded, 0.0)
+    # half-width: the companion gap's, or twice the largest step norm if smaller
+    width = min([_companion_half_width(banded, 0.0)]
+                + [2.0 * banded.step_norm(t0, t1) for t0, t1 in zip(banded.ts, banded.ts[1:])])
+    band = (-width, width)
+    sampled = [(s, window, kw["count"]) for s, window, vectors, kw in solves
+               if vectors and s is not sample]
+    # each flux value but t = 0 was solved (a skipped one too), only on the band,
+    # with the band's level count certified
+    assert len(sampled) >= len(a.branches) - 1
+    assert all(window == band for _, window, _ in sampled)
+    for s, _, count in sampled:
+        w = np.linalg.eigvalsh(s.matrix)
+        assert count == int(((w > band[0]) & (w < band[1])).sum())
+
+    _assert_same_flow(a, _fully_solved_flow(monkeypatch, banded))
+
+
+@pytest.mark.parametrize("name, kw, plaquette", [
+    ("qwz", dict(sizes=(12, 10), boundary=("periodic", "open"), mass=1.0), (11, 4)),
+    ("kitaev_chain", dict(sizes=16, boundary="open", mu=0.3), (8,))])
+def test_string_block_is_the_flux_sample_on_the_string_rows(name, kw, plaquette):
+    # the step norms and level counts read H(t) only there: it must be all that changes
+    model = make_named_model(name, disorder=DisorderSpec(strength=0.3, seed=5), **kw)
+    sample = build_hamiltonian(model, 3)
+    for t in (0.0, 0.3, 0.5, 1.0):
+        rows, block = string_block(sample, t, plaquette)
+        H = insert_flux(sample, t, plaquette).matrix
+        assert np.array_equal(block, H[np.ix_(rows, rows)])
+        rest = np.setdiff1d(np.arange(len(H)), rows)
+        assert np.array_equal(H[rest], sample.matrix[rest])
 
 
 def test_flux_path_keeps_only_the_base_decomposition():
@@ -145,25 +180,99 @@ def test_laughlin_pump_script(tmp_path):
     assert lines[0] == "t,eigenvalue,branch" and len(lines) > 21
 
 
-@pytest.mark.parametrize("seed", [2, 4])
-def test_flow_trace_is_the_counted_branches(seed):
-    """On a path that refines, the trace holds the branches the flow counted, at
-    every flux value it accepted; each crossing is one branch through mu."""
+def laughlin_path(seed):
+    """The flux path of `configs/qwz_laughlin.cfg` at one realization seed; None
+    stands for the clean open qwz 12 x 12 path."""
+    if seed is None:
+        return qwz_flux_path(n=12)[1]
     model = load_config(ROOT / "configs" / "qwz_laughlin.cfg").model().with_boundaries(OPEN)
     n = model.lattice.linear_sizes
-    path = FluxPath(base=build_hamiltonian(model, seed), plaquette=(n[0] // 2, n[1] // 2))
+    return FluxPath(base=build_hamiltonian(model, seed), plaquette=(n[0] // 2, n[1] // 2))
+
+
+@pytest.mark.parametrize("seed, refined, skipped", [
+    pytest.param(2, set(), set(), id="2"), pytest.param(4, set(), set(), id="4"),
+    pytest.param(None, {0.475, 0.4875}, {0.5}, id="clean12")])
+def test_flow_trace_is_the_counted_branches(monkeypatch, seed, refined, skipped):
+    """The band solves track what full solves track, and the trace holds the
+    branches the flow counted, at every flux value it accepted.  The clean
+    path refines toward t = 1/2, where two levels meet at mu, and skips that
+    point; each crossing is one branch through mu."""
+    path = laughlin_path(seed)
     res = spectral_flow(path, 0.0)
+    _assert_same_flow(res, _fully_solved_flow(monkeypatch, path))
     grid = [t for t, _, _ in res.branches]
     rows = flow_trace(res)
     assert sorted({t for t, _, _ in rows}) == grid
-    # one refined point between two of the 21 base points
-    assert set(path.ts) < set(grid) and len(grid) == len(path.ts) + 1
+    assert set(grid) - set(path.ts) == refined and set(path.ts) - set(grid) == skipped
     steps = {0.5 * (t0 + t1): (t0, t1) for t0, t1 in zip(grid, grid[1:])}
     assert res.crossings
     for c in res.crossings:
         t0, t1 = steps[c["t"]]
         (e0,), (e1,) = ([e for t, e, b in rows if t == tt and b == c["branch"]] for tt in (t0, t1))
         assert e0 * e1 < 0 and np.sign(e1 - e0) == c["direction"]
+
+
+@pytest.mark.parametrize("seed", [pytest.param(12, id="12"), pytest.param(14, id="14"),
+                                  pytest.param(15, id="15"), pytest.param(None, id="clean12")])
+def test_flow_equals_pair_index_where_the_window_edge_was_ambiguous(seed):
+    # a companion-gap window once paired a level leaving it with one entering
+    # it, two unrelated vectors far from mu, and raised BranchAmbiguityError
+    path = laughlin_path(seed)
+    res = spectral_flow(path, 0.0)
+    pi = pair_index(fermi_projection(path.base_eigen, 0.0))
+    assert res.net == pi.rounded == 1
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(lam=st.floats(0.0, 0.6), seed=st.integers(0, 99), px=st.integers(2, 6),
+       py=st.integers(2, 6), t=st.floats(0.01, 0.99), mu=st.floats(-0.4, 0.4),
+       half=st.floats(0.1, 1.0))
+def test_certified_count_and_band_solve_match_dense(lam, seed, px, py, t, mu, half):
+    model = make_named_model("qwz", sizes=10, boundary="open", mass=1.0,
+                             disorder=DisorderSpec(strength=lam, seed=5))
+    path = FluxPath(base=build_hamiltonian(model, seed), plaquette=(px, py))
+    band = (mu - half, mu + half)
+    sample = path.sample_at(t)
+    w = np.linalg.eigvalsh(sample.matrix)
+    count = path.level_count(t, *band)
+    edges = np.abs(np.subtract.outer(np.r_[w, path.base_eigen.eigenvalues], band)).min()
+    assert count == int(((w > band[0]) & (w < band[1])).sum()) or (count is None and edges < 1e-8)
+    eig = diagonalize(sample, window=band, count=count)
+    dense, _, _ = spectral._partial_eigh(sample.matrix, band, None, None)
+    assert len(eig.eigenvalues) == len(dense)
+    assert np.abs(eig.eigenvalues - dense).max(initial=0.0) < 1e-12
+
+
+def test_failed_shift_invert_takes_the_dense_route(monkeypatch):
+    path = laughlin_path(None)
+    sample, band = path.sample_at(0.3), (-0.6, 0.6)
+    count = path.level_count(0.3, *band)
+    dense, _, _ = spectral._partial_eigh(sample.matrix, band, None, None)
+    assert count == len(dense) > 0
+    inner_dense, inner_eigsh = spectral._partial_eigh, spectral.eigsh
+    routes = []
+
+    def counted(*args):
+        routes.append("dense")
+        return inner_dense(*args)
+
+    monkeypatch.setattr(spectral, "_partial_eigh", counted)
+    eig = diagonalize(sample, window=band, count=count)
+    assert routes == [] and np.abs(eig.eigenvalues - dense).max() < 1e-12
+
+    def raising(*args, **kwargs):
+        raise ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+
+    def one_short(*args, **kwargs):
+        w, v = inner_eigsh(*args, **kwargs)
+        return w[1:], v[:, 1:]
+
+    for eigsh, k in ((raising, count), (one_short, count), (inner_eigsh, count + 1)):
+        monkeypatch.setattr(spectral, "eigsh", eigsh)
+        routes.clear()
+        eig = diagonalize(sample, window=band, count=k)
+        assert routes == ["dense"] and np.array_equal(eig.eigenvalues, dense)
 
 
 # ---------------------------------------------------------------------------

@@ -272,9 +272,51 @@ base_seed = 0
     assert flow.read_text().startswith("t,eigenvalue,branch")
 
 
+LAUGHLIN_CFG = """
+[model]
+name = qwz
+mass = 1.0
+
+[lattice]
+sizes = 10 10
+
+[disorder]
+strength = 0.3
+seed = 23
+
+[task]
+name = laughlin
+mu = 0.0
+
+[ensemble]
+realizations = 2
+base_seed = 0
+"""
+
+
+def test_flow_csv_independent_of_workers_and_repeats(tmp_path):
+    # the shift-invert band solves start from a fixed vector, so neither the
+    # process nor the solves made before decide the bytes
+    outs = []
+    for run, workers in (("a", 1), ("b", 1), ("c", 2)):
+        cfg = config_of(LAUGHLIN_CFG, output__dir=str(tmp_path / run))
+        run_experiment(cfg, workers=workers)
+        outs.append([(tmp_path / run / f"flow_seed{seed}.csv").read_bytes() for seed in (0, 1)])
+    assert outs[0] == outs[1] == outs[2]
+
+
 def cli(*args):
     return subprocess.run([sys.executable, "-m", "topoinv.cli", *args],
                           capture_output=True, text=True)
+
+
+def test_import_leaves_out_scipy_optimize():
+    # scipy.optimize alone costs about a fifth of the import, paid by every run
+    proc = subprocess.run([sys.executable, "-c", "import sys, topoinv; "
+                           "print('scipy.optimize' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_models_list():
@@ -477,6 +519,19 @@ def test_cli_invalid_config_is_an_error(tmp_path, capsys, task, text, message):
     cfg.write_text(text)
     assert main([task, "--config", str(cfg), "--workers", "1"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("name, param", [("ssh", "m = 0.5"), ("kitaev_chain", "mu = 0.5")])
+def test_cli_boundary_current_refuses_d1(tmp_path, capsys, name, param):
+    """A chain has no edge for a current to run along: boundary-current ends in
+    an error line, as bbc does, not in a quantized-looking 0."""
+    from topoinv.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[model]\nname = {name}\n{param}\n[lattice]\nsizes = 8\n"
+                   "[task]\nname = boundary-current\n")
+    assert main(["boundary-current", "--config", str(cfg), "--workers", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: the edge current needs d >= 2")
 
 
 ZOO_SIZES = {1: "8", 2: "6 6", 3: "4 4 4"}

@@ -33,12 +33,13 @@ from .invariants import (
 from .models import (
     OPEN,
     PERIODIC,
+    FluxString,
     HamiltonianSample,
     ModelDefinition,
     apply_fiber,
     build_hamiltonian,
+    flux_string,
     insert_flux,
-    string_block,
     symmetry_deviation,
 )
 from .spectral import EigenData, detect_gap, diagonalize, occupied_projection
@@ -51,9 +52,10 @@ _COUNT_TOL = 1e-10  # level_count: relative distance to a pole or a singular S l
 class FluxPath:
     """Samples along one flux insertion; the base sample's full decomposition is kept.
 
-    H(t) differs from the base only on the rows of the string bonds
-    (`models.string_block`), so the base decomposition and that small block
-    bound each step and count the levels of any H(t) in an interval.
+    H(t) differs from the base only on the rows of the string bonds, so the
+    base decomposition and that small block bound each step and count the
+    levels of any H(t) in an interval.  The string (`models.FluxString`) does
+    not depend on t and is walked once per path.
     """
 
     base: HamiltonianSample
@@ -66,8 +68,12 @@ class FluxPath:
             raise ValueError("flux values must lie in [0, 1]")
         self.ts = ts
 
+    @cached_property
+    def string(self) -> FluxString:
+        return flux_string(self.base, self.plaquette)
+
     def sample_at(self, t: float) -> HamiltonianSample:
-        return insert_flux(self.base, t, self.plaquette)
+        return self.string.sample_at(t)
 
     @cached_property
     def base_eigen(self) -> EigenData:
@@ -77,8 +83,8 @@ class FluxPath:
     def step_norm(self, t0: float, t1: float) -> float:
         """||H(t1) - H(t0)||_2, exact from the string block: by Weyl no level
         moves farther than this between t0 and t1."""
-        (_, b0), (_, b1) = (string_block(self.base, t, self.plaquette) for t in (t0, t1))
-        return float(np.abs(np.linalg.eigvalsh(b1 - b0)).max(initial=0.0))
+        step = self.string.block_at(t1) - self.string.block_at(t0)
+        return float(np.abs(np.linalg.eigvalsh(step)).max(initial=0.0))
 
     def level_count(self, t: float, lo: float, hi: float) -> int | None:
         """Number of levels of H(t) in (lo, hi), from the base decomposition
@@ -90,12 +96,11 @@ class FluxPath:
         S = Theta^-1 + W diag(1 / (lam - E)) W*.  The count is undecided when
         E lies within rounding of a pole lam, or S of a singular matrix.
         """
-        rows, block = string_block(self.base, t, self.plaquette)
-        theta, Q = np.linalg.eigh(block - self.base.matrix[np.ix_(rows, rows)])
+        theta, Q = np.linalg.eigh(self.string.block_at(t) - self.string.block_at(0.0))
         lam, V = self.base_eigen.eigenvalues, self.base_eigen.eigenvectors
         scale = max(1.0, np.abs(lam).max(initial=0.0))
         keep = np.abs(theta) > len(theta) * np.finfo(float).eps * scale  # rounding of the block
-        theta, W = theta[keep], Q[:, keep].conj().T @ V[rows]
+        theta, W = theta[keep], Q[:, keep].conj().T @ V[self.string.rows]
         below = []
         for E in (lo, hi):
             gap = lam - E

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +49,9 @@ SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _HERMITICITY_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
+# largest |value| of a zoo parameter or disorder strength: the square of a matrix
+# entry, summed over any sample, stays finite in the eigensolvers
+_PARAM_LIMIT = 1e100
 
 
 @dataclass(frozen=True)
@@ -122,10 +126,11 @@ def apply_fiber(op: np.ndarray, M: np.ndarray, side: str = "left") -> np.ndarray
     compression): M then has N*q rows (left) or N*p columns (right).
     """
     p, q = op.shape
+    rows, cols = M.shape  # either may be 0: an empty occupied space
     if side == "left":
-        return (op @ M.reshape(-1, q, M.shape[1])).reshape(-1, M.shape[1])
+        return (op @ M.reshape(rows // q, q, cols)).reshape(rows // q * p, cols)
     if side == "right":
-        return (M.reshape(M.shape[0], -1, p) @ op).reshape(M.shape[0], -1)
+        return (M.reshape(rows, cols // p, p) @ op).reshape(rows, cols // p * q)
     raise ValueError("side must be 'left' or 'right'")
 
 
@@ -235,8 +240,8 @@ class DisorderSpec:
     def __post_init__(self):
         if self.family not in self._FAMILIES:
             raise ParamOutOfRangeError(f"unknown disorder family {self.family!r}")
-        if self.strength < 0:
-            raise ParamOutOfRangeError("disorder strength must be >= 0")
+        if not 0 <= self.strength <= _PARAM_LIMIT:
+            raise ParamOutOfRangeError(f"disorder strength must lie in [0, {_PARAM_LIMIT:.0e}]")
 
     def sample_site_matrices(self, num_sites: int, fiber: int, realization_seed: int,
                              symmetry: SymmetrySpec) -> np.ndarray:
@@ -478,13 +483,14 @@ def dual_translations(lattice: LatticeSpec, B: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _string_bonds(sample: HamiltonianSample, plaquette: Sequence[int], check_center: bool):
-    """(source sites, target sites, string angle) of each hopping's bonds crossing the string.
+def _string_bonds(sample: HamiltonianSample, plaquette: Sequence[int]):
+    """(bonds, centered): the (source sites, target sites, string angle) of each
+    hopping's bonds crossing the string, and whether one of them passes through
+    the plaquette center.
 
     The bond (target, source) block takes the phase exp(i t angle) at flux t;
     the angle broadcasts over (bond, target orbital, source orbital).  Validates
-    the plaquette as `insert_flux` documents; with `check_center`, a bond
-    through the plaquette center is refused too.
+    the plaquette as `insert_flux` documents.
     """
     lat, model = sample.lattice, sample.model
     strip = lat.dimension == 1 and lat.fiber == 2
@@ -504,6 +510,7 @@ def _string_bonds(sample: HamiltonianSample, plaquette: Sequence[int], check_cen
     coords = lat.site_coords()
     px, py = (plaquette[0] + 0.4, 0.5) if strip else (plaquette[0] + 0.5, plaquette[1] + 0.5)
     out = []
+    centered = False
     for a, _ in model.positive_hoppings():
         if a[0] == 0:
             continue  # parallel to the string
@@ -517,13 +524,11 @@ def _string_bonds(sample: HamiltonianSample, plaquette: Sequence[int], check_cen
             angle = np.pi * np.where(above, 1.0, -1.0)
         else:
             y_cross = coords[src, 1] + s * a[1]
-            if check_center and np.any(crossing & (np.abs(y_cross - py) < 1e-9)):
-                raise BadDimensionError(
-                    "a bond passes through the flux plaquette center; shift the plaquette")
+            centered |= bool(np.any(crossing & (np.abs(y_cross - py) < 1e-9)))
             crossing &= y_cross > py
             angle = np.full((1, 1, 1), 2 * np.pi)
         out.append((src[crossing], tgt[crossing], angle))
-    return out
+    return out, centered
 
 
 def _rephase(blocks: np.ndarray, bonds, t: float) -> None:
@@ -533,6 +538,61 @@ def _rephase(blocks: np.ndarray, bonds, t: float) -> None:
         phase = np.exp(1j * t * angle)
         blocks[tgt, :, src, :] *= phase
         blocks[src, :, tgt, :] *= phase.conj().swapaxes(1, 2)
+
+
+@dataclass(frozen=True)
+class FluxString:
+    """What a flux insertion into one sample at one plaquette does not owe to t:
+    the string bonds (as `_string_bonds` returns them) and the rows of their
+    sites.  `flux_string` builds it.
+
+    H(t) differs from the sample only on `rows`, so `block_at(t)`, H(t) on those
+    rows, is all a flux step changes; `sample_at(t)` is the whole flux-t sample.
+    """
+
+    sample: HamiltonianSample
+    bonds: list
+    centered: bool  # a bond passes through the plaquette center: refused at t != 0
+
+    @cached_property
+    def _sites(self) -> np.ndarray:
+        return np.unique(np.concatenate([np.zeros(0, int)]
+                                        + [np.r_[s, g] for s, g, _ in self.bonds]))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Rows of the string sites, ascending."""
+        L = self.sample.lattice.fiber
+        return (self._sites[:, None] * L + np.arange(L)).ravel()
+
+    @cached_property
+    def _local_bonds(self) -> list:
+        """The bonds with their sites numbered within `rows`."""
+        return [(np.searchsorted(self._sites, s), np.searchsorted(self._sites, g), angle)
+                for s, g, angle in self.bonds]
+
+    def _rephased(self, M: np.ndarray, bonds, t: float) -> np.ndarray:
+        if t != 0.0:
+            if self.centered:
+                raise BadDimensionError(
+                    "a bond passes through the flux plaquette center; shift the plaquette")
+            L = self.sample.lattice.fiber
+            _rephase(M.reshape(len(M) // L, L, len(M) // L, L), bonds, t)
+        return M
+
+    def sample_at(self, t: float) -> HamiltonianSample:
+        return replace(self.sample, matrix=self._rephased(self.sample.matrix.copy(), self.bonds, t))
+
+    def block_at(self, t: float) -> np.ndarray:
+        """H(t) on `rows`, equal to `self.sample_at(t).matrix[np.ix_(rows, rows)]`."""
+        return self._rephased(self.sample.matrix[np.ix_(self.rows, self.rows)],
+                              self._local_bonds, t)
+
+
+def flux_string(sample: HamiltonianSample, plaquette: Sequence[int]) -> FluxString:
+    """The string of a flux insertion into `sample` at `plaquette`, walked once;
+    validates the plaquette as `insert_flux` documents."""
+    return FluxString(sample, *_string_bonds(sample, plaquette))
 
 
 def insert_flux(sample: HamiltonianSample, t: float, plaquette: Sequence[int]) -> HamiltonianSample:
@@ -550,33 +610,10 @@ def insert_flux(sample: HamiltonianSample, t: float, plaquette: Sequence[int]) -
 
     The plaquette has one entry per axis with 0 <= p_k <= N_k - 2 (N_0 - 1 on
     a periodic axis 0), and a periodic axis 0 exceeds twice the hop range so
-    that no two bonds share a block; else ParamOutOfRangeError.
+    that no two bonds share a block; else ParamOutOfRangeError.  At t != 0 a
+    bond through the plaquette center is refused (BadDimensionError).
     """
-    bonds = _string_bonds(sample, plaquette, check_center=t != 0.0)
-    H = sample.matrix.copy()
-    if t != 0.0:
-        lat = sample.lattice
-        _rephase(H.reshape(lat.num_sites, lat.fiber, lat.num_sites, lat.fiber), bonds, t)
-    return HamiltonianSample(matrix=H, model=sample.model, realization_seed=sample.realization_seed)
-
-
-def string_block(sample: HamiltonianSample, t: float,
-                 plaquette: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, block): the rows of the bonds `insert_flux` rephases, ascending,
-    and the flux-t sample's matrix on them, equal to
-    `insert_flux(sample, t, plaquette).matrix[np.ix_(rows, rows)]`.
-
-    Only this block differs between flux values, so it bounds the step
-    ||H(t1) - H(t0)||_2 exactly at the cost of a small solve.
-    """
-    bonds = _string_bonds(sample, plaquette, check_center=t != 0.0)
-    L = sample.lattice.fiber
-    sites = np.unique(np.concatenate([np.zeros(0, int)] + [np.r_[s, g] for s, g, _ in bonds]))
-    rows = (sites[:, None] * L + np.arange(L)).ravel()
-    block = sample.matrix[np.ix_(rows, rows)]
-    local = [(np.searchsorted(sites, s), np.searchsorted(sites, g), angle) for s, g, angle in bonds]
-    _rephase(block.reshape(len(sites), L, len(sites), L), local, t)
-    return rows, block
+    return flux_string(sample, plaquette).sample_at(t)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +786,7 @@ def make_named_model(name: str, sizes=None, boundary=None,
 
     Size defaults are desk scale; every parameter the model knows is a
     keyword.  Raises UnknownModelError, and ParamOutOfRangeError for an
-    unknown parameter or a value the model rejects.
+    unknown parameter, a value beyond +-_PARAM_LIMIT or one the model rejects.
     """
     if name not in _ZOO:
         raise UnknownModelError(f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}")
@@ -759,6 +796,10 @@ def make_named_model(name: str, sizes=None, boundary=None,
         raise ParamOutOfRangeError(f"unknown parameter(s) {', '.join(unknown)} for {name}; "
                                    f"known: {', '.join(defaults)}")
     values = {key: float(params.get(key, value)) for key, value in defaults.items()}
+    large = [key for key, value in values.items() if not abs(value) <= _PARAM_LIMIT]
+    if large:
+        raise ParamOutOfRangeError(f"{name} parameter(s) {', '.join(large)} must lie within "
+                                   f"+-{_PARAM_LIMIT:.0e}")
     if disorder is None and name != "kitaev_chain":  # the chain's default disorder is w_strength
         disorder = DisorderSpec()
     return build(**values, sizes=sizes or default_size, boundary=boundary, disorder=disorder)

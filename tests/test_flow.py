@@ -22,16 +22,21 @@ from topoinv import (
     kramers_halfflux_probe,
     majorana_zero_mode_parity,
     make_named_model,
+    models,
     pair_index,
     spectral,
     spectral_flow,
     z2_spectral_flow,
 )
-from topoinv.errors import KernelAtEndpointError, SymmetryBrokenAtHalfFluxError
+from topoinv.errors import (
+    ConvergenceFailureError,
+    KernelAtEndpointError,
+    SymmetryBrokenAtHalfFluxError,
+)
 from topoinv.flow import _companion_half_width, flow_trace, majorana_form
 from topoinv.harness import load_config
 from topoinv.invariants import _pfaffian_sign_logabs
-from topoinv.models import OPEN, SIGMA_1, string_block
+from topoinv.models import OPEN, SIGMA_1, flux_string
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -153,19 +158,38 @@ def test_string_block_is_the_flux_sample_on_the_string_rows(name, kw, plaquette)
     # the step norms and level counts read H(t) only there: it must be all that changes
     model = make_named_model(name, disorder=DisorderSpec(strength=0.3, seed=5), **kw)
     sample = build_hamiltonian(model, 3)
+    string = flux_string(sample, plaquette)
+    rows = string.rows
     for t in (0.0, 0.3, 0.5, 1.0):
-        rows, block = string_block(sample, t, plaquette)
         H = insert_flux(sample, t, plaquette).matrix
-        assert np.array_equal(block, H[np.ix_(rows, rows)])
+        assert np.array_equal(string.block_at(t), H[np.ix_(rows, rows)])
+        assert np.array_equal(string.sample_at(t).matrix, H)
         rest = np.setdiff1d(np.arange(len(H)), rows)
         assert np.array_equal(H[rest], sample.matrix[rest])
 
 
 def test_flux_path_keeps_only_the_base_decomposition():
+    # no state grows with the flux values solved: the base decomposition and
+    # the t-independent string are all a path keeps
     sample, path = qwz_flux_path(n=10)
     spectral_flow(path, 0.0)
-    assert set(vars(path)) == {"base", "plaquette", "ts", "base_eigen"}
+    assert set(vars(path)) == {"base", "plaquette", "ts", "base_eigen", "string"}
     assert path.base_eigen.sample is sample and path.base_eigen.window is None
+    assert path.string.sample is sample
+
+
+def test_flow_walks_the_string_once_per_path(monkeypatch):
+    inner = models._string_bonds
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(models, "_string_bonds", counted)
+    path = laughlin_path(0)
+    res = spectral_flow(path, 0.0)
+    assert res.net == 1 and len(walks) == 1
 
 
 def test_laughlin_pump_script(tmp_path):
@@ -273,6 +297,21 @@ def test_failed_shift_invert_takes_the_dense_route(monkeypatch):
         routes.clear()
         eig = diagonalize(sample, window=band, count=k)
         assert routes == ["dense"] and np.array_equal(eig.eigenvalues, dense)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(window=(-0.6, 0.6), count=4), dict(window=(-0.6, 0.6)), dict(mu=0.0), dict(states=3),
+    dict(vectors=False), dict()], ids=["count", "window", "mu", "states", "values", "full"])
+def test_diagonalize_refuses_a_non_hermitian_matrix(monkeypatch, kwargs):
+    # the count route checks the CSR form it solves, the others the dense matrix:
+    # every route reports the same deviation before any solve starts
+    sample = laughlin_path(None).sample_at(0.3)
+    H = sample.matrix.copy()
+    H[3, 7] += 2.5e-6
+    monkeypatch.setattr(spectral, "eigsh", None)
+    monkeypatch.setattr(spectral, "_partial_eigh", None)
+    with pytest.raises(ConvergenceFailureError, match=r"not Hermitian \(deviation 2\.50e-06\)"):
+        diagonalize(dataclasses.replace(sample, matrix=H), **kwargs)
 
 
 # ---------------------------------------------------------------------------

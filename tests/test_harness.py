@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from topoinv import harness
+from topoinv import harness, models
 from topoinv.errors import ConfigError
 from topoinv.harness import ExperimentConfig, run_experiment, sweep
 from topoinv.models import MODEL_NAMES, OPEN, build_hamiltonian, make_named_model
@@ -558,6 +559,62 @@ def test_every_task_on_every_zoo_model_exits_cleanly(tmp_path, capsys, task, nam
         assert capsys.readouterr().err.startswith("error: ")
 
 
+# values a config entry may hold: finite (-10 lies below every zoo spectrum, 1e308
+# overflows any sum of squares), zero, negative, not finite, not a number
+KANE_MELE_4 = "[model]\nname = kane_mele_qsh\n[lattice]\nsizes = 4 4\n"
+CONFIG_VALUES = ["0.7", "3", "1", "0", "-1", "-0.4", "-10", "1e308", "nan", "inf", "-inf",
+                 "1e400", "x", "1 2"]
+
+
+@st.composite
+def malformed_configs(draw):
+    """(task, config text): a zoo model with some of its keys or an unknown one,
+    lattice sizes <= 8, and a [task] section with some of the known keys or an
+    unknown one."""
+    name = draw(st.sampled_from(MODEL_NAMES))
+    d = make_named_model(name).lattice.dimension
+    value = st.sampled_from(CONFIG_VALUES)
+    model_keys = st.sampled_from(sorted(models._ZOO[name][1]) + ["strength"])
+    task_keys = st.sampled_from(sorted(harness._TASK_KEYS) + ["plaquette"])
+    top = {1: 8, 2: 6, 3: 3}[d]
+    sizes = draw(st.lists(st.integers(2, top), min_size=d, max_size=d)
+                 | st.lists(st.integers(-1, top), min_size=1, max_size=d + 1))
+    task = draw(st.sampled_from(sorted(harness.TASKS)))
+    lines = [f"[model]\nname = {name}"]
+    lines += [f"{k} = {v}" for k, v in draw(st.dictionaries(model_keys, value, max_size=2)).items()]
+    lines += ["[lattice]", "sizes = " + " ".join(map(str, sizes)), "[task]", f"name = {task}"]
+    lines += [f"{k} = {v}" for k, v in draw(st.dictionaries(task_keys, value, max_size=2)).items()]
+    return task, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=malformed_configs())
+# tracebacks the search found: a flux count or an eigensolve that overflows, and an
+# empty occupied space (mu below the spectrum) under a fiber operator
+@example(case=("chern", "[model]\nname = harper\nb12 = 1e308\n[lattice]\nsizes = 6 6\n"))
+@example(case=("chern", "[model]\nname = qwz\nmass = 1e308\n[lattice]\nsizes = 4 4\n"))
+@example(case=("spin-chern", KANE_MELE_4 + "[task]\nname = spin-chern\nmu = -10\n"))
+@example(case=("z2", KANE_MELE_4 + "[task]\nname = z2\nmu = -10\n"))
+def test_malformed_config_exits_cleanly(tmp_path, capsys, monkeypatch, case):
+    """Whatever a config holds, the CLI computes (exit 0 or 2) or refuses with a
+    TopoError's error line (exit 1); no exception escapes, and no pool starts."""
+    from topoinv.cli import main
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    task, text = case
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    capsys.readouterr()
+    code = main([task, "--config", str(cfg), "--workers", "1"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_every_error_type_is_raised():
     """Every error class but the base is raised somewhere in the package, so none is dead."""
     package = Path(__file__).resolve().parent.parent / "src" / "topoinv"
@@ -572,17 +629,47 @@ def test_every_error_type_is_raised():
     assert declared <= raised, sorted(declared - raised)
 
 
-def test_traced_functions_exist():
-    """Every function the perfbench tracer rebinds exists in its topoinv module, so a
-    rename cannot silently drop a layer from a traced run."""
+def _perfbench_tracing():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_exist():
+    """Every function the perfbench tracer rebinds exists in its topoinv module, so a
+    rename cannot silently drop a layer from a traced run."""
+    tracing = _perfbench_tracing()
     missing = [f"topoinv.{layer}.{name}" for layer, names in tracing.LAYERS.items()
                for name in names
                if not callable(getattr(importlib.import_module(f"topoinv.{layer}"), name, None))]
     assert not missing
+
+
+def test_tracer_counts_each_laughlin_eigensolve(monkeypatch):
+    """The tracer hashes each `diagonalize` input's dense matrix: on the laughlin
+    task every solve is of a distinct matrix, one per flux value solved plus the
+    base sample and its periodic companion.  A sample whose matrix were not a
+    dense array would hash by identity, not content, and break this count."""
+    from topoinv import flow
+
+    solved = []
+    sample_at = flow.FluxPath.sample_at
+
+    def spy(path, t):
+        sample = sample_at(path, t)
+        assert isinstance(sample.matrix, np.ndarray)
+        solved.append(t)
+        return sample
+
+    monkeypatch.setattr(flow.FluxPath, "sample_at", spy)
+    tracer = _perfbench_tracing().Tracer()
+    with tracer.installed():
+        out = harness._task_laughlin(make_named_model("qwz", sizes=10, mass=1.0), {"mu": 0.0}, 0)
+    assert out["spectral_flow"] == out["pair_index"] == 1
+    assert len(solved) == len(set(solved)) > 20
+    assert len(tracer.digests) == len(set(tracer.digests)) == len(solved) + 2
 
 
 # one small config for each task that no other test runs through the harness

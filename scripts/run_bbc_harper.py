@@ -12,13 +12,13 @@ from topoinv import (
     boundary_winding,
     build_hamiltonian,
     chern_projection,
-    diagonalize,
     exp_map,
     make_half_space,
     make_named_model,
     occupied_projection,
 )
-from topoinv.boundary import edge_dispersion_rows, write_edge_dispersion_csv
+from topoinv.boundary import companion_eigen, edge_dispersion_rows
+from topoinv.serialize import write_csv
 
 N = 24
 B12 = 2 * np.pi / 3
@@ -26,9 +26,9 @@ N_REALIZATIONS = 10
 LAMBDA = 0.3
 
 model = make_named_model("harper", sizes=N, boundary=("periodic", "open"), b12=B12)
-eig = diagonalize(build_hamiltonian(model.with_boundary(1, "periodic")))
+levels = companion_eigen(model).eigenvalues
 nb = N * N // 3
-mu = 0.5 * (eig.eigenvalues[nb - 1] + eig.eigenvalues[nb])
+mu = 0.5 * (levels[nb - 1] + levels[nb])
 
 rows = []
 for lam, seeds in ((0.0, [0]), (LAMBDA, range(N_REALIZATIONS))):
@@ -43,10 +43,6 @@ for lam, seeds in ((0.0, [0]), (LAMBDA, range(N_REALIZATIONS))):
         rows.append((lam, seed, bulk.value, edge.value))
         print(f"lam={lam} seed={seed}: bulk {bulk.value:+.5f} edge {edge.value:+.5f}")
 
-with open("bbc_harper.csv", "w") as fh:
-    fh.write("lambda,seed,bulk,edge\n")
-    for lam, seed, b, e in rows:
-        fh.write(f"{lam!r},{seed},{b!r},{e!r}\n")
-
-write_edge_dispersion_csv("edge_dispersion.csv", edge_dispersion_rows(model, nk=96))
+write_csv("bbc_harper.csv", "lambda,seed,bulk,edge", rows)
+write_csv("edge_dispersion.csv", "k,energy,near_face_weight", edge_dispersion_rows(model, nk=96))
 print("wrote bbc_harper.csv, edge_dispersion.csv")

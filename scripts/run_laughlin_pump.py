@@ -14,6 +14,7 @@ from topoinv import (
     spectral_flow,
 )
 from topoinv.flow import flow_trace
+from topoinv.serialize import write_csv
 
 N = 16
 MASS = 1.0
@@ -26,8 +27,5 @@ flow = spectral_flow(path, 0.0)
 pi = pair_index(fermi_projection(path.base_eigen, 0.0))
 print(f"spectral flow {flow.net} (raw {flow.raw_net}), pair index {pi.rounded} ({pi.value:+.5f})")
 
-with open("flow.csv", "w") as fh:
-    fh.write("t,eigenvalue,branch\n")
-    for t, e, b in flow_trace(flow):
-        fh.write(f"{t!r},{e!r},{b}\n")
+write_csv("flow.csv", "t,eigenvalue,branch", flow_trace(flow))
 print("wrote flow.csv")

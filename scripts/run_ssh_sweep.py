@@ -6,6 +6,7 @@ Writes ssh_sweep.csv (m, winding_raw, winding) in the working directory.
 import numpy as np
 
 from topoinv import build_hamiltonian, chern_unitary, fermi_unitary, make_named_model, occupied_projection
+from topoinv.serialize import write_csv
 
 N = 256
 masses = np.linspace(-2.0, 2.0, 17)
@@ -20,7 +21,4 @@ for m in masses.tolist():
     rows.append((m, res.value, res.rounded))
     print(f"m={m:+.3f}  winding={res.value:+.6f} -> {res.rounded}")
 
-with open("ssh_sweep.csv", "w") as fh:
-    fh.write("m,winding_raw,winding\n")
-    for m, raw, r in rows:
-        fh.write(f"{m!r},{raw!r},{r}\n")
+write_csv("ssh_sweep.csv", "m,winding_raw,winding", rows)

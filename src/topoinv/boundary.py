@@ -271,13 +271,6 @@ def edge_dispersion_rows(model: ModelDefinition, nk: int = 64) -> list[tuple]:
     return rows
 
 
-def write_edge_dispersion_csv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("k,energy,near_face_weight\n")
-        for k, e, wgt in rows:
-            fh.write(f"{k!r},{e!r},{wgt!r}\n")
-
-
 @dataclass(frozen=True)
 class IndMapResult:
     """Near-face trace of the conjugated fiber projection against its reference,

@@ -29,6 +29,7 @@ from .serialize import (
     model_from_config,
     read_config_file,
     save_spectrum_csv,
+    write_csv,
     write_json,
 )
 from .spectral import SwitchFunction, detect_gap, diagonalize, fermi_projection, occupied_projection
@@ -81,11 +82,6 @@ class ResultRecord:
     sizes: tuple[int, ...]
     values: dict
     wall_time: float
-
-    def rows(self):
-        for key in sorted(self.values):
-            yield (self.task, self.fingerprint, self.seed,
-                   "x".join(str(n) for n in self.sizes), key, self.values[key])
 
 
 _TASK_KEYS = {"mu": float, "mu_states": int, "n_t": int, "k_step": int,
@@ -361,18 +357,11 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None, *,
 
 
 def _write_outputs(config: ExperimentConfig, records, aggregate, quantized_ok):
-    lines = ["task,fingerprint,seed,sizes,key,value\n"]
-    for rec in records:
-        for row in rec.rows():
-            key = row[4]
-            if key.startswith("_"):
-                continue
-            value = row[5]
-            text = repr(value) if isinstance(value, float) else str(value)
-            lines.append(",".join(str(x) for x in row[:5]) + f",{text}\n")
-    for key in sorted(aggregate):
-        lines.append(f"{config.task},aggregate,-1,-,{key},{aggregate[key]!r}\n")
-    (config.out_dir / "results.csv").write_text("".join(lines))
+    rows = [(rec.task, rec.fingerprint, rec.seed, "x".join(map(str, rec.sizes)), key, value)
+            for rec in records for key, value in sorted(rec.values.items())
+            if not key.startswith("_")]
+    rows += [(config.task, "aggregate", -1, "-", key, aggregate[key]) for key in sorted(aggregate)]
+    write_csv(config.out_dir / "results.csv", "task,fingerprint,seed,sizes,key,value", rows)
     write_json(config.out_dir / "results.json", {
         "task": config.task,
         "quantized_ok": quantized_ok,
@@ -390,10 +379,8 @@ def _write_outputs(config: ExperimentConfig, records, aggregate, quantized_ok):
             save_spectrum_csv(config.out_dir / f"spectrum_seed{rec.seed}.csv",
                               np.array(rec.values["_spectrum"]))
         if "_flow_trace" in rec.values:
-            lines = ["t,eigenvalue,branch\n"]
-            for t, e, b in rec.values["_flow_trace"]:
-                lines.append(f"{t!r},{e!r},{b}\n")
-            (config.out_dir / f"flow_seed{rec.seed}.csv").write_text("".join(lines))
+            write_csv(config.out_dir / f"flow_seed{rec.seed}.csv", "t,eigenvalue,branch",
+                      rec.values["_flow_trace"])
 
 
 def sweep(config: ExperimentConfig, param_path: str, values, workers: int | None = None):
@@ -426,11 +413,7 @@ def sweep(config: ExperimentConfig, param_path: str, values, workers: int | None
                 rows.append((param_path, value, rec.seed, k, v))
     if config.out_dir is not None:
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        lines = ["param,value,seed,key,result\n"]
-        for row in rows:
-            text = repr(row[4]) if isinstance(row[4], float) else str(row[4])
-            lines.append(f"{row[0]},{row[1]},{row[2]},{row[3]},{text}\n")
-        (config.out_dir / "sweep.csv").write_text("".join(lines))
+        write_csv(config.out_dir / "sweep.csv", "param,value,seed,key,result", rows)
     return rows
 
 

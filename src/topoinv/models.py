@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -531,68 +530,55 @@ def _string_bonds(sample: HamiltonianSample, plaquette: Sequence[int]):
     return out, centered
 
 
-def _rephase(blocks: np.ndarray, bonds, t: float) -> None:
-    """Multiply each string bond's (target, source) block of the (N, L, N, L) view
-    `blocks` by exp(i t angle), and its (source, target) block by the conjugate."""
-    for src, tgt, angle in bonds:
-        phase = np.exp(1j * t * angle)
-        blocks[tgt, :, src, :] *= phase
-        blocks[src, :, tgt, :] *= phase.conj().swapaxes(1, 2)
-
-
 @dataclass(frozen=True)
 class FluxString:
     """What a flux insertion into one sample at one plaquette does not owe to t:
-    the string bonds (as `_string_bonds` returns them) and the rows of their
-    sites.  `flux_string` builds it.
+    the rows of the string sites, ascending, and one real antisymmetric angle
+    matrix on them.  `flux_string` builds it.
 
-    H(t) differs from the sample only on `rows`, so `block_at(t)`, H(t) on those
-    rows, is all a flux step changes; `sample_at(t)` is the whole flux-t sample.
+    H(t) differs from the sample only on `rows`, where each entry with a nonzero
+    angle takes the phase exp(i t angle): a string bond's (target, source) entries
+    its angle, the transposed entries minus it, so H(t) stays Hermitian.
+    `block_at(t)` is H(t) on those rows, all a flux step changes; `sample_at(t)`
+    is the whole flux-t sample.
     """
 
     sample: HamiltonianSample
-    bonds: list
+    rows: np.ndarray
+    angle: np.ndarray
     centered: bool  # a bond passes through the plaquette center: refused at t != 0
 
-    @cached_property
-    def _sites(self) -> np.ndarray:
-        return np.unique(np.concatenate([np.zeros(0, int)]
-                                        + [np.r_[s, g] for s, g, _ in self.bonds]))
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """Rows of the string sites, ascending."""
-        L = self.sample.lattice.fiber
-        return (self._sites[:, None] * L + np.arange(L)).ravel()
-
-    @cached_property
-    def _local_bonds(self) -> list:
-        """The bonds with their sites numbered within `rows`."""
-        return [(np.searchsorted(self._sites, s), np.searchsorted(self._sites, g), angle)
-                for s, g, angle in self.bonds]
-
-    def _rephased(self, M: np.ndarray, bonds, t: float) -> np.ndarray:
+    def block_at(self, t: float) -> np.ndarray:
+        """H(t) on `rows`, equal to `self.sample_at(t).matrix[np.ix_(rows, rows)]`."""
+        block = self.sample.matrix[np.ix_(self.rows, self.rows)]
         if t != 0.0:
             if self.centered:
                 raise BadDimensionError(
                     "a bond passes through the flux plaquette center; shift the plaquette")
-            L = self.sample.lattice.fiber
-            _rephase(M.reshape(len(M) // L, L, len(M) // L, L), bonds, t)
-        return M
+            # only the string entries: any other entry, a signed zero too, keeps its bytes
+            on = self.angle != 0.0
+            block[on] *= np.exp(1j * t * self.angle[on])
+        return block
 
     def sample_at(self, t: float) -> HamiltonianSample:
-        return replace(self.sample, matrix=self._rephased(self.sample.matrix.copy(), self.bonds, t))
-
-    def block_at(self, t: float) -> np.ndarray:
-        """H(t) on `rows`, equal to `self.sample_at(t).matrix[np.ix_(rows, rows)]`."""
-        return self._rephased(self.sample.matrix[np.ix_(self.rows, self.rows)],
-                              self._local_bonds, t)
+        H = self.sample.matrix.copy()
+        H[np.ix_(self.rows, self.rows)] = self.block_at(t)
+        return replace(self.sample, matrix=H)
 
 
 def flux_string(sample: HamiltonianSample, plaquette: Sequence[int]) -> FluxString:
     """The string of a flux insertion into `sample` at `plaquette`, walked once;
     validates the plaquette as `insert_flux` documents."""
-    return FluxString(sample, *_string_bonds(sample, plaquette))
+    bonds, centered = _string_bonds(sample, plaquette)
+    L = sample.lattice.fiber
+    sites = np.unique(np.concatenate([np.zeros(0, int)] + [np.r_[s, g] for s, g, _ in bonds]))
+    angle = np.zeros((len(sites), L, len(sites), L))
+    for src, tgt, a in bonds:
+        src, tgt = np.searchsorted(sites, src), np.searchsorted(sites, tgt)
+        angle[tgt, :, src, :] = a
+        angle[src, :, tgt, :] = -a.swapaxes(1, 2)
+    rows = (sites[:, None] * L + np.arange(L)).ravel()
+    return FluxString(sample, rows, angle.reshape(len(rows), len(rows)), centered)
 
 
 def insert_flux(sample: HamiltonianSample, t: float, plaquette: Sequence[int]) -> HamiltonianSample:

@@ -56,22 +56,23 @@ def load_matrix(path) -> np.ndarray:
         return data.reshape(rows, cols).astype(np.complex128)
 
 
+def write_csv(path, header: str, rows) -> None:
+    """The header line, then one line per row: its fields as `str`, comma-separated
+    (for a float that is `repr`, so the values read back exactly)."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def save_matrix_csv(path, matrix: np.ndarray) -> None:
     """Human-readable dump: row, col, re, im; for inspection only."""
-    m = np.asarray(matrix)
-    with open(path, "w") as fh:
-        fh.write("row,col,re,im\n")
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                v = complex(m[i, j])
-                fh.write(f"{i},{j},{v.real!r},{v.imag!r}\n")
+    m = np.asarray(matrix, dtype=complex)
+    write_csv(path, "row,col,re,im",
+              ((i, j, v.real, v.imag) for (i, j), v in np.ndenumerate(m)))
 
 
 def save_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("index,eigenvalue\n")
-        for i, v in enumerate(eigenvalues):
-            fh.write(f"{i},{float(v)!r}\n")
+    write_csv(path, "index,eigenvalue", enumerate(map(float, eigenvalues)))
 
 
 # ---------------------------------------------------------------------------

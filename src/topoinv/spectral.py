@@ -20,6 +20,7 @@ from .models import HamiltonianSample
 
 _MIN_GAP = 1e-8  # detect_gap: narrowest gap, and closest level to mu, it accepts
 _C_NORM_ORDER = 6  # SwitchFunction.c_norm: highest derivative order in the norm
+_SWITCH_ORDER = 3  # SwitchFunction: integral of u^3 (1 - u)^3, a smoothstep of degree 7
 _ORTHO_TOL = 1e-10  # largest max|V^H V - I| accepted from a partial solve
 _RESIDUAL_TOL = 1e-10  # largest ||Hv - Ev|| / max(1, max|H|) accepted from a shift-invert solve
 _TIE_TOL = 1e-10  # relative spacing below which two levels count as one degenerate level
@@ -289,13 +290,12 @@ class SwitchFunction:
     """Monotone polynomial switch across the gap interval (a, b).
 
     kind="exp": 0 below the gap, 1 above, polynomial smoothstep of degree
-    2*order+1 inside.  kind="ind": the odd rescaling 2 f_exp - 1, running
-    from -1 to +1.
+    2 * _SWITCH_ORDER + 1 inside.  kind="ind": the odd rescaling 2 f_exp - 1,
+    running from -1 to +1.
     """
 
     kind: str
     gap: tuple[float, float]
-    order: int = 3
 
     def __post_init__(self):
         if self.kind not in ("exp", "ind"):
@@ -303,13 +303,11 @@ class SwitchFunction:
         a, b = self.gap
         if not b > a:
             raise NoGapError("switch gap must be a nonempty interval")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
 
     def __call__(self, x) -> np.ndarray:
         a, b = self.gap
         u = np.clip((np.asarray(x, dtype=float) - a) / (b - a), 0.0, 1.0)
-        s = special.betainc(self.order + 1, self.order + 1, u)
+        s = special.betainc(_SWITCH_ORDER + 1, _SWITCH_ORDER + 1, u)
         return 2.0 * s - 1.0 if self.kind == "ind" else s
 
     def derivative(self, x) -> np.ndarray:
@@ -318,14 +316,14 @@ class SwitchFunction:
         u = (x - a) / (b - a)
         out = np.zeros_like(u)
         inside = (u > 0.0) & (u < 1.0)
-        norm = 1.0 / special.beta(self.order + 1, self.order + 1) / (b - a)
-        out[inside] = (u[inside] ** self.order) * ((1 - u[inside]) ** self.order) * norm
+        norm = 1.0 / special.beta(_SWITCH_ORDER + 1, _SWITCH_ORDER + 1) / (b - a)
+        out[inside] = (u[inside] ** _SWITCH_ORDER) * ((1 - u[inside]) ** _SWITCH_ORDER) * norm
         return 2.0 * out if self.kind == "ind" else out
 
     @cached_property
     def _poly(self) -> np.polynomial.Polynomial:
         # smoothstep restricted to [0, 1]; exact since it is polynomial there
-        s = self.order
+        s = _SWITCH_ORDER
         norm = 1.0 / special.beta(s + 1, s + 1)
         p = np.polynomial.Polynomial([0.0, 1.0])
         integrand = norm * (p ** s) * ((1 - p) ** s)

@@ -168,6 +168,27 @@ def test_string_block_is_the_flux_sample_on_the_string_rows(name, kw, plaquette)
         assert np.array_equal(H[rest], sample.matrix[rest])
 
 
+@pytest.mark.parametrize("name, kw, plaquette", [
+    ("qwz", dict(sizes=10, boundary="open", mass=1.0), (5, 5)),
+    ("kane_mele_qsh", dict(sizes=8, boundary=("periodic", "open"), rashba=0.3), (4, 3)),
+    ("harper", dict(sizes=(12, 8), boundary=("periodic", "open")), (6, 4)),
+    ("kitaev_chain", dict(sizes=16, boundary="periodic", mu=0.3), (15,))])
+def test_flux_string_is_one_antisymmetric_angle_block(name, kw, plaquette):
+    # the string's angles are antisymmetric, so every H(t) is Hermitian as the
+    # sample is, and the block the flux steps read is the flux sample on the rows
+    model = make_named_model(name, disorder=DisorderSpec(strength=0.3, seed=5), **kw)
+    sample = build_hamiltonian(model, 3)
+    string = flux_string(sample, plaquette)
+    rows, angle = string.rows, string.angle
+    assert np.array_equal(rows, np.unique(rows)) and angle.shape == (len(rows), len(rows))
+    assert np.any(angle) and np.array_equal(angle, -angle.T)
+    assert np.array_equal(sample.matrix, sample.matrix.conj().T)
+    for t in (0.0, 0.1, 0.5, 0.7, 1.0):
+        H = string.sample_at(t).matrix
+        assert np.array_equal(string.block_at(t), H[np.ix_(rows, rows)])
+        assert np.array_equal(H, H.conj().T)
+
+
 def test_flux_path_keeps_only_the_base_decomposition():
     # no state grows with the flux values solved: the base decomposition and
     # the t-independent string are all a path keeps

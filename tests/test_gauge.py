@@ -5,13 +5,15 @@ package had them before every bond came from one vectorized table: a unit
 step at a time, site by site, with the seam correction added on each
 wrapping step.  `build_hamiltonian`, `magnetic_translations` and
 `dual_translations` must reproduce them on random lattices, fields,
-hoppings and disorder: bit for bit when no displacement moves more than
-one step along an axis, to 1e-12 otherwise (the closed form sums the
-phases of a multi-step move in another order).
+hoppings and disorder.  When no displacement moves more than one step
+along an axis, every bond (source, target, gauge phase) is the walk's bit
+for bit and the assembled matrix agrees to the rounding of one complex
+product; otherwise it agrees to 1e-12 (the closed form sums the phases of
+a multi-step move in another order).
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from topoinv.models import (
     OPEN,
@@ -20,12 +22,17 @@ from topoinv.models import (
     LatticeSpec,
     MagneticFieldSpec,
     ModelDefinition,
+    _bonds,
     build_hamiltonian,
     dual_translations,
     magnetic_translations,
 )
 
 TOL = 1e-12
+# numpy rounds a complex product exp(i phase) t on its length-1 loop (a hopping
+# with one bond) differently from its vector loops, by about an ulp of each
+# product; that difference is carried through the sums into an entry
+PRODUCT_ROUNDING = 4 * np.finfo(float).eps
 
 
 # --- references --------------------------------------------------------------
@@ -187,15 +194,40 @@ def single_steps(model):
     return all(abs(c) <= 1 for a, _ in model.hoppings for c in a)
 
 
+def assert_bonds_are_the_walk(model):
+    """Each positive hopping's (source, target, phase) from `_bonds` is the walk's, bit for bit."""
+    lat, B = model.lattice, model.field.B
+    coords = lat.site_coords()
+    for a, _ in model.positive_hoppings():
+        walk = [(n, *ref_peierls_target(coords[n], a, lat, B)) for n in range(lat.num_sites)]
+        walk = [(n, g, p) for n, g, p in walk if g is not None]
+        src, tgt, phase = _bonds(lat, B, a)
+        assert src.tolist() == [n for n, _, _ in walk] and tgt.tolist() == [g for _, g, _ in walk]
+        assert phase.tobytes() == np.array([p for _, _, p in walk], dtype=float).tobytes()
+
+
+# a 2 x 2 open lattice with one (1, -1) bond, of phase 1: the one-bond product
+# exp(1j) t rounds its real part to -0.09238691950120304 in `build_hamiltonian`
+# and to -0.09238691950120306 in the walk
+_ONE_BOND_T = np.array([[1.3040000451301372 + 0.9470809631292422j]])
+ONE_BOND = ModelDefinition(
+    LatticeSpec(2, (2, 2), (OPEN, OPEN), 1), MagneticFieldSpec.two_dimensional(1.0),
+    (((1, -1), _ONE_BOND_T), ((-1, 1), _ONE_BOND_T.conj().T)), np.zeros((1, 1)))
+
+
 # --- tests -------------------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
 @given(models(), st.integers(0, 50))
+@example(ONE_BOND, 0)
 def test_build_hamiltonian_matches_walk(model, realization_seed):
     H = build_hamiltonian(model, realization_seed).matrix
     R = ref_build_hamiltonian(model, realization_seed)
     if single_steps(model):
-        assert np.array_equal(H, R)
+        assert_bonds_are_the_walk(model)
+        scale = (sum(np.abs(t).max() for _, t in model.hoppings) + np.abs(model.onsite).max()
+                 + model.disorder.strength)
+        assert np.abs(H - R).max() <= PRODUCT_ROUNDING * scale
     else:
         assert np.abs(H - R).max() <= TOL
 

@@ -20,6 +20,7 @@ from topoinv.serialize import (
     save_matrix,
     save_matrix_csv,
     serialize_config,
+    write_csv,
 )
 from topoinv.spectral import diagonalize
 
@@ -75,6 +76,18 @@ def test_matrix_container_round_trip(tmp_path):
     assert np.array_equal(load_matrix(p), m)
     save_matrix_csv(tmp_path / "m.csv", m)
     assert (tmp_path / "m.csv").read_text().startswith("row,col,re,im")
+
+
+def test_write_csv_reads_back_every_float(tmp_path):
+    # str of a Python or numpy float is its repr: the written values read back exactly
+    values = [0.1, -0.0, np.float64(1 / 3), np.float64(-2.5e-300), np.inf, -np.inf, np.nan]
+    write_csv(tmp_path / "v.csv", "index,value,label", [(i, v, "x") for i, v in enumerate(values)])
+    lines = (tmp_path / "v.csv").read_text().splitlines()
+    assert lines[0] == "index,value,label" and len(lines) == len(values) + 1
+    for i, (line, v) in enumerate(zip(lines[1:], values)):
+        index, text, label = line.split(",")
+        assert (int(index), label, text) == (i, "x", repr(float(v)))
+        assert np.float64(text).tobytes() == np.float64(v).tobytes()
 
 
 def test_config_round_trip_custom_model():

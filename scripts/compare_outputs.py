@@ -1,0 +1,93 @@
+"""Output identity of every shipped config between a parent commit and this checkout.
+
+    python3 scripts/compare_outputs.py --parent REV [--out REPORT.json]
+
+Runs each `configs/*.cfg` through the CLI with its own task at one worker
+(`topo <task> --config FILE --workers 1 --out DIR`), once in a fresh clone
+of the parent commit and once in this checkout (with its uncommitted
+changes), both at one BLAS thread.  Every CSV file either run writes
+(`results.csv`, `flow_seedN.csv`, `spectrum_seedN.csv`) is compared byte for
+byte; the report lists each file that differs, with its largest absolute
+difference over the numeric fields, and each config whose exit code differs.
+Exit code 0 when every output is byte-identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import configparser
+import csv
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, _git
+
+
+def _run(tree: Path, config: Path, out: Path) -> int:
+    """The config's own task through the CLI of `tree`, writing into `out`; its exit code."""
+    parser = configparser.ConfigParser()
+    parser.read(config)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "topoinv.cli", parser["task"]["name"],
+                           "--config", str(config), "--workers", "1", "--out", str(out)],
+                          cwd=tree, env=env, capture_output=True).returncode
+
+
+def _largest_difference(a: Path, b: Path) -> float | str:
+    """max |x - y| over the numeric fields of two CSV files of the same shape."""
+    rows_a, rows_b = (list(csv.reader(p.open())) for p in (a, b))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return "shape differs"
+    largest = 0.0
+    for x, y in zip(sum(rows_a, []), sum(rows_b, [])):
+        if x == y:
+            continue
+        try:
+            largest = max(largest, abs(float(x) - float(y)))
+        except ValueError:
+            return f"text differs: {x!r} vs {y!r}"
+    return largest
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--out", type=Path, help="JSON file for the report")
+    args = parser.parse_args(argv)
+    report = {"parent": _git("rev-parse", args.parent), "identical": [], "differs": {},
+              "exit_codes": {}}
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        clone = Path(tmp) / "parent"
+        _git("clone", "--quiet", "--no-checkout", str(ROOT), str(clone), cwd=tmp)
+        _git("checkout", "--quiet", "--detach", report["parent"], cwd=clone)
+        for config in sorted((ROOT / "configs").glob("*.cfg")):
+            outs = {side: Path(tmp) / side / config.stem for side in ("parent", "change")}
+            codes = {side: _run(clone if side == "parent" else ROOT, config, out)
+                     for side, out in outs.items()}
+            report["exit_codes"][config.name] = codes
+            names = sorted({p.name for out in outs.values() for p in out.glob("*.csv")})
+            for name in names:
+                key = f"{config.stem}/{name}"
+                a, b = (out / name for out in outs.values())
+                if not (a.is_file() and b.is_file()):
+                    report["differs"][key] = "written on one side only"
+                elif a.read_bytes() == b.read_bytes():
+                    report["identical"].append(key)
+                else:
+                    report["differs"][key] = _largest_difference(a, b)
+            differs = [f"{k} {v}" for k, v in report["differs"].items()
+                       if k.startswith(config.stem + "/")]
+            print(f"{config.name}: exit {codes['parent']} -> {codes['change']}; "
+                  + (", ".join(differs) or "every CSV identical"), flush=True)
+    if args.out:
+        args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    same_codes = all(c["parent"] == c["change"] for c in report["exit_codes"].values())
+    return 0 if same_codes and not report["differs"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,7 +17,7 @@ from topoinv import (
     make_named_model,
     occupied_projection,
 )
-from topoinv.boundary import companion_eigen, edge_dispersion_rows
+from topoinv.boundary import companion_gap, edge_dispersion_rows
 from topoinv.serialize import write_csv
 
 N = 24
@@ -26,9 +26,7 @@ N_REALIZATIONS = 10
 LAMBDA = 0.3
 
 model = make_named_model("harper", sizes=N, boundary=("periodic", "open"), b12=B12)
-levels = companion_eigen(model).eigenvalues
-nb = N * N // 3
-mu = 0.5 * (levels[nb - 1] + levels[nb])
+mu, _ = companion_gap(model, states=N * N // 3)
 
 rows = []
 for lam, seeds in ((0.0, [0]), (LAMBDA, range(N_REALIZATIONS))):

@@ -25,7 +25,6 @@ from .spectral import (
 )
 from .invariants import (
     InvariantResult,
-    chern_kspace_oracle,
     chern_projection,
     chern_unitary,
     dirac_phase,

@@ -17,7 +17,9 @@ the rapid winding of the edge branch at desk-scale circumferences.
 f'(H_half) and exp(2 pi i f(H_half)) - 1 vanish outside the switch gap, so
 these functionals read only the eigenpairs of H_half inside the certified
 bulk gap (the edge states); ind_map, whose exponential is not constant
-outside the gap, solves in full.
+outside the gap, solves in full.  The bulk gap and the number of in-gap
+levels are counted by inertia on sparse factors (`spectral.certified_gap`,
+`spectral.count_below`), with a dense solve wherever a count is not certified.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     GapMismatchError,
@@ -42,7 +45,7 @@ from .models import (
     build_hamiltonian,
     chiral_sectors,
 )
-from .spectral import EigenData, SwitchFunction, detect_gap, diagonalize
+from .spectral import EigenData, SwitchFunction, certified_gap, count_below, detect_gap, diagonalize
 
 _SECTOR_GAP = 1e-3  # ind_map: smallest |chirality| a surface-band state may have
 _DECAY_FLOOR = 5e-2  # boundary_winding: largest depth-profile deviation at mid depth
@@ -50,17 +53,18 @@ _DECAY_FLOOR = 5e-2  # boundary_winding: largest depth-profile deviation at mid 
 
 @dataclass(frozen=True)
 class HalfSpaceSample:
-    """Open-axis restriction and its torus companion: certified bulk gap, the
-    companion's decomposition and the open sample's in-gap eigenpairs."""
+    """Open-axis restriction with the bulk gap certified on its torus companion,
+    and the open sample's in-gap eigenpairs."""
 
     hamiltonian: HamiltonianSample
     bulk_gap: tuple[float, float]
     mu: float
-    companion_eigen: EigenData
 
     @property
     def companion(self) -> HamiltonianSample:
-        return self.companion_eigen.sample
+        """The torus companion, built anew on each read."""
+        sample = self.hamiltonian
+        return build_hamiltonian(sample.model.with_boundaries(PERIODIC), sample.realization_seed)
 
     @property
     def lattice(self):
@@ -69,31 +73,42 @@ class HalfSpaceSample:
     @cached_property
     def eigen(self) -> EigenData:
         """Eigenpairs of the open sample inside the certified bulk gap, the only
-        ones a switch-gap functional reads (ind_map solves in full)."""
-        return diagonalize(self.hamiltonian, window=self.bulk_gap)
+        ones a switch-gap functional reads (ind_map solves in full).  The number
+        of them, from the level counts below the two gap edges, lets `diagonalize`
+        solve them by sparse shift-invert; without both counts the window is dense."""
+        A = sparse.csr_array(self.hamiltonian.matrix)
+        below = [count_below(A, edge) for edge in self.bulk_gap]
+        count = None if None in below else below[1] - below[0]
+        return diagonalize(self.hamiltonian, window=self.bulk_gap, count=count)
 
 
-def companion_eigen(model: ModelDefinition, realization_seed: int = 0) -> EigenData:
-    """Eigenvalues of the periodic companion of the model: the torus whose gap
-    certifies the bulk gap of every open or half-open sample of the model."""
-    return diagonalize(build_hamiltonian(model.with_boundaries(PERIODIC), realization_seed),
-                       vectors=False)
+def companion_gap(model: ModelDefinition, realization_seed: int = 0, mu: float | None = None,
+                  states: int | None = None) -> tuple[float, tuple[float, float]]:
+    """The Fermi level and certified gap of the periodic companion of the model
+    (`spectral.certified_gap`): the torus whose gap certifies the bulk gap of every
+    open or half-open sample of the model."""
+    torus = build_hamiltonian(model.with_boundaries(PERIODIC), realization_seed)
+    return certified_gap(torus, mu, states)
 
 
-def make_half_space(model: ModelDefinition, mu: float, realization_seed: int = 0,
-                    companion: EigenData | None = None) -> HalfSpaceSample:
-    """Certify the gap at mu on the torus companion, then open the last axis.
+def make_half_space(model: ModelDefinition, mu: float | None = None, realization_seed: int = 0,
+                    companion: EigenData | None = None, *,
+                    states: int | None = None) -> HalfSpaceSample:
+    """Certify the gap at mu (or above the lowest `states` levels) on the torus
+    companion, then open the last axis.
 
-    The companion is solved here for eigenvalues only; a caller that needs
-    its projection hands in the occupied solve it took it from
-    (`occupied_projection(...).eigen`) as `companion`.
+    The gap is certified here from level counts alone (`spectral.certified_gap`);
+    a caller that needs the companion's projection hands in the occupied
+    solve it took it from (`occupied_projection(...).eigen`) as `companion`,
+    whose levels then give the gap at mu.
     """
     if companion is None:
-        companion = companion_eigen(model, realization_seed)
-    gap = detect_gap(companion, mu)
+        mu, gap = companion_gap(model, realization_seed, mu, states)
+    else:
+        gap = detect_gap(companion, mu)
     half_model = model.with_boundary(model.lattice.dimension - 1, OPEN)
-    half = build_hamiltonian(half_model, realization_seed)
-    return HalfSpaceSample(hamiltonian=half, bulk_gap=gap, mu=mu, companion_eigen=companion)
+    return HalfSpaceSample(hamiltonian=build_hamiltonian(half_model, realization_seed),
+                           bulk_gap=gap, mu=mu)
 
 
 def _layer_indices(sample: HamiltonianSample, layer: int) -> np.ndarray:

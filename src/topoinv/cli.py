@@ -1,11 +1,12 @@
 """Command line driver.
 
     topo <task> --config FILE [--seed N] [--workers N] [--out DIR]
-    topo sweep --config FILE --param section.key --values v1,v2,... [...]
+    topo sweep --config FILE --param section.key --values=v1,v2,... [...]
     topo models list
 
+A grid that starts with a negative number needs the = form: --values=-1.5,0.5.
 Exit codes: 0 success, 2 computed but some realization (or grid point) fails
-its task's gate, 1 operational error.
+its task's gate, 1 operational error (a usage error included).
 """
 
 from __future__ import annotations
@@ -30,9 +31,17 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return config
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError, so it exits 1 like every operational error;
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="topo", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="topo", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     for task in TASKS:
@@ -45,7 +54,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("sweep", help="run one task over a parameter grid")
     p.add_argument("--config", required=True)
     p.add_argument("--param", required=True, help="dotted config path, e.g. model.m")
-    p.add_argument("--values", required=True, help="comma-separated grid")
+    p.add_argument("--values", required=True,
+                   help="comma-separated grid; write --values=-1.5,0.5 when it starts below 0")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None)
@@ -53,14 +63,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("models", help="model zoo utilities")
     p.add_argument("action", choices=["list"])
 
-    args = parser.parse_args(argv)
-
-    if args.command == "models":
-        for name in MODEL_NAMES:
-            print(name)
-        return 0
-
     try:
+        args = parser.parse_args(argv)
+        if args.command == "models":
+            print("\n".join(MODEL_NAMES))
+            return 0
         config = load_config(args.config)
         if args.command != "sweep" and config.task != args.command:
             # the CLI subcommand wins over the config's [task] name

@@ -67,14 +67,6 @@ class BlockSingularError(TopoError):
     """Off-diagonal block of the Fermi projection is not invertible."""
 
 
-class NotCleanError(TopoError):
-    """Operation requires a disorder-free model."""
-
-
-class NotPeriodicError(TopoError):
-    pass
-
-
 class NotConvergedError(TopoError):
     """Raw invariant too far from the nearest admissible value."""
 

@@ -22,7 +22,7 @@ from .errors import (
     PfaffianUnderflowError,
     SymmetryBrokenAtHalfFluxError,
 )
-from .boundary import companion_eigen
+from .boundary import companion_gap
 from .invariants import (
     _DEFECT_RADIUS_FRAC,
     _near_zero_cluster,
@@ -42,7 +42,7 @@ from .models import (
     insert_flux,
     symmetry_deviation,
 )
-from .spectral import EigenData, detect_gap, diagonalize, occupied_projection
+from .spectral import EigenData, diagonalize, occupied_projection
 
 _CAYLEY = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0)
 _COUNT_TOL = 1e-10  # level_count: relative distance to a pole or a singular S left undecided
@@ -117,7 +117,7 @@ class FluxPath:
 
 def _companion_half_width(path: FluxPath, mu: float) -> float:
     """Distance from mu to the nearer edge of the gap of the base model's periodic companion."""
-    gap = detect_gap(companion_eigen(path.base.model, path.base.realization_seed), mu)
+    _, gap = companion_gap(path.base.model, path.base.realization_seed, mu)
     return min(mu - gap[0], gap[1] - mu)
 
 
@@ -272,14 +272,14 @@ def kramers_halfflux_probe(model: ModelDefinition, plaquette,
     t = 1/2 (the string phases are real there).  Each midgap level is paired
     with its antiunitary partner; the overlap |<v, S conj(v)>| must vanish
     for an odd symmetry.  The half-flux sample is solved only on the gap of
-    the periodic companion, certified from its eigenvalues alone; the open
+    the periodic companion, certified from its level counts alone; the open
     sample's edge levels lie inside that gap.
     """
     sym = model.symmetry
     if sym.s_tr is None or sym.eta_tr != -1:
         raise SymmetryBrokenAtHalfFluxError("model does not declare an odd time reversal")
     sample0 = build_hamiltonian(model, realization_seed)
-    gap = detect_gap(companion_eigen(model, realization_seed), 0.0)
+    _, gap = companion_gap(model, realization_seed, 0.0)
     half = insert_flux(sample0, 0.5, plaquette)
     for tag, Ht in (("t=0", sample0.matrix), ("t=1/2", half.matrix)):
         _require_symmetry(Ht, sym.s_tr, "tr", 1e-9, f"at {tag}")

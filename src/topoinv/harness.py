@@ -147,9 +147,11 @@ def _projection(model, params, seed):
 
 
 def _half_space(model, params, seed):
-    """Half-space sample with its torus companion solved here, for eigenvalues only."""
-    eig = bd.companion_eigen(model, seed)
-    return bd.make_half_space(model, _resolve_mu(params, eig), seed, companion=eig)
+    """Half-space sample with the gap of its torus companion certified from level counts."""
+    if "mu_states" in params:
+        k = _state_count(params, model.lattice.hilbert_dim)
+        return bd.make_half_space(model, None, seed, states=k)
+    return bd.make_half_space(model, params.get("mu", 0.0), seed)
 
 
 def _task_chern(model, params, seed):

@@ -29,6 +29,8 @@ _TIE_TOL = 1e-10  # relative spacing below which two levels count as one degener
 # default column ordering; a pivot threshold of 0 loses accuracy
 _LU_ORDERING = "MMD_AT_PLUS_A"
 _LU_DIAG_PIVOT = 0.1
+_PIVOT_IMAG_TOL = 1e-6  # _ldl: largest |Im d| / max(1, |d|) of a pivot read as real
+_COUNT_MARGIN = 1e2  # _inertia: the shift delta as a multiple of the factor's backward error
 
 
 @dataclass(frozen=True)
@@ -129,9 +131,9 @@ def _partial_eigh(H: np.ndarray, window: tuple[float, float] | None, mu: float |
 def _shift_invert(A: sparse.csr_array, window: tuple[float, float],
                   count: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The `count` eigenpairs of the Hermitian CSR matrix A nearest the window's
-    midpoint by sparse shift-invert (ARPACK on a sparse LU of A - sigma), or None
-    unless exactly `count` come back, all in lo < E <= hi, with residual and
-    orthogonality within tolerance.
+    midpoint by sparse shift-invert (ARPACK on a sparse LU of A - sigma) and a
+    Rayleigh-Ritz step on their span, or None unless exactly `count` come back,
+    all in lo < E <= hi, with residual within tolerance.
 
     The start vector is fixed, so equal matrices give equal bytes; without
     one ARPACK's start depends on the calls made before it.
@@ -140,6 +142,8 @@ def _shift_invert(A: sparse.csr_array, window: tuple[float, float],
     n = A.shape[0]
     if count == 0:
         return np.zeros(0), np.zeros((n, 0), dtype=complex)
+    if count >= n - 1:  # beyond ARPACK, which needs k < n - 1
+        return None
     sigma = 0.5 * (lo + hi)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
@@ -147,16 +151,146 @@ def _shift_invert(A: sparse.csr_array, window: tuple[float, float],
                   diag_pivot_thresh=_LU_DIAG_PIVOT, options={"SymmetricMode": True})
         w, v = eigsh(A, k=count, sigma=sigma, v0=v0,
                      OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=A.dtype))
-    except (RuntimeError, ValueError):  # ARPACK failures, a singular shift, k too large
+    except (RuntimeError, ValueError):  # ARPACK failures, a singular shift
         return None
-    order = np.argsort(w)
-    w, v = w[order], v[:, order]
+    # Rayleigh-Ritz on the solved span: ARPACK's vectors of close levels are
+    # orthogonal only to about eps max|A| / spacing, the Ritz vectors to rounding
+    q = np.linalg.qr(v)[0]
+    w, z = np.linalg.eigh(q.conj().T @ (A @ q))
+    v = q @ z
     residual = np.linalg.norm(A @ v - v * w, axis=0).max()
     if (len(w) == count and np.all((w > lo) & (w <= hi))
-            and residual <= _RESIDUAL_TOL * max(1.0, np.abs(A.data).max(initial=0.0))
-            and orthogonality_residual(v) <= _ORTHO_TOL):
+            and residual <= _RESIDUAL_TOL * _scale(A)):
         return w, v
     return None
+
+
+def _scale(A: sparse.csr_array) -> float:
+    return max(1.0, np.abs(A.data).max(initial=0.0))
+
+
+def _ldl(A: sparse.csr_array, x: float):
+    """(negative pivots, factor, backward error) of SuperLU's factor of A - x with
+    diagonal pivots, read as P (A - x) P^T = L D L^H with D = Re diag(U); the error
+    sqrt(||R||_1 ||R||_inf) bounds ||R||_2 for R their difference.  None when the
+    row and column permutations differ or a pivot is complex or zero."""
+    M = sparse.csc_array(A - x * sparse.eye_array(A.shape[0]))
+    try:
+        lu = splu(M, permc_spec=_LU_ORDERING, diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly singular factor
+        return None
+    d, L, p = lu.U.diagonal(), lu.L, np.argsort(lu.perm_c)
+    if (not np.array_equal(lu.perm_r, lu.perm_c)
+            or np.any(np.abs(d.imag) > _PIVOT_IMAG_TOL * np.maximum(1.0, np.abs(d)))):
+        return None
+    R = abs(M[p][:, p] - (L * d.real) @ L.conj().T)
+    return int((d.real < 0).sum()), lu, float(np.sqrt(R.sum(axis=0).max() * R.sum(axis=1).max()))
+
+
+def _inertia(A: sparse.csr_array, E: float, mid=None):
+    """(levels below E, factor of A - E) by Sylvester's law of inertia, or None;
+    `mid` is `_ldl(A, E)` if the caller has it.  `_ldl`'s count is exact for a
+    Hermitian matrix within its backward error of A; it is kept only if the
+    counts at E -+ delta equal it, delta `_COUNT_MARGIN` times the error at E
+    (at least n eps max(1, max|A|)) and above the errors of those two factors.
+    By Weyl's inequality no level of A then lies at E: the count is A's own."""
+    mid = mid or (_ldl(A, E) if np.isfinite(E) else None)
+    if mid is None:
+        return None
+    delta = _COUNT_MARGIN * max(mid[2], A.shape[0] * np.finfo(float).eps * _scale(A))
+    sides = [_ldl(A, x) for x in (E - delta, E + delta)]
+    if any(side is None or side[2] >= delta or side[0] != mid[0] for side in sides):
+        return None
+    return mid[:2]
+
+
+def count_below(A: sparse.csr_array, E: float) -> int | None:
+    """Number of levels of the Hermitian CSR matrix A below E from sparse LDL^H
+    factors (`_inertia`), or None; the caller then takes a dense route."""
+    found = _inertia(A, E)
+    return None if found is None else found[0]
+
+
+def _nearest_level(A: sparse.csr_array, lu, shift: float, which: str) -> float | None:
+    """The level nearest below (which="SA") or above ("LA") the shift, by
+    shift-invert on the factor `lu` of A - shift: the Rayleigh quotient of the
+    solved vector, or None unless it lies on that side within the residual tolerance."""
+    n = A.shape[0]
+    if n < 3:  # beyond ARPACK, which needs k < n - 1
+        return None
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        _, v = eigsh(A, k=1, sigma=shift, which=which, v0=v0,
+                     OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=A.dtype))
+    except (RuntimeError, ValueError):  # ARPACK failures
+        return None
+    v = v[:, 0] / np.linalg.norm(v[:, 0])
+    e = float(np.vdot(v, A @ v).real)
+    if (np.linalg.norm(A @ v - e * v) > _RESIDUAL_TOL * _scale(A)
+            or (e - shift) * (1 if which == "LA" else -1) <= 0):
+        return None
+    return e
+
+
+def _sparse_gap(A: sparse.csr_array, mu: float | None, states: int | None):
+    """`certified_gap` by inertia, or None.  For `states=k` a shift with exactly k
+    levels below is bisected from the Gershgorin interval, every other step
+    interpolated in the count.  The certified count at the shift (or at mu) says
+    which levels lie on each side; the nearest one on each side, solved on the
+    same factor, are the gap edges."""
+    shift, factor, n = mu, None, A.shape[0]
+    if states is not None:
+        radius = float(abs(A).sum(axis=1).max()) + 1.0  # beyond every level
+        (lo, c_lo), (hi, c_hi), shift, even = (-radius, 0), (radius, n), None, True
+        # a gap narrower than _MIN_GAP is the dense route's NoGapError
+        while shift is None and hi - lo > _MIN_GAP:
+            t = (states + 0.5 - c_lo) / (c_hi - c_lo) if even else 0.5
+            x, even = lo + t * (hi - lo), not even
+            factor = _ldl(A, x)
+            if factor is None:
+                break
+            if factor[0] == states:
+                shift = x
+            elif factor[0] < states:
+                lo, c_lo = x, factor[0]
+            else:
+                hi, c_hi = x, factor[0]
+    found = None if shift is None else _inertia(A, shift, factor)
+    if found is None or states not in (None, found[0]):
+        return None
+    k, lu = found
+    lo = -np.inf if k == 0 else _nearest_level(A, lu, shift, "SA")
+    hi = np.inf if k == n else _nearest_level(A, lu, shift, "LA")
+    if lo is None or hi is None:
+        return None
+    mu = 0.5 * (lo + hi) if states is not None else mu
+    return (float(mu), (lo, hi)) if min(mu - lo, hi - mu) >= _MIN_GAP else None
+
+
+def certified_gap(sample: HamiltonianSample, mu: float | None = None,
+                  states: int | None = None) -> tuple[float, tuple[float, float]]:
+    """The Fermi level and `detect_gap`'s gap around it from levels alone: mu as
+    given, or halfway between the k-th and (k+1)-th level for `states=k`.  Where
+    the sparse route (`_sparse_gap`) returns None, every eigenvalue is solved."""
+    if (mu is None) == (states is None) or not 1 <= (states or 1) < sample.dim:
+        raise ValueError(f"give mu or states in [1, {sample.dim - 1}], not both")
+    found = _sparse_gap(_hermitian(sparse.csr_array(sample.matrix)), mu, states)
+    if found is not None:
+        return found
+    eig = diagonalize(sample, vectors=False)
+    if states is not None:
+        mu = float(0.5 * (eig.eigenvalues[states - 1] + eig.eigenvalues[states]))
+    return mu, detect_gap(eig, mu)
+
+
+def _hermitian(A):
+    """A, dense or CSR, after checking max|A - A*| <= 1e-10 max(1, max|A|); one
+    expression serves either form and gives the same deviation."""
+    herm_dev = abs(A - A.conj().T).max()
+    if herm_dev > 1e-10 * max(1.0, abs(A).max()):
+        raise ConvergenceFailureError(f"matrix is not Hermitian (deviation {herm_dev:.2e})")
+    return A
 
 
 def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = None,
@@ -186,12 +320,8 @@ def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = 
     H = sample.matrix
     if states is not None and not 0 <= states < H.shape[0]:
         raise ValueError(f"states must lie in [0, {H.shape[0] - 1}], got {states}")
-    # the count route checks the CSR form its shift-invert solves, at O(nnz); one
-    # expression serves either form and gives the same deviation
-    A = sparse.csr_array(H) if count is not None else H
-    herm_dev = abs(A - A.conj().T).max()
-    if herm_dev > 1e-10 * max(1.0, abs(A).max()):
-        raise ConvergenceFailureError(f"matrix is not Hermitian (deviation {herm_dev:.2e})")
+    # the count route checks the CSR form its shift-invert solves, at O(nnz)
+    A = _hermitian(sparse.csr_array(H) if count is not None else H)
     try:
         if not vectors:
             return EigenData(eigenvalues=np.linalg.eigvalsh(H), eigenvectors=None, sample=sample)

@@ -453,6 +453,21 @@ def test_cli_sweep_exit_code(tmp_path, tolerance, code):
     assert main(argv) == code
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["winding", "--config", "CFG", "--bogus"], "topo: unrecognized arguments: --bogus"),
+    (["sweep", "--config", "CFG", "--param", "model.m", "--values", "-1.5,0.5"],
+     "topo sweep: argument --values: expected one argument"),
+], ids=["unknown option", "negative grid without ="])
+def test_cli_usage_error_exits_1(tmp_path, capsys, argv, message):
+    # argparse would print its usage and exit 2, the code of a failed gate
+    from topoinv.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SSH_CFG.replace("sizes = 64", "sizes = 8"))
+    assert main([str(cfg) if a == "CFG" else a for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("old, new, entry", [
     ("m = 0.5", "m = abc", "model.m"),
     ("realizations = 1", "realizations = two", "ensemble.realizations"),

@@ -11,7 +11,6 @@ from topoinv import (
     ModelDefinition,
     SymmetrySpec,
     build_hamiltonian,
-    chern_kspace_oracle,
     chern_projection,
     chern_unitary,
     diagonalize,
@@ -40,6 +39,8 @@ from topoinv.errors import (
 )
 from topoinv.invariants import FermiUnitary, FredholmCompression, trs_fredholm
 from topoinv.models import PERIODIC, SIGMA_0
+
+from kspace_oracle import chern_kspace_oracle
 
 
 # ---------------------------------------------------------------------------

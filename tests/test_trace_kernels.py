@@ -309,8 +309,7 @@ def test_boundary_current_matches_reference(lat, seed):
     rng = np.random.default_rng(seed)
     # spectrum across the switch interval, so f'(H) has weight
     sample = random_sample(lat, rng, rng.uniform(-2.0, 2.0, lat.hilbert_dim))
-    eig = diagonalize(sample)
-    half = HalfSpaceSample(hamiltonian=sample, bulk_gap=(-1.0, 1.0), mu=0.0, companion_eigen=eig)
+    half = HalfSpaceSample(hamiltonian=sample, bulk_gap=(-1.0, 1.0), mu=0.0)
     f = SwitchFunction("exp", (-1.0, 1.0))
     near = _near_window(sample)
     for orientation, window in (("near", near), ("far", ~near)):
@@ -341,8 +340,7 @@ def test_exp_map_matches_reference(lat, seed, bulk_gap, data):
     sides = [s for s, g in ((-1.0, bulk_gap[0]), (1.0, bulk_gap[1])) if np.isfinite(g)]
     bulk = rng.choice(sides, n - len(levels)) * rng.uniform(1.2, 3.0, n - len(levels))
     sample = edge_sample(lat, rng, levels, bulk)
-    half = HalfSpaceSample(hamiltonian=sample, bulk_gap=bulk_gap, mu=0.0,
-                           companion_eigen=diagonalize(sample, vectors=False))
+    half = HalfSpaceSample(hamiltonian=sample, bulk_gap=bulk_gap, mu=0.0)
     f = SwitchFunction("exp", (-1.0, 1.0))
     bu = exp_map(half, f)
     U, profile = ref_exp_map(half, f)

@@ -1,15 +1,16 @@
-"""Output identity of every shipped config between a parent commit and this checkout.
+"""Output identity of every shipped config and script between a parent commit and this checkout.
 
     python3 scripts/compare_outputs.py --parent REV [--out REPORT.json]
 
 Runs each `configs/*.cfg` through the CLI with its own task at one worker
-(`topo <task> --config FILE --workers 1 --out DIR`), once in a fresh clone
-of the parent commit and once in this checkout (with its uncommitted
-changes), both at one BLAS thread.  Every CSV file either run writes
-(`results.csv`, `flow_seedN.csv`, `spectrum_seedN.csv`) is compared byte for
-byte; the report lists each file that differs, with its largest absolute
-difference over the numeric fields, and each config whose exit code differs.
-Exit code 0 when every output is byte-identical, 1 otherwise.
+(`topo <task> --config FILE --workers 1 --out DIR`), and each
+`scripts/run_*.py` in an empty working directory, once in a fresh clone of
+the parent commit and once in this checkout (with its uncommitted changes),
+both at one BLAS thread.  Every CSV file either run writes (`results.csv`,
+`flow_seedN.csv`, `spectrum_seedN.csv`, and each script's own files) is
+compared byte for byte; the report lists each file that differs, with its
+largest absolute difference over the numeric fields, and each run whose exit
+code differs.  Exit code 0 when every output is byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -27,14 +28,20 @@ from pathlib import Path
 from bench_pairs import ROOT, _git
 
 
-def _run(tree: Path, config: Path, out: Path) -> int:
-    """The config's own task through the CLI of `tree`, writing into `out`; its exit code."""
-    parser = configparser.ConfigParser()
-    parser.read(config)
+def _run(tree: Path, target: Path, out: Path) -> int:
+    """A config's own task through the CLI of `tree`, or the script of `tree` named
+    like `target`, writing into `out`; its exit code."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    return subprocess.run([sys.executable, "-m", "topoinv.cli", parser["task"]["name"],
-                           "--config", str(config), "--workers", "1", "--out", str(out)],
-                          cwd=tree, env=env, capture_output=True).returncode
+    if target.suffix == ".py":
+        out.mkdir(parents=True)
+        command, cwd = [sys.executable, str(tree / "scripts" / target.name)], out
+    else:
+        parser = configparser.ConfigParser()
+        parser.read(target)
+        command = [sys.executable, "-m", "topoinv.cli", parser["task"]["name"],
+                   "--config", str(target), "--workers", "1", "--out", str(out)]
+        cwd = tree
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True).returncode
 
 
 def _largest_difference(a: Path, b: Path) -> float | str:
@@ -64,14 +71,16 @@ def main(argv=None) -> int:
         clone = Path(tmp) / "parent"
         _git("clone", "--quiet", "--no-checkout", str(ROOT), str(clone), cwd=tmp)
         _git("checkout", "--quiet", "--detach", report["parent"], cwd=clone)
-        for config in sorted((ROOT / "configs").glob("*.cfg")):
-            outs = {side: Path(tmp) / side / config.stem for side in ("parent", "change")}
-            codes = {side: _run(clone if side == "parent" else ROOT, config, out)
+        targets = (sorted((ROOT / "configs").glob("*.cfg"))
+                   + sorted((ROOT / "scripts").glob("run_*.py")))
+        for target in targets:
+            outs = {side: Path(tmp) / side / target.stem for side in ("parent", "change")}
+            codes = {side: _run(clone if side == "parent" else ROOT, target, out)
                      for side, out in outs.items()}
-            report["exit_codes"][config.name] = codes
+            report["exit_codes"][target.name] = codes
             names = sorted({p.name for out in outs.values() for p in out.glob("*.csv")})
             for name in names:
-                key = f"{config.stem}/{name}"
+                key = f"{target.stem}/{name}"
                 a, b = (out / name for out in outs.values())
                 if not (a.is_file() and b.is_file()):
                     report["differs"][key] = "written on one side only"
@@ -80,8 +89,8 @@ def main(argv=None) -> int:
                 else:
                     report["differs"][key] = _largest_difference(a, b)
             differs = [f"{k} {v}" for k, v in report["differs"].items()
-                       if k.startswith(config.stem + "/")]
-            print(f"{config.name}: exit {codes['parent']} -> {codes['change']}; "
+                       if k.startswith(target.stem + "/")]
+            print(f"{target.name}: exit {codes['parent']} -> {codes['change']}; "
                   + (", ".join(differs) or "every CSV identical"), flush=True)
     if args.out:
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     GapMismatchError,
@@ -40,7 +39,10 @@ from .models import (
     OPEN,
     PERIODIC,
     HamiltonianSample,
+    LatticeSpec,
     ModelDefinition,
+    _assemble,
+    _bonds,
     apply_fiber,
     build_hamiltonian,
     chiral_sectors,
@@ -76,8 +78,7 @@ class HalfSpaceSample:
         ones a switch-gap functional reads (ind_map solves in full).  The number
         of them, from the level counts below the two gap edges, lets `diagonalize`
         solve them by sparse shift-invert; without both counts the window is dense."""
-        A = sparse.csr_array(self.hamiltonian.matrix)
-        below = [count_below(A, edge) for edge in self.bulk_gap]
+        below = [count_below(self.hamiltonian.csr, edge) for edge in self.bulk_gap]
         count = None if None in below else below[1] - below[0]
         return diagonalize(self.hamiltonian, window=self.bulk_gap, count=count)
 
@@ -254,8 +255,9 @@ def edge_dispersion_rows(model: ModelDefinition, nk: int = 64) -> list[tuple]:
     """(k, energy, near-face weight) rows for a cylinder model, clean.
 
     Diagonalizes the transverse Bloch strips of the open-last-axis model on
-    an nk grid; the weight column integrates |psi|^2 over the near quarter
-    of the open axis so the edge branches stand out.
+    an nk grid: the bonds leaving column x = 0 of the cylinder, periodic along
+    x, folded onto the strip with exp(-i k a_0).  The weight column integrates
+    |psi|^2 over the near quarter of the open axis so the edge branches stand out.
     """
     if model.disorder.strength != 0.0:
         raise GapMismatchError("edge dispersion is a clean-model diagnostic")
@@ -264,21 +266,19 @@ def edge_dispersion_rows(model: ModelDefinition, nk: int = 64) -> list[tuple]:
         raise GapMismatchError("edge dispersion implemented for d = 2 cylinders")
     L = model.lattice.fiber
     n2 = model.lattice.linear_sizes[1]
-    B = model.field.B
+    lat = LatticeSpec(2, model.lattice.linear_sizes, (PERIODIC, OPEN), L)
+    # column x = 0 holds the first n2 sites; a target's strip site is its y
+    leaving = []
+    for a, t in model.hoppings:
+        src, tgt, phase = _bonds(lat, model.field.B, a)
+        first = src < n2
+        leaving.append(((src[first], tgt[first] % n2, phase[first]), a[0], t))
+    strip = np.arange(n2)
     rows = []
     for k in np.linspace(0, 2 * np.pi, nk, endpoint=False):
-        h = np.zeros((n2 * L, n2 * L), dtype=complex)
-        for y in range(n2):
-            h[y * L:(y + 1) * L, y * L:(y + 1) * L] += model.onsite
-        for a, t in model.hoppings:
-            a1, a2 = a
-            for y in range(n2):
-                y2 = y + a2
-                if not 0 <= y2 < n2:
-                    continue
-                phase = np.exp(1j * a1 * B[0, 1] * y) * np.exp(-1j * k * a1)
-                h[y2 * L:(y2 + 1) * L, y * L:(y + 1) * L] += phase * t
-        w, v = np.linalg.eigh(h)
+        terms = [((strip, strip, np.zeros(n2)), model.onsite)]
+        terms += [(bonds, np.exp(-1j * k * a0) * t) for bonds, a0, t in leaving]
+        w, v = np.linalg.eigh(_assemble(n2 * L, terms).toarray())
         near = np.repeat(np.arange(n2) < n2 / 4, L)
         for j in range(len(w)):
             weight = float((np.abs(v[:, j]) ** 2)[near].sum())

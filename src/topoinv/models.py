@@ -1,6 +1,6 @@
 """Finite-volume tight-binding models.
 
-Builds dense Hermitian samples of hopping Hamiltonians on d-dimensional
+Builds sparse Hermitian samples of hopping Hamiltonians on d-dimensional
 lattices (d = 1, 2, 3) with L orbitals per site, uniform magnetic field in
 a fixed axial gauge, i.i.d. on-site disorder, open or periodic boundaries,
 and local flux insertion.  Ships a small zoo of named models and a
@@ -18,16 +18,20 @@ Conventions fixed here and relied on everywhere else:
   on a torus this requires B[i, j] * N_i * N_j in 2 pi Z;
 * one bond table (`_bonds`) places every bond for assembly, magnetic
   translations and flux insertion; there a bond is the segment from its
-  source to source + a, and the string cell p has 0 <= p_k <= N_k - 2.
+  source to source + a, and the string cell p has 0 <= p_k <= N_k - 2;
+* a sample is assembled once, in CSR form (`_assemble`); its dense matrix
+  is formed only when a caller reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     BadDimensionError,
@@ -382,9 +386,9 @@ class ModelDefinition:
 
 @dataclass(frozen=True)
 class HamiltonianSample:
-    """One disorder realization as a dense Hermitian matrix plus site metadata."""
+    """One disorder realization: its Hermitian matrix in CSR form plus site metadata."""
 
-    matrix: np.ndarray
+    csr: sparse.csr_array
     model: ModelDefinition
     realization_seed: int
 
@@ -394,7 +398,12 @@ class HamiltonianSample:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.csr.shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, formed on first read; the sparse solves never read it."""
+        return self.csr.toarray()
 
 
 def _bonds(lattice: LatticeSpec, B: np.ndarray,
@@ -428,35 +437,42 @@ def _bonds(lattice: LatticeSpec, B: np.ndarray,
     return (np.flatnonzero(keep), np.ravel_multi_index(moved[keep].T, sizes), phase[keep])
 
 
-def _scatter(out: np.ndarray, bonds, t: np.ndarray) -> None:
-    """out[target block, source block] += exp(i phase) t for every bond."""
-    src, tgt, phase = bonds
-    N, L = len(out) // len(t), len(t)
-    out.reshape(N, L, N, L)[tgt, :, src, :] += np.exp(1j * phase)[:, None, None] * t
+def _assemble(dim: int, terms) -> sparse.csr_array:
+    """The dim x dim CSR sum over the (bonds, t) of `terms`, one term after the
+    other, of the block exp(i phase) t at (target, source) for every bond; t is
+    one L x L block or one per bond.  Entries that sum to zero are not stored."""
+    out = sparse.csr_array((dim, dim), dtype=complex)
+    for (src, tgt, phase), t in terms:
+        blocks = np.exp(1j * phase)[:, None, None] * t
+        orb = np.arange(blocks.shape[-1])
+        rows, cols = np.broadcast_arrays((tgt[:, None] * len(orb) + orb)[:, :, None],
+                                         (src[:, None] * len(orb) + orb)[:, None, :], blocks)[:2]
+        out = out + sparse.coo_array((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                                     shape=(dim, dim))
+    return out
 
 
 def build_hamiltonian(model: ModelDefinition, realization_seed: int = 0) -> HamiltonianSample:
-    """Assemble the dense finite-volume matrix of the model.
+    """Assemble the finite-volume matrix of the model, in CSR form.
 
+    The hoppings are summed in their order, then the adjoint and the on-site
+    blocks, so each entry rounds as a dense scatter of the same terms does.
     Deterministic in (model, realization_seed); raises FluxQuantizationError
     via the model validation if the field is incompatible with the torus.
     """
     lat = model.lattice
     N, L = lat.num_sites, lat.fiber
-    H = np.zeros((lat.hilbert_dim,) * 2, dtype=complex)
-    for a, t in model.positive_hoppings():
-        _scatter(H, _bonds(lat, model.field.B, a), t)
-    H = H + H.conj().T
+    H = _assemble(lat.hilbert_dim, [(_bonds(lat, model.field.B, a), t)
+                                    for a, t in model.positive_hoppings()])
     omega = model.disorder.sample_site_matrices(N, L, realization_seed, model.symmetry)
     sites = np.arange(N)
-    H.reshape(N, L, N, L)[sites, :, sites, :] += model.onsite + omega
-    return HamiltonianSample(matrix=H, model=model, realization_seed=realization_seed)
+    onsite = _assemble(lat.hilbert_dim, [((sites, sites, np.zeros(N)), model.onsite + omega)])
+    return HamiltonianSample(csr=H + H.conj().T + onsite, model=model,
+                             realization_seed=realization_seed)
 
 
 def _translation(lattice: LatticeSpec, bonds) -> np.ndarray:
-    U = np.zeros((lattice.hilbert_dim,) * 2, dtype=complex)
-    _scatter(U, bonds, np.eye(lattice.fiber))
-    return U
+    return _assemble(lattice.hilbert_dim, [(bonds, np.eye(lattice.fiber))]).toarray()
 
 
 def magnetic_translations(lattice: LatticeSpec, B: np.ndarray) -> list[np.ndarray]:
@@ -533,52 +549,58 @@ def _string_bonds(sample: HamiltonianSample, plaquette: Sequence[int]):
 @dataclass(frozen=True)
 class FluxString:
     """What a flux insertion into one sample at one plaquette does not owe to t:
-    the rows of the string sites, ascending, and one real antisymmetric angle
-    matrix on them.  `flux_string` builds it.
+    the rows of the string sites, ascending, and the string entries stored in the
+    sample's CSR form, with their angles.  `flux_string` builds it.
 
-    H(t) differs from the sample only on `rows`, where each entry with a nonzero
-    angle takes the phase exp(i t angle): a string bond's (target, source) entries
-    its angle, the transposed entries minus it, so H(t) stays Hermitian.
-    `block_at(t)` is H(t) on those rows, all a flux step changes; `sample_at(t)`
-    is the whole flux-t sample.
+    H(t) differs from the sample only on `rows`, where each string entry takes the
+    phase exp(i t angle): a string bond's (target, source) entries its angle, the
+    transposed entries minus it, so H(t) stays Hermitian.  `sample_at(t)` is the
+    whole flux-t sample; `block_at(t)`, H(t) on the rows, is all a flux step changes.
     """
 
     sample: HamiltonianSample
     rows: np.ndarray
-    angle: np.ndarray
+    entries: np.ndarray  # positions in `sample.csr.data`
+    angle: np.ndarray  # one per entry
     centered: bool  # a bond passes through the plaquette center: refused at t != 0
 
-    def block_at(self, t: float) -> np.ndarray:
-        """H(t) on `rows`, equal to `self.sample_at(t).matrix[np.ix_(rows, rows)]`."""
-        block = self.sample.matrix[np.ix_(self.rows, self.rows)]
+    def sample_at(self, t: float) -> HamiltonianSample:
+        A = self.sample.csr
+        data = A.data.copy()
         if t != 0.0:
             if self.centered:
                 raise BadDimensionError(
                     "a bond passes through the flux plaquette center; shift the plaquette")
-            # only the string entries: any other entry, a signed zero too, keeps its bytes
-            on = self.angle != 0.0
-            block[on] *= np.exp(1j * t * self.angle[on])
-        return block
+            # only the string entries: any other entry keeps its bytes
+            data[self.entries] *= np.exp(1j * t * self.angle)
+        return replace(self.sample, csr=sparse.csr_array((data, A.indices, A.indptr), A.shape))
 
-    def sample_at(self, t: float) -> HamiltonianSample:
-        H = self.sample.matrix.copy()
-        H[np.ix_(self.rows, self.rows)] = self.block_at(t)
-        return replace(self.sample, matrix=H)
+    def block_at(self, t: float) -> np.ndarray:
+        """H(t) on `rows`, dense: `self.sample_at(t).matrix[np.ix_(rows, rows)]`."""
+        return self.sample_at(t).csr[self.rows][:, self.rows].toarray()
 
 
 def flux_string(sample: HamiltonianSample, plaquette: Sequence[int]) -> FluxString:
     """The string of a flux insertion into `sample` at `plaquette`, walked once;
-    validates the plaquette as `insert_flux` documents."""
+    validates the plaquette as `insert_flux` documents.  A string entry that is
+    exactly zero is not stored, and no phase changes it."""
     bonds, centered = _string_bonds(sample, plaquette)
-    L = sample.lattice.fiber
-    sites = np.unique(np.concatenate([np.zeros(0, int)] + [np.r_[s, g] for s, g, _ in bonds]))
-    angle = np.zeros((len(sites), L, len(sites), L))
+    A, L = sample.csr, sample.lattice.fiber
+    n = A.shape[0]
+    # entry (i, j) as the key i n + j: ascending in the canonical CSR order, then n^2
+    stored = np.append(np.repeat(np.arange(n), np.diff(A.indptr)) * n + A.indices, n * n)
+    keys, angles = [np.zeros(0, int)], [np.zeros(0)]
     for src, tgt, a in bonds:
-        src, tgt = np.searchsorted(sites, src), np.searchsorted(sites, tgt)
-        angle[tgt, :, src, :] = a
-        angle[src, :, tgt, :] = -a.swapaxes(1, 2)
+        rows, cols, a = np.broadcast_arrays((tgt[:, None] * L + np.arange(L))[:, :, None],
+                                            (src[:, None] * L + np.arange(L))[:, None, :], a)
+        keys += [(rows * n + cols).ravel(), (cols * n + rows).ravel()]
+        angles += [a.ravel(), -a.ravel()]
+    keys, angles = np.concatenate(keys), np.concatenate(angles)
+    entries = np.searchsorted(stored, keys)
+    found = stored[entries] == keys
+    sites = np.unique(np.concatenate([np.zeros(0, int)] + [np.r_[s, g] for s, g, _ in bonds]))
     rows = (sites[:, None] * L + np.arange(L)).ravel()
-    return FluxString(sample, rows, angle.reshape(len(rows), len(rows)), centered)
+    return FluxString(sample, rows, entries[found], angles[found], centered)
 
 
 def insert_flux(sample: HamiltonianSample, t: float, plaquette: Sequence[int]) -> HamiltonianSample:

@@ -275,7 +275,7 @@ def certified_gap(sample: HamiltonianSample, mu: float | None = None,
     the sparse route (`_sparse_gap`) returns None, every eigenvalue is solved."""
     if (mu is None) == (states is None) or not 1 <= (states or 1) < sample.dim:
         raise ValueError(f"give mu or states in [1, {sample.dim - 1}], not both")
-    found = _sparse_gap(_hermitian(sparse.csr_array(sample.matrix)), mu, states)
+    found = _sparse_gap(_hermitian(sample.csr), mu, states)
     if found is not None:
         return found
     eig = diagonalize(sample, vectors=False)
@@ -284,9 +284,8 @@ def certified_gap(sample: HamiltonianSample, mu: float | None = None,
     return mu, detect_gap(eig, mu)
 
 
-def _hermitian(A):
-    """A, dense or CSR, after checking max|A - A*| <= 1e-10 max(1, max|A|); one
-    expression serves either form and gives the same deviation."""
+def _hermitian(A: sparse.csr_array) -> sparse.csr_array:
+    """The CSR matrix A after checking max|A - A*| <= 1e-10 max(1, max|A|), at O(nnz)."""
     herm_dev = abs(A - A.conj().T).max()
     if herm_dev > 1e-10 * max(1.0, abs(A).max()):
         raise ConvergenceFailureError(f"matrix is not Hermitian (deviation {herm_dev:.2e})")
@@ -317,21 +316,21 @@ def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = 
         raise ValueError("count certifies the levels of a window; give the window")
     if partial and not vectors:
         raise ValueError("a partial solve returns eigenvectors")
-    H = sample.matrix
-    if states is not None and not 0 <= states < H.shape[0]:
-        raise ValueError(f"states must lie in [0, {H.shape[0] - 1}], got {states}")
-    # the count route checks the CSR form its shift-invert solves, at O(nnz)
-    A = _hermitian(sparse.csr_array(H) if count is not None else H)
+    if states is not None and not 0 <= states < sample.dim:
+        raise ValueError(f"states must lie in [0, {sample.dim - 1}], got {states}")
+    # every route checks the CSR form; only the dense routes form the dense matrix
+    A = _hermitian(sample.csr)
     try:
         if not vectors:
-            return EigenData(eigenvalues=np.linalg.eigvalsh(H), eigenvectors=None, sample=sample)
+            return EigenData(eigenvalues=np.linalg.eigvalsh(sample.matrix), eigenvectors=None,
+                             sample=sample)
         solved = _shift_invert(A, window, count) if count is not None else None
         if solved is not None:
             w, v = solved
         elif partial:
-            w, v, window = _partial_eigh(H, window, mu, states)
+            w, v, window = _partial_eigh(sample.matrix, window, mu, states)
         else:
-            w, v = np.linalg.eigh(H)
+            w, v = np.linalg.eigh(sample.matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
     return EigenData(eigenvalues=w, eigenvectors=v, sample=sample, window=window)

@@ -219,8 +219,8 @@ def test_edge_dispersion_rows():
 @pytest.mark.parametrize("name, params", [
     ("harper", {}), ("qwz", {}), ("kane_mele_qsh", {"rashba": 0.1})])
 def test_edge_dispersion_is_the_cylinder_spectrum(name, params):
-    # the strip hand-codes the axial gauge: at the N_0 grid momenta its levels
-    # are those of the assembled cylinder
+    # the strip folds the bonds leaving column x = 0 with exp(-i k a_0): at the
+    # N_0 grid momenta its levels are those of the assembled cylinder
     model = make_named_model(name, sizes=(12, 9), boundary=("periodic", "open"), **params)
     strip = np.sort([e for _, e, _ in edge_dispersion_rows(model, nk=12)])
     cylinder = np.linalg.eigvalsh(build_hamiltonian(model).matrix)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from topoinv import (
@@ -174,14 +175,19 @@ def test_string_block_is_the_flux_sample_on_the_string_rows(name, kw, plaquette)
     ("harper", dict(sizes=(12, 8), boundary=("periodic", "open")), (6, 4)),
     ("kitaev_chain", dict(sizes=16, boundary="periodic", mu=0.3), (15,))])
 def test_flux_string_is_one_antisymmetric_angle_block(name, kw, plaquette):
-    # the string's angles are antisymmetric, so every H(t) is Hermitian as the
-    # sample is, and the block the flux steps read is the flux sample on the rows
+    # the string's angles, one per stored entry of the CSR form, placed on the rows
+    # form one antisymmetric block, so every H(t) is Hermitian as the sample is, and
+    # the block the flux steps read is the flux sample on the rows
     model = make_named_model(name, disorder=DisorderSpec(strength=0.3, seed=5), **kw)
     sample = build_hamiltonian(model, 3)
     string = flux_string(sample, plaquette)
-    rows, angle = string.rows, string.angle
-    assert np.array_equal(rows, np.unique(rows)) and angle.shape == (len(rows), len(rows))
-    assert np.any(angle) and np.array_equal(angle, -angle.T)
+    rows, A = string.rows, sample.csr
+    assert np.array_equal(rows, np.unique(rows)) and string.angle.shape == string.entries.shape
+    r, c = np.searchsorted(A.indptr, string.entries, side="right") - 1, A.indices[string.entries]
+    assert np.isin(r, rows).all() and np.isin(c, rows).all()
+    angle = np.zeros(A.shape)
+    angle[r, c] = string.angle
+    assert np.all(string.angle) and np.array_equal(angle, -angle.T)
     assert np.array_equal(sample.matrix, sample.matrix.conj().T)
     for t in (0.0, 0.1, 0.5, 0.7, 1.0):
         H = string.sample_at(t).matrix
@@ -211,6 +217,29 @@ def test_flow_walks_the_string_once_per_path(monkeypatch):
     path = laughlin_path(0)
     res = spectral_flow(path, 0.0)
     assert res.net == 1 and len(walks) == 1
+
+
+def test_count_route_steps_never_form_the_dense_matrix(monkeypatch):
+    # a flux step whose levels the count route solved reads only the CSR form of H(t)
+    inner_diagonalize, inner_shift_invert = flow.diagonalize, spectral._shift_invert
+    counted, accepted = [], []
+
+    def diagonalize_spy(sample, *args, **kwargs):
+        if kwargs.get("count") is not None:
+            counted.append(sample)
+        return inner_diagonalize(sample, *args, **kwargs)
+
+    def shift_invert_spy(*args):
+        solved = inner_shift_invert(*args)
+        accepted.append(solved is not None)
+        return solved
+
+    monkeypatch.setattr(flow, "diagonalize", diagonalize_spy)
+    monkeypatch.setattr(spectral, "_shift_invert", shift_invert_spy)
+    assert spectral_flow(laughlin_path(0), 0.0).net == 1
+    assert len(counted) == len(accepted) and any(accepted)
+    assert all("matrix" not in sample.__dict__
+               for sample, ok in zip(counted, accepted) if ok)
 
 
 def test_laughlin_pump_script(tmp_path):
@@ -324,15 +353,14 @@ def test_failed_shift_invert_takes_the_dense_route(monkeypatch):
     dict(window=(-0.6, 0.6), count=4), dict(window=(-0.6, 0.6)), dict(mu=0.0), dict(states=3),
     dict(vectors=False), dict()], ids=["count", "window", "mu", "states", "values", "full"])
 def test_diagonalize_refuses_a_non_hermitian_matrix(monkeypatch, kwargs):
-    # the count route checks the CSR form it solves, the others the dense matrix:
-    # every route reports the same deviation before any solve starts
+    # every route checks the CSR form and reports the deviation before any solve starts
     sample = laughlin_path(None).sample_at(0.3)
     H = sample.matrix.copy()
     H[3, 7] += 2.5e-6
     monkeypatch.setattr(spectral, "eigsh", None)
     monkeypatch.setattr(spectral, "_partial_eigh", None)
     with pytest.raises(ConvergenceFailureError, match=r"not Hermitian \(deviation 2\.50e-06\)"):
-        diagonalize(dataclasses.replace(sample, matrix=H), **kwargs)
+        diagonalize(dataclasses.replace(sample, csr=sparse.csr_array(H)), **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ periodic axis 0 the reference is not Hermitian; the bond table is.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from topoinv import (
     DisorderSpec,
@@ -73,7 +74,8 @@ def ref_insert_flux(sample, t, plaquette):
         y_from = np.broadcast_to(ys[None, :], x_from.shape)
         y_to = np.broadcast_to(ys[:, None], x_from.shape)
         H *= _ref_string_phases(x_from, y_from, x_to, y_to, px, 0.5, t, np.abs(H) > 0, half=True)
-    return HamiltonianSample(matrix=H, model=sample.model, realization_seed=sample.realization_seed)
+    return HamiltonianSample(csr=sparse.csr_array(H), model=sample.model,
+                             realization_seed=sample.realization_seed)
 
 
 def _qwz_disordered(seed):

@@ -10,12 +10,20 @@ along an axis, every bond (source, target, gauge phase) is the walk's bit
 for bit and the assembled matrix agrees to the rounding of one complex
 product; otherwise it agrees to 1e-12 (the closed form sums the phases of
 a multi-step move in another order).
+
+The dense scatter below is the assembly the package had before it built
+each sample in CSR form: the CSR assembly, its dense matrix and the
+translations must equal it byte for byte.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from topoinv.models import (
+    MODEL_NAMES,
     OPEN,
     PERIODIC,
     DisorderSpec,
@@ -23,9 +31,11 @@ from topoinv.models import (
     MagneticFieldSpec,
     ModelDefinition,
     _bonds,
+    _translation,
     build_hamiltonian,
     dual_translations,
     magnetic_translations,
+    make_named_model,
 )
 
 TOL = 1e-12
@@ -137,6 +147,53 @@ def ref_dual_translations(lattice, B):
     return out
 
 
+def scatter(out, bonds, t):
+    """out[target block, source block] += exp(i phase) t for every bond."""
+    src, tgt, phase = bonds
+    N, L = len(out) // len(t), len(t)
+    out.reshape(N, L, N, L)[tgt, :, src, :] += np.exp(1j * phase)[:, None, None] * t
+
+
+def scatter_hamiltonian(model, realization_seed=0):
+    """The dense assembly: the positive hoppings scattered in turn, the adjoint
+    added, then the on-site blocks."""
+    lat = model.lattice
+    N, L = lat.num_sites, lat.fiber
+    H = np.zeros((lat.hilbert_dim,) * 2, dtype=complex)
+    for a, t in model.positive_hoppings():
+        scatter(H, _bonds(lat, model.field.B, a), t)
+    H = H + H.conj().T
+    omega = model.disorder.sample_site_matrices(N, L, realization_seed, model.symmetry)
+    sites = np.arange(N)
+    H.reshape(N, L, N, L)[sites, :, sites, :] += model.onsite + omega
+    return H
+
+
+def assert_assembly_is_the_scatter(model, realization_seed):
+    """The sample's CSR form holds no zero, and it, its dense matrix and (on a torus)
+    each translation equal the dense scatter byte for byte."""
+    sample = build_hamiltonian(model, realization_seed)
+    want = scatter_hamiltonian(model, realization_seed)
+    assert np.all(sample.csr.data) and sample.csr.has_canonical_format
+    assert sample.matrix.tobytes() == want.tobytes()
+    if any(flag != PERIODIC for flag in model.lattice.boundary):
+        return
+    seen = []
+
+    def spy(lattice, bonds):
+        seen.append((lattice, bonds))
+        return _translation(lattice, bonds)
+
+    with mock.patch("topoinv.models._translation", spy):
+        got = magnetic_translations(model.lattice, model.field.B)
+        got += dual_translations(model.lattice, model.field.B)
+    assert len(seen) == len(got) == 2 * model.lattice.dimension
+    for U, (lattice, bonds) in zip(got, seen):
+        want = np.zeros((lattice.hilbert_dim,) * 2, dtype=complex)
+        scatter(want, bonds, np.eye(lattice.fiber))
+        assert U.tobytes() == want.tobytes()
+
+
 # --- strategies --------------------------------------------------------------
 
 @st.composite
@@ -244,3 +301,28 @@ def test_translations_match_walk(data):
         for U, R in zip(got, want):
             assert np.array_equal(U, R)
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(), st.integers(0, 50))
+@example(ONE_BOND, 0)
+def test_assembly_is_the_dense_scatter(model, realization_seed):
+    assert_assembly_is_the_scatter(model, realization_seed)
+
+
+# every zoo model at the sizes the tests use, both boundaries, with disorder
+ZOO_SIZES = {"ssh": (8, 64), "harper": ((12, 8), 24), "qwz": (10, 16),
+             "kane_mele_qsh": (8, 12), "kitaev_chain": (16, 64), "chiral_3d": (4, 6)}
+ZOO_PARAMS = {"ssh": {"m": 0.5}, "kane_mele_qsh": {"rashba": 0.3, "zeeman": 0.1},
+              "kitaev_chain": {"mu": 0.3}, "chiral_3d": {"mass": 1.0}}
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, OPEN])
+@pytest.mark.parametrize("family", DisorderSpec._FAMILIES)
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_zoo_assembly_is_the_dense_scatter(name, family, boundary):
+    for sizes in ZOO_SIZES[name]:
+        model = make_named_model(name, sizes=sizes, boundary=boundary,
+                                 disorder=DisorderSpec(family, 0.3, seed=5),
+                                 **ZOO_PARAMS.get(name, {}))
+        assert_assembly_is_the_scatter(model, 3)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from topoinv import DisorderSpec, build_hamiltonian, diagonalize, make_half_space, make_named_model
-from topoinv import spectral
+from topoinv import boundary, spectral
 from topoinv.errors import NoGapError
 from topoinv.harness import load_config
 from topoinv.models import OPEN, PERIODIC
@@ -35,10 +35,6 @@ def harper_mu():
     return 0.5 * (w[191] + w[192])
 
 
-def csr(sample):
-    return sparse.csr_array(sample.matrix)
-
-
 def dense_gap(sample, mu=None, states=None):
     """mu and the gap around it from every eigenvalue: the dense route."""
     w = np.linalg.eigvalsh(sample.matrix)
@@ -56,7 +52,7 @@ def check_realization(model, seed, mu=None, states=None, occupied=False):
     if occupied:  # the bbc task reads its gap from the dense occupied solve
         mu, gap = dmu, dgap
     else:
-        found = spectral._sparse_gap(csr(torus), mu, states)
+        found = spectral._sparse_gap(torus.csr, mu, states)
         if found is None:
             fallbacks.append("companion gap")
             found = dmu, dgap
@@ -64,7 +60,7 @@ def check_realization(model, seed, mu=None, states=None, occupied=False):
         assert abs(mu - dmu) <= EDGE_TOL and np.abs(np.subtract(gap, dgap)).max() <= EDGE_TOL
     half = build_hamiltonian(model.with_boundary(model.lattice.dimension - 1, OPEN), seed)
     w = np.linalg.eigvalsh(half.matrix)
-    counts = [count_below(csr(half), edge) for edge in gap]
+    counts = [count_below(half.csr, edge) for edge in gap]
     for side, edge, count in zip(("lower", "upper"), gap, counts):
         if count is None:
             fallbacks.append(f"half-space count at the {side} gap edge")
@@ -105,6 +101,23 @@ def test_edge_ensemble_realizations_count_as_dense():
     assert fallbacks == [[]] * 4
 
 
+def test_sparse_routes_never_form_the_dense_matrix(monkeypatch):
+    # the boundary-current realization of the edge_ensemble workload: its companion
+    # gap and its half-space window are certified from the CSR form alone
+    current = harper((33, 32), 0.3, 17, ("periodic", "open"))
+    tori = []
+
+    def gap_spy(sample, *args, **kwargs):
+        tori.append(sample)
+        return certified_gap(sample, *args, **kwargs)
+
+    monkeypatch.setattr(boundary, "certified_gap", gap_spy)
+    half = make_half_space(current, realization_seed=66409, states=352)  # via companion_gap
+    assert len(half.eigen.eigenvalues) > 0
+    assert len(tori) == 1
+    assert all("matrix" not in sample.__dict__ for sample in (*tori, half.hamiltonian))
+
+
 def test_shipped_configs_count_as_dense(pytestconfig):
     # each config's sample and its torus, counted at the config's mu
     fallbacks = set()
@@ -117,7 +130,7 @@ def test_shipped_configs_count_as_dense(pytestconfig):
             w = np.linalg.eigvalsh(sample.matrix)
             k = params.get("mu_states")
             mu = 0.5 * (w[k - 1] + w[k]) if k else params.get("mu", 0.0)
-            count = count_below(csr(sample), mu)
+            count = count_below(sample.csr, mu)
             if count is None:
                 fallbacks.add(f"{path.stem} {name}")
             else:
@@ -209,8 +222,8 @@ def test_each_none_path_gives_the_dense_bytes(monkeypatch, force):
     dense_values = diagonalize(torus, vectors=False).eigenvalues
     dense_window = diagonalize(half, window=gap)
     # unforced, every step is certified and the in-gap levels take the count route
-    assert count_below(csr(half), gap[0]) is not None
-    assert spectral._sparse_gap(csr(torus), None, 48) is not None
+    assert count_below(half.csr, gap[0]) is not None
+    assert spectral._sparse_gap(torus.csr, None, 48) is not None
     if force == "unstable count":
         # delta spans the spectrum, so the counts at E -+ delta differ
         monkeypatch.setattr(spectral, "_COUNT_MARGIN", 1e12)
@@ -218,8 +231,8 @@ def test_each_none_path_gives_the_dense_bytes(monkeypatch, force):
         inner = spectral.splu
         wrap = _asymmetric if force == "asymmetric permutation" else _complex_pivot
         monkeypatch.setattr(spectral, "splu", lambda *a, **kw: wrap(inner(*a, **kw)))
-    assert count_below(csr(half), gap[0]) is None
-    assert spectral._sparse_gap(csr(torus), None, 48) is None
+    assert count_below(half.csr, gap[0]) is None
+    assert spectral._sparse_gap(torus.csr, None, 48) is None
     hs = make_half_space(model, None, 4, states=48)
     assert hs.mu == float(0.5 * (dense_values[47] + dense_values[48]))
     assert hs.bulk_gap == detect_gap(diagonalize(torus, vectors=False), hs.mu)
@@ -243,4 +256,4 @@ def test_certified_gap_refuses_a_non_hermitian_matrix(monkeypatch):
     H[3, 7] += 2.5e-6
     monkeypatch.setattr(spectral, "splu", None)
     with pytest.raises(spectral.ConvergenceFailureError, match=r"deviation 2\.50e-06"):
-        certified_gap(dataclasses.replace(sample, matrix=H), states=48)
+        certified_gap(dataclasses.replace(sample, csr=sparse.csr_array(H)), states=48)

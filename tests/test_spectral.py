@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from topoinv import (
     HamiltonianSample,
@@ -158,7 +159,8 @@ def hermitian_sample(levels, seed):
     H = (V * np.asarray(levels)) @ V.conj().T
     lat = LatticeSpec(1, (n,), (PERIODIC,), 1)
     model = ModelDefinition(lat, MagneticFieldSpec.zero(1), (), np.zeros((1, 1)))
-    return HamiltonianSample(matrix=0.5 * (H + H.conj().T), model=model, realization_seed=0)
+    return HamiltonianSample(csr=sparse.csr_array(0.5 * (H + H.conj().T)), model=model,
+                             realization_seed=0)
 
 
 @st.composite

@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy import sparse
 
 from topoinv import (
     DisorderSpec,
@@ -216,7 +217,8 @@ def random_sample(lat, rng, spectrum, vectors=None):
     H = (V * spectrum) @ V.conj().T
     model = ModelDefinition(lat, MagneticFieldSpec.zero(lat.dimension), (),
                             np.zeros((lat.fiber, lat.fiber)))
-    return HamiltonianSample(matrix=0.5 * (H + H.conj().T), model=model, realization_seed=0)
+    return HamiltonianSample(csr=sparse.csr_array(0.5 * (H + H.conj().T)), model=model,
+                             realization_seed=0)
 
 
 def edge_sample(lat, rng, levels, bulk):

@@ -35,7 +35,7 @@ for lam, seeds in ((0.0, [0]), (LAMBDA, range(N_REALIZATIONS))):
     for seed in seeds:
         # the companion's occupied solve gives the bulk projection and certifies the gap
         P = occupied_projection(build_hamiltonian(m.with_boundary(1, "periodic"), seed), mu)
-        half = make_half_space(m, mu, seed, companion=P.eigen)
+        half = make_half_space(m, realization_seed=seed, bulk=P)
         bulk = chern_projection(P, (1, 2))
         edge = boundary_winding(exp_map(half, SwitchFunction("exp", half.bulk_gap)))
         rows.append((lam, seed, bulk.value, edge.value))

@@ -19,7 +19,7 @@ from .spectral import (
     SwitchFunction,
     detect_gap,
     diagonalize,
-    eval_switch,
+    fermi_level,
     fermi_projection,
     occupied_projection,
 )

@@ -47,7 +47,14 @@ from .models import (
     build_hamiltonian,
     chiral_sectors,
 )
-from .spectral import EigenData, SwitchFunction, certified_gap, count_below, detect_gap, diagonalize
+from .spectral import (
+    EigenData,
+    FermiProjection,
+    SwitchFunction,
+    certified_gap,
+    count_below,
+    diagonalize,
+)
 
 _SECTOR_GAP = 1e-3  # ind_map: smallest |chirality| a surface-band state may have
 _DECAY_FLOOR = 5e-2  # boundary_winding: largest depth-profile deviation at mid depth
@@ -93,20 +100,18 @@ def companion_gap(model: ModelDefinition, realization_seed: int = 0, mu: float |
 
 
 def make_half_space(model: ModelDefinition, mu: float | None = None, realization_seed: int = 0,
-                    companion: EigenData | None = None, *,
+                    bulk: FermiProjection | None = None, *,
                     states: int | None = None) -> HalfSpaceSample:
-    """Certify the gap at mu (or above the lowest `states` levels) on the torus
-    companion, then open the last axis.
-
-    The gap is certified here from level counts alone (`spectral.certified_gap`);
-    a caller that needs the companion's projection hands in the occupied
-    solve it took it from (`occupied_projection(...).eigen`) as `companion`,
-    whose levels then give the gap at mu.
-    """
-    if companion is None:
+    """Certify the gap at the Fermi level (mu or `states=k`, `spectral.fermi_level`)
+    on the torus companion from level counts alone (`companion_gap`), then open the
+    last axis.  A caller that needs the companion's projection hands it in as `bulk`
+    in place of mu and states, and its mu and gap are taken as they are."""
+    if bulk is None:
         mu, gap = companion_gap(model, realization_seed, mu, states)
+    elif mu is not None or states is not None:
+        raise ValueError("give mu or states, or the bulk projection, not both")
     else:
-        gap = detect_gap(companion, mu)
+        mu, gap = bulk.mu, bulk.gap
     half_model = model.with_boundary(model.lattice.dimension - 1, OPEN)
     return HalfSpaceSample(hamiltonian=build_hamiltonian(half_model, realization_seed),
                            bulk_gap=gap, mu=mu)

@@ -22,6 +22,7 @@ import numpy as np
 from . import boundary as bd
 from . import flow as fl
 from . import invariants as iv
+from . import spectral as sp
 from .errors import BadDimensionError, ConfigError
 from .models import OPEN, PERIODIC, build_hamiltonian, classify_caz
 from .serialize import (
@@ -32,7 +33,6 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .spectral import SwitchFunction, detect_gap, diagonalize, fermi_projection, occupied_projection
 
 WORKERS_ENV = "TOPO_WORKERS"
 
@@ -64,8 +64,11 @@ class ExperimentConfig:
         tol = config_number("tolerances", "quantization",
                             sections.get("tolerances", {}).get("quantization", 0.1))
         # validate the model and task values eagerly so config errors surface before work
-        model_from_config(sections)
+        dim = model_from_config(sections).lattice.hilbert_dim
         params = {key: _task_value(key, text) for key, text in task_sec.items()}
+        if not 1 <= params.get("mu_states", 1) <= dim - 1:
+            raise ConfigError(f"task.mu_states must be between 1 and {dim - 1}, "
+                              f"got {params['mu_states']}")
         return cls(sections=sections, task=task, task_params=params,
                    realizations=realizations, base_seed=base_seed,
                    out_dir=Path(out) if out else None, quant_tol=tol)
@@ -103,31 +106,23 @@ def _task_value(key: str, text: str):
     return value
 
 
-def _state_count(params: dict, dim: int) -> int:
-    k = params["mu_states"]
-    if not 1 <= k <= dim - 1:
-        raise ConfigError(f"task.mu_states must be between 1 and {dim - 1}, got {k}")
-    return k
-
-
-def _resolve_mu(params: dict, eig) -> float:
+def _level(params: dict) -> dict:
+    """The Fermi-level keyword of every task: states=mu_states (range-checked on load), else mu."""
     if "mu_states" in params:
-        w = eig.eigenvalues
-        k = _state_count(params, len(w))
-        return float(0.5 * (w[k - 1] + w[k]))
-    return params.get("mu", 0.0)
+        return {"states": params["mu_states"]}
+    return {"mu": params.get("mu", 0.0)}
 
 
 # --- task implementations ---------------------------------------------------
 
 def _task_spectrum(model, params, seed):
     sample = build_hamiltonian(model, seed)
-    eig = diagonalize(sample, vectors=False)
+    eig = sp.diagonalize(sample, vectors=False)
     w = eig.eigenvalues
     out = {"e_min": float(w[0]), "e_max": float(w[-1])}
     if "mu" in params or "mu_states" in params:
-        mu = _resolve_mu(params, eig)
-        lo, hi = detect_gap(eig, mu)
+        mu = sp.fermi_level(w, **_level(params))
+        lo, hi = sp.detect_gap(eig, mu)
         out.update(gap_lo=lo, gap_hi=hi, gap_width=hi - lo)
     out["_spectrum"] = [float(v) for v in w]
     return out
@@ -140,18 +135,7 @@ def _values(res, **extra):
 
 def _projection(model, params, seed):
     """Fermi projection from the occupied eigenpairs only."""
-    sample = build_hamiltonian(model, seed)
-    if "mu_states" in params:
-        return occupied_projection(sample, states=_state_count(params, sample.dim))
-    return occupied_projection(sample, params.get("mu", 0.0))
-
-
-def _half_space(model, params, seed):
-    """Half-space sample with the gap of its torus companion certified from level counts."""
-    if "mu_states" in params:
-        k = _state_count(params, model.lattice.hilbert_dim)
-        return bd.make_half_space(model, None, seed, states=k)
-    return bd.make_half_space(model, params.get("mu", 0.0), seed)
+    return sp.occupied_projection(build_hamiltonian(model, seed), **_level(params))
 
 
 def _task_chern(model, params, seed):
@@ -183,9 +167,9 @@ def _task_spin_chern(model, params, seed):
 def _task_bbc(model, params, seed):
     # the torus companion's occupied solve gives the bulk projection and certifies the gap
     P = _projection(model.with_boundaries(PERIODIC), params, seed)
-    half = bd.make_half_space(model, P.mu, seed, companion=P.eigen)
+    half = bd.make_half_space(model, realization_seed=seed, bulk=P)
     bulk = iv.chern_projection(P, (1, 2))
-    f = SwitchFunction("exp", half.bulk_gap)
+    f = sp.SwitchFunction("exp", half.bulk_gap)
     edge = bd.boundary_winding(bd.exp_map(half, f))
     return {"bulk": bulk.value, "edge": edge.value,
             "difference": abs(bulk.value - edge.value)}
@@ -194,8 +178,9 @@ def _task_bbc(model, params, seed):
 def _task_boundary_current(model, params, seed):
     if model.lattice.dimension == 1:
         raise BadDimensionError("the edge current needs d >= 2: a d = 1 edge is a point")
-    half = _half_space(model, params, seed)
-    f = SwitchFunction("exp", half.bulk_gap)
+    # the gap of the torus companion is certified from level counts
+    half = bd.make_half_space(model, realization_seed=seed, **_level(params))
+    f = sp.SwitchFunction("exp", half.bulk_gap)
     value = bd.boundary_current(half, f)
     return {"value": value, "rounded": int(round(value)),
             "quantization_error": abs(value - round(value))}
@@ -216,9 +201,9 @@ def _task_laughlin(model, params, seed):
     n = model.lattice.linear_sizes
     path = fl.FluxPath(base=sample, plaquette=(n[0] // 2, n[1] // 2))
     # the base decomposition serves mu, the pair index and the flow at t = 0
-    mu = _resolve_mu(params, path.base_eigen)
+    mu = sp.fermi_level(path.base_eigen.eigenvalues, **_level(params))
     sf = fl.spectral_flow(path, mu)
-    pi = iv.pair_index(fermi_projection(path.base_eigen, mu))
+    pi = iv.pair_index(sp.fermi_projection(path.base_eigen, mu))
     return {"spectral_flow": sf.net, "pair_index": pi.rounded,
             "pair_index_raw": pi.value,
             "quantization_error": float(abs(sf.net - pi.rounded)),
@@ -235,8 +220,8 @@ def _task_kitaev_halfflux(model, params, seed):
 
 def _task_veg(model, params, seed):
     # the resolvents need every eigenpair, not only the occupied ones
-    eig = diagonalize(build_hamiltonian(model, seed))
-    P = fermi_projection(eig, _resolve_mu(params, eig))
+    eig = sp.diagonalize(build_hamiltonian(model, seed))
+    P = sp.fermi_projection(eig, sp.fermi_level(eig.eigenvalues, **_level(params)))
     res = iv.veg_invariant(P, n_t=params.get("n_t", 64))
     direct = iv.chern_projection(P, (1, 2))
     return {"value": res.value, "direct": direct.value,

@@ -564,20 +564,35 @@ class FluxString:
     angle: np.ndarray  # one per entry
     centered: bool  # a bond passes through the plaquette center: refused at t != 0
 
-    def sample_at(self, t: float) -> HamiltonianSample:
-        A = self.sample.csr
-        data = A.data.copy()
+    def _rephase(self, values: np.ndarray, at, t: float) -> np.ndarray:
+        """A copy of `values` with the string entries `at` multiplied by exp(i t angle):
+        the one place that applies string phases.  t != 0 is refused on a centered string."""
+        values = values.copy()
         if t != 0.0:
             if self.centered:
                 raise BadDimensionError(
                     "a bond passes through the flux plaquette center; shift the plaquette")
             # only the string entries: any other entry keeps its bytes
-            data[self.entries] *= np.exp(1j * t * self.angle)
+            values[at] *= np.exp(1j * t * self.angle)
+        return values
+
+    def sample_at(self, t: float) -> HamiltonianSample:
+        A = self.sample.csr
+        data = self._rephase(A.data, self.entries, t)
         return replace(self.sample, csr=sparse.csr_array((data, A.indices, A.indptr), A.shape))
+
+    @cached_property
+    def _block(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """H(0) on `rows`, dense, and the (row, column) of each string entry in it:
+        `block_at(t)` applies `sample_at`'s products to a copy."""
+        A = self.sample.csr
+        row = np.searchsorted(A.indptr, self.entries, side="right") - 1
+        where = np.searchsorted(self.rows, row), np.searchsorted(self.rows, A.indices[self.entries])
+        return A[self.rows][:, self.rows].toarray(), where
 
     def block_at(self, t: float) -> np.ndarray:
         """H(t) on `rows`, dense: `self.sample_at(t).matrix[np.ix_(rows, rows)]`."""
-        return self.sample_at(t).csr[self.rows][:, self.rows].toarray()
+        return self._rephase(*self._block, t)
 
 
 def flux_string(sample: HamiltonianSample, plaquette: Sequence[int]) -> FluxString:

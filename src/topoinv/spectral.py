@@ -15,7 +15,7 @@ from scipy import linalg, sparse, special
 from scipy.linalg import lapack
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .errors import ConvergenceFailureError, GapMismatchError, NoGapError
+from .errors import ConvergenceFailureError, NoGapError
 from .models import HamiltonianSample
 
 _MIN_GAP = 1e-8  # detect_gap: narrowest gap, and closest level to mu, it accepts
@@ -131,38 +131,49 @@ def _partial_eigh(H: np.ndarray, window: tuple[float, float] | None, mu: float |
 def _shift_invert(A: sparse.csr_array, window: tuple[float, float],
                   count: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The `count` eigenpairs of the Hermitian CSR matrix A nearest the window's
-    midpoint by sparse shift-invert (ARPACK on a sparse LU of A - sigma) and a
-    Rayleigh-Ritz step on their span, or None unless exactly `count` come back,
-    all in lo < E <= hi, with residual within tolerance.
-
-    The start vector is fixed, so equal matrices give equal bytes; without
-    one ARPACK's start depends on the calls made before it.
-    """
+    midpoint (`_arpack` on a sparse LU of A - sigma), or None unless exactly
+    `count` come back, all in lo < E <= hi."""
     lo, hi = window
     n = A.shape[0]
     if count == 0:
         return np.zeros(0), np.zeros((n, 0), dtype=complex)
-    if count >= n - 1:  # beyond ARPACK, which needs k < n - 1
-        return None
     sigma = 0.5 * (lo + hi)
-    v0 = np.random.default_rng(0).standard_normal(n)
     try:
         lu = splu(sparse.csc_array(A - sigma * sparse.eye_array(n)), permc_spec=_LU_ORDERING,
                   diag_pivot_thresh=_LU_DIAG_PIVOT, options={"SymmetricMode": True})
-        w, v = eigsh(A, k=count, sigma=sigma, v0=v0,
+    except (RuntimeError, ValueError):  # a singular shift
+        return None
+    solved = _arpack(A, lu, sigma, count)  # exactly `count` pairs, or None
+    if solved is None or not np.all((solved[0] > lo) & (solved[0] <= hi)):
+        return None
+    return solved
+
+
+def _arpack(A: sparse.csr_array, lu, shift: float, k: int,
+            which: str = "LM") -> tuple[np.ndarray, np.ndarray] | None:
+    """k eigenpairs of the Hermitian CSR matrix A by ARPACK shift-invert on the
+    factor `lu` of A - shift, then a Rayleigh-Ritz step on their span; None on an
+    ARPACK failure, for k >= n - 1 (beyond ARPACK), or unless k pairs come back,
+    each with residual within tolerance.  The start vector is fixed, so equal
+    matrices give equal bytes; without one ARPACK's start depends on the calls
+    made before it."""
+    n = A.shape[0]
+    if k >= n - 1:
+        return None
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        _, v = eigsh(A, k=k, sigma=shift, which=which, v0=v0,
                      OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=A.dtype))
-    except (RuntimeError, ValueError):  # ARPACK failures, a singular shift
+    except (RuntimeError, ValueError):  # ARPACK failures
         return None
     # Rayleigh-Ritz on the solved span: ARPACK's vectors of close levels are
     # orthogonal only to about eps max|A| / spacing, the Ritz vectors to rounding
     q = np.linalg.qr(v)[0]
     w, z = np.linalg.eigh(q.conj().T @ (A @ q))
     v = q @ z
-    residual = np.linalg.norm(A @ v - v * w, axis=0).max()
-    if (len(w) == count and np.all((w > lo) & (w <= hi))
-            and residual <= _RESIDUAL_TOL * _scale(A)):
-        return w, v
-    return None
+    if len(w) != k or np.linalg.norm(A @ v - v * w, axis=0).max() > _RESIDUAL_TOL * _scale(A):
+        return None
+    return w, v
 
 
 def _scale(A: sparse.csr_array) -> float:
@@ -214,23 +225,11 @@ def count_below(A: sparse.csr_array, E: float) -> int | None:
 
 def _nearest_level(A: sparse.csr_array, lu, shift: float, which: str) -> float | None:
     """The level nearest below (which="SA") or above ("LA") the shift, by
-    shift-invert on the factor `lu` of A - shift: the Rayleigh quotient of the
-    solved vector, or None unless it lies on that side within the residual tolerance."""
-    n = A.shape[0]
-    if n < 3:  # beyond ARPACK, which needs k < n - 1
+    `_arpack` on the factor `lu` of A - shift, or None unless it lies on that side."""
+    solved = _arpack(A, lu, shift, 1, which)
+    if solved is None or (solved[0][0] - shift) * (1 if which == "LA" else -1) <= 0:
         return None
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        _, v = eigsh(A, k=1, sigma=shift, which=which, v0=v0,
-                     OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=A.dtype))
-    except (RuntimeError, ValueError):  # ARPACK failures
-        return None
-    v = v[:, 0] / np.linalg.norm(v[:, 0])
-    e = float(np.vdot(v, A @ v).real)
-    if (np.linalg.norm(A @ v - e * v) > _RESIDUAL_TOL * _scale(A)
-            or (e - shift) * (1 if which == "LA" else -1) <= 0):
-        return None
-    return e
+    return float(solved[0][0])
 
 
 def _sparse_gap(A: sparse.csr_array, mu: float | None, states: int | None):
@@ -268,19 +267,32 @@ def _sparse_gap(A: sparse.csr_array, mu: float | None, states: int | None):
     return (float(mu), (lo, hi)) if min(mu - lo, hi - mu) >= _MIN_GAP else None
 
 
+def _check_level(dim: int, mu: float | None, states: int | None) -> None:
+    """Raise ValueError unless a Fermi-level request names exactly one of mu and
+    states, with states in [1, dim - 1]: a level on each side of the Fermi level."""
+    if (mu is None) == (states is None) or (states is not None and not 1 <= states < dim):
+        raise ValueError(f"give exactly one of mu and states in [1, {dim - 1}], got {mu}, {states}")
+
+
+def fermi_level(w: np.ndarray, mu: float | None = None, states: int | None = None) -> float:
+    """The Fermi level of a request over the ascending levels w: mu unchanged, or
+    halfway between the k-th and (k+1)-th level for `states=k`."""
+    _check_level(len(w), mu, states)
+    return mu if states is None else float(0.5 * (w[states - 1] + w[states]))
+
+
 def certified_gap(sample: HamiltonianSample, mu: float | None = None,
                   states: int | None = None) -> tuple[float, tuple[float, float]]:
-    """The Fermi level and `detect_gap`'s gap around it from levels alone: mu as
-    given, or halfway between the k-th and (k+1)-th level for `states=k`.  Where
-    the sparse route (`_sparse_gap`) returns None, every eigenvalue is solved."""
-    if (mu is None) == (states is None) or not 1 <= (states or 1) < sample.dim:
-        raise ValueError(f"give mu or states in [1, {sample.dim - 1}], not both")
+    """The Fermi level (`fermi_level`) and `detect_gap`'s gap around it from levels
+    alone; ValueError unless exactly one of mu and states is given, with
+    1 <= states < dim.  Where the sparse route (`_sparse_gap`) returns None, every
+    eigenvalue is solved."""
+    _check_level(sample.dim, mu, states)
     found = _sparse_gap(_hermitian(sample.csr), mu, states)
     if found is not None:
         return found
     eig = diagonalize(sample, vectors=False)
-    if states is not None:
-        mu = float(0.5 * (eig.eigenvalues[states - 1] + eig.eigenvalues[states]))
+    mu = fermi_level(eig.eigenvalues, mu, states)
     return mu, detect_gap(eig, mu)
 
 
@@ -402,16 +414,12 @@ def fermi_projection(eigen: EigenData, mu: float) -> FermiProjection:
 def occupied_projection(sample: HamiltonianSample, mu: float | None = None,
                         states: int | None = None) -> FermiProjection:
     """Fermi projection from the occupied eigenpairs only: one occupied solve
-    (`diagonalize(sample, mu=mu)`, or `states=k` for mu halfway between the
-    k-th and (k+1)-th eigenvalue), whose window certifies the gap."""
-    if (mu is None) == (states is None):
-        raise ValueError("give exactly one of mu and states")
-    if states is not None and states < 1:
-        raise ValueError(f"states must be >= 1, got {states}")
+    (`diagonalize(sample, mu=mu)` or `states=k`), whose window certifies the gap at
+    the Fermi level (`fermi_level`); ValueError unless exactly one of mu and states
+    is given, with 1 <= states < dim."""
+    _check_level(sample.dim, mu, states)
     eig = diagonalize(sample, mu=mu, states=states)
-    if states is not None:
-        mu = float(0.5 * (eig.eigenvalues[states - 1] + eig.eigenvalues[states]))
-    return fermi_projection(eig, mu)
+    return fermi_projection(eig, fermi_level(eig.eigenvalues, mu, states))
 
 
 @dataclass(frozen=True)
@@ -470,18 +478,3 @@ class SwitchFunction:
             poly = poly.deriv()
             best = max(best, factor * float(np.abs(poly(grid)).max()) * scale ** k)
         return best
-
-
-def eval_switch(f: SwitchFunction, eigen: EigenData, allow_inside: bool = False) -> np.ndarray:
-    """f(H) by spectral calculus.
-
-    With allow_inside=False the sample must have no eigenvalue inside the
-    switch gap (bulk usage); half-space callers pass allow_inside=True since
-    edge spectrum inside the bulk gap is the point.
-    """
-    eigen.require_full("eval_switch")
-    a, b = f.gap
-    w = eigen.eigenvalues
-    if not allow_inside and np.any((w > a + 1e-12) & (w < b - 1e-12)):
-        raise GapMismatchError("sample has spectrum inside the switch gap")
-    return eigen.function_of(f(w))

@@ -514,21 +514,33 @@ def test_cli_bad_custom_matrix_entry(tmp_path, capsys, old, new, message):
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
-@pytest.mark.parametrize("k", ["0", "64", "-3"])
-def test_cli_mu_states_out_of_range(tmp_path, capsys, k):
-    from topoinv.cli import main
-
-    cfg = tmp_path / "run.cfg"
-    text = SSH_CFG.replace("sizes = 64", "sizes = 32")  # 32 cells, 64 states
-    cfg.write_text(text.replace("mu = 0.0", f"mu_states = {k}"))
-    assert main(["winding", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: task.mu_states must be between 1 and 63")
-
-
 QWZ_6 = "[model]\nname = qwz\nmass = 1.0\n[lattice]\nsizes = 6 6\n"
 HARPER_8 = "[model]\nname = harper\nb12 = 0.7853981633974483\n[lattice]\nsizes = 8 8\n"
 SSH_8 = "[model]\nname = ssh\nm = 0.5\n[lattice]\nsizes = 8\n"
+
+
+# one task per kind of Fermi-level reader: the occupied solve (winding; its ids are
+# the bare counts), the half-space sample, the full decomposition, the eigenvalues
+# alone, and a task that reads none
+_MU_STATES_CASES = [pytest.param("winding", SSH_CFG.replace("sizes = 64", "sizes = 32"), k,
+                                 63, id=k) for k in ("0", "64", "-3")]
+_MU_STATES_CASES += [pytest.param(task, QWZ_6 + f"[task]\nname = {task}\nmu = 0.0\n", k, 71,
+                                  id=f"{task}-{k}")
+                     for task in ("boundary-current", "laughlin", "spectrum", "caz")
+                     for k in ("0", "72")]
+
+
+@pytest.mark.parametrize("task, text, k, top", _MU_STATES_CASES)
+def test_cli_mu_states_out_of_range(tmp_path, capsys, task, text, k, top):
+    """A mu_states outside [1, dim - 1] is refused when the config loads, with one
+    message whichever task the config names."""
+    from topoinv.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.replace("mu = 0.0", f"mu_states = {k}"))
+    assert main([task, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: task.mu_states must be between 1 and {top}")
 
 
 @pytest.mark.parametrize("task, text, message", [

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from topoinv import DisorderSpec, build_hamiltonian, diagonalize, make_half_space, make_named_model
+from topoinv import (
+    DisorderSpec,
+    build_hamiltonian,
+    diagonalize,
+    make_half_space,
+    make_named_model,
+    occupied_projection,
+)
 from topoinv import boundary, spectral
 from topoinv.errors import NoGapError
 from topoinv.harness import load_config
@@ -116,6 +123,34 @@ def test_sparse_routes_never_form_the_dense_matrix(monkeypatch):
     assert len(half.eigen.eigenvalues) > 0
     assert len(tori) == 1
     assert all("matrix" not in sample.__dict__ for sample in (*tori, half.hamiltonian))
+
+
+def test_half_space_takes_the_bulk_projection_as_it_is():
+    # the bbc realizations of the edge_ensemble workload: mu and the gap are the
+    # projection's own, with no second gap search
+    bbc = harper(24, 0.3, 13, ("periodic", "open"))
+    for seed in (60017, 60018):
+        P = occupied_projection(build_hamiltonian(bbc.with_boundaries(PERIODIC), seed), states=192)
+        half = make_half_space(bbc, realization_seed=seed, bulk=P)
+        assert np.float64(half.mu).tobytes() == np.float64(P.mu).tobytes()
+        assert np.array(half.bulk_gap).tobytes() == np.array(detect_gap(P.eigen, P.mu)).tobytes()
+        for level in ({"mu": P.mu}, {"states": 192}):
+            with pytest.raises(ValueError, match="not both"):
+                make_half_space(bbc, realization_seed=seed, bulk=P, **level)
+
+
+@pytest.mark.parametrize("states", [0, 72])
+def test_fermi_level_needs_a_level_on_each_side(states):
+    # states=0 once read the top level as w[-1] and certified the gap mid-spectrum
+    model = make_named_model("qwz", sizes=6, mass=1.0)
+    sample = build_hamiltonian(model)
+    assert sample.dim == 72
+    for request in (lambda: certified_gap(sample, states=states),
+                    lambda: occupied_projection(sample, states=states),
+                    lambda: boundary.companion_gap(model, states=states),
+                    lambda: make_half_space(model.with_boundary(1, OPEN), states=states)):
+        with pytest.raises(ValueError, match=r"mu and states in \[1, 71\]"):
+            request()
 
 
 def test_shipped_configs_count_as_dense(pytestconfig):

@@ -12,13 +12,12 @@ from topoinv import (
     build_hamiltonian,
     detect_gap,
     diagonalize,
-    eval_switch,
     fermi_projection,
     make_named_model,
     occupied_projection,
 )
 from topoinv import spectral
-from topoinv.errors import GapMismatchError, NoGapError
+from topoinv.errors import NoGapError
 from topoinv.models import OPEN, PERIODIC
 from topoinv.spectral import orthogonality_residual
 
@@ -108,13 +107,12 @@ def test_eval_switch_trivial_and_bulk(harper24_eigen):
     model, eig = harper24_eigen
     # spectrum entirely below the window
     f = SwitchFunction("exp", (eig.eigenvalues[-1] + 1.0, eig.eigenvalues[-1] + 2.0))
-    fh = eval_switch(f, eig)
+    fh = eig.function_of(f(eig.eigenvalues))
     assert np.abs(fh).max() < 1e-12
     # bulk torus: no spectrum inside the true gap, so exp(2 pi i f(H)) = 1
     nb = 24 * 24 // 3
     gap = detect_gap(eig, 0.5 * (eig.eigenvalues[nb - 1] + eig.eigenvalues[nb]))
     fg = SwitchFunction("exp", gap)
-    fh = eval_switch(fg, eig)
     U = eig.function_of(np.exp(2j * np.pi * fg(eig.eigenvalues)))
     assert np.abs(U - np.eye(len(U))).max() < 1e-9
 
@@ -126,9 +124,6 @@ def test_eval_switch_halfspace_nontrivial(harper24_eigen):
     half = build_hamiltonian(model.with_boundary(1, OPEN))
     heig = diagonalize(half)
     f = SwitchFunction("exp", gap)
-    with pytest.raises(GapMismatchError):
-        eval_switch(f, heig)
-    fh = eval_switch(f, heig, allow_inside=True)
     U = heig.function_of(np.exp(2j * np.pi * f(heig.eigenvalues)))
     assert np.abs(U @ U.conj().T - np.eye(len(U))).max() < 1e-9
     assert np.linalg.norm(U - np.eye(len(U)), 2) >= 0.1
@@ -233,13 +228,6 @@ def test_partial_decomposition_has_no_function_of(partial_decompositions, kind):
     eig = partial_decompositions[kind]
     with pytest.raises(ValueError, match="function_of"):
         eig.function_of(np.ones(len(eig.eigenvalues)))
-
-
-@pytest.mark.parametrize("kind", ["windowed", "eigenvalues only"])
-def test_partial_decomposition_has_no_switch(partial_decompositions, kind):
-    eig = partial_decompositions[kind]
-    with pytest.raises(ValueError, match="eval_switch"):
-        eval_switch(SwitchFunction("exp", (-0.4, 0.4)), eig)
 
 
 def test_windowed_decomposition_certifies_no_gap(partial_decompositions):

@@ -271,7 +271,7 @@ def _check_level(dim: int, mu: float | None, states: int | None) -> None:
     """Raise ValueError unless a Fermi-level request names exactly one of mu and
     states, with states in [1, dim - 1]: a level on each side of the Fermi level."""
     if (mu is None) == (states is None) or (states is not None and not 1 <= states < dim):
-        raise ValueError(f"give exactly one of mu and states in [1, {dim - 1}], got {mu}, {states}")
+        raise ValueError(f"give mu or states in [1, {dim - 1}], not both; got {mu}, {states}")
 
 
 def fermi_level(w: np.ndarray, mu: float | None = None, states: int | None = None) -> float:

@@ -149,7 +149,7 @@ def test_fermi_level_needs_a_level_on_each_side(states):
                     lambda: occupied_projection(sample, states=states),
                     lambda: boundary.companion_gap(model, states=states),
                     lambda: make_half_space(model.with_boundary(1, OPEN), states=states)):
-        with pytest.raises(ValueError, match=r"mu and states in \[1, 71\]"):
+        with pytest.raises(ValueError, match=r"give mu or states in \[1, 71\], not both"):
             request()
 
 

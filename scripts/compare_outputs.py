@@ -10,7 +10,9 @@ both at one BLAS thread.  Every CSV file either run writes (`results.csv`,
 `flow_seedN.csv`, `spectrum_seedN.csv`, and each script's own files) is
 compared byte for byte; the report lists each file that differs, with its
 largest absolute difference over the numeric fields, and each run whose exit
-code differs.  Exit code 0 when every output is byte-identical, 1 otherwise.
+code differs.  It also holds each run's wall seconds, interpreter start
+included: one run per side, reported and not compared.  Exit code 0 when
+every output is byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from bench_pairs import ROOT, _git
 
 
-def _run(tree: Path, target: Path, out: Path) -> int:
+def _run(tree: Path, target: Path, out: Path) -> tuple[int, float]:
     """A config's own task through the CLI of `tree`, or the script of `tree` named
-    like `target`, writing into `out`; its exit code."""
+    like `target`, writing into `out`; its exit code and wall seconds."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
     if target.suffix == ".py":
         out.mkdir(parents=True)
@@ -41,7 +44,9 @@ def _run(tree: Path, target: Path, out: Path) -> int:
         command = [sys.executable, "-m", "topoinv.cli", parser["task"]["name"],
                    "--config", str(target), "--workers", "1", "--out", str(out)]
         cwd = tree
-    return subprocess.run(command, cwd=cwd, env=env, capture_output=True).returncode
+    start = time.perf_counter()
+    code = subprocess.run(command, cwd=cwd, env=env, capture_output=True).returncode
+    return code, time.perf_counter() - start
 
 
 def _largest_difference(a: Path, b: Path) -> float | str:
@@ -66,7 +71,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="JSON file for the report")
     args = parser.parse_args(argv)
     report = {"parent": _git("rev-parse", args.parent), "identical": [], "differs": {},
-              "exit_codes": {}}
+              "exit_codes": {}, "wall_s": {}}
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         clone = Path(tmp) / "parent"
         _git("clone", "--quiet", "--no-checkout", str(ROOT), str(clone), cwd=tmp)
@@ -75,9 +80,12 @@ def main(argv=None) -> int:
                    + sorted((ROOT / "scripts").glob("run_*.py")))
         for target in targets:
             outs = {side: Path(tmp) / side / target.stem for side in ("parent", "change")}
-            codes = {side: _run(clone if side == "parent" else ROOT, target, out)
-                     for side, out in outs.items()}
+            runs = {side: _run(clone if side == "parent" else ROOT, target, out)
+                    for side, out in outs.items()}
+            codes = {side: code for side, (code, _) in runs.items()}
+            seconds = {side: round(wall, 3) for side, (_, wall) in runs.items()}
             report["exit_codes"][target.name] = codes
+            report["wall_s"][target.name] = seconds
             names = sorted({p.name for out in outs.values() for p in out.glob("*.csv")})
             for name in names:
                 key = f"{target.stem}/{name}"
@@ -90,7 +98,8 @@ def main(argv=None) -> int:
                     report["differs"][key] = _largest_difference(a, b)
             differs = [f"{k} {v}" for k, v in report["differs"].items()
                        if k.startswith(target.stem + "/")]
-            print(f"{target.name}: exit {codes['parent']} -> {codes['change']}; "
+            print(f"{target.name}: exit {codes['parent']} -> {codes['change']}, "
+                  f"{seconds['parent']:.2f} -> {seconds['change']:.2f} s; "
                   + (", ".join(differs) or "every CSV identical"), flush=True)
     if args.out:
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

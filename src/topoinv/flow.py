@@ -42,7 +42,7 @@ from .models import (
     insert_flux,
     symmetry_deviation,
 )
-from .spectral import EigenData, diagonalize, occupied_projection
+from .spectral import EigenData, detect_gap, diagonalize, occupied_projection
 
 _CAYLEY = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0)
 _COUNT_TOL = 1e-10  # level_count: relative distance to a pole or a singular S left undecided
@@ -115,12 +115,6 @@ class FluxPath:
         return below[1] - below[0]
 
 
-def _companion_half_width(path: FluxPath, mu: float) -> float:
-    """Distance from mu to the nearer edge of the gap of the base model's periodic companion."""
-    _, gap = companion_gap(path.base.model, path.base.realization_seed, mu)
-    return min(mu - gap[0], gap[1] - mu)
-
-
 def _require_symmetry(H: np.ndarray, op: np.ndarray, kind: str, rel_tol: float, where: str):
     dev = symmetry_deviation(H, op, kind)
     if dev > rel_tol * max(1.0, np.abs(H).max()):
@@ -160,9 +154,9 @@ def spectral_flow(path: FluxPath, mu: float) -> SpectralFlowResult:
     Only levels that can cross mu are tracked.  By Weyl no level moves
     farther than the step norm d = ||H(t1) - H(t0)||_2 within a step, so a
     crossing starts and ends within d of mu.  The flow solves each flux value
-    on the band |E - mu| < b, b the smaller of twice the largest step norm
-    of the grid and the half-width of the gap of the base model's periodic
-    companion (the open base sample carries edge spectrum inside that gap).
+    on the band |E - mu| < b, b twice the smallest step norm of the initial
+    grid (the default, evenly spaced grid has equal step norms); a one-point
+    grid tracks nothing.  NoGapError unless the base sample has a gap at mu.
     t = 0 reads the base's full decomposition; every other flux value is
     solved with the band's level count certified by `FluxPath.level_count`,
     which lets `diagonalize` take its sparse shift-invert route.
@@ -178,10 +172,10 @@ def spectral_flow(path: FluxPath, mu: float) -> SpectralFlowResult:
     reported too.  `min_overlap` is the worst matched overlap of a level
     within d of mu over the accepted steps.
     """
+    detect_gap(path.base_eigen, mu)
     ts = list(path.ts)
     step_norm = cache(path.step_norm)
-    width = min([_companion_half_width(path, mu)]
-                + [2.0 * step_norm(t0, t1) for t0, t1 in zip(ts, ts[1:])])
+    width = min((2.0 * step_norm(t0, t1) for t0, t1 in zip(ts, ts[1:])), default=0.0)
     band = (mu - width, mu + width)
     window = path.base.lattice.window(np.add(path.plaquette, 0.5), _DEFECT_RADIUS_FRAC)
     dt_floor = 2.0 ** (-_MAX_REFINE)

@@ -66,6 +66,8 @@ class ExperimentConfig:
         # validate the model and task values eagerly so config errors surface before work
         dim = model_from_config(sections).lattice.hilbert_dim
         params = {key: _task_value(key, text) for key, text in task_sec.items()}
+        if "mu" in params and "mu_states" in params:
+            raise ConfigError("task.mu and task.mu_states both set the Fermi level; give one")
         if not 1 <= params.get("mu_states", 1) <= dim - 1:
             raise ConfigError(f"task.mu_states must be between 1 and {dim - 1}, "
                               f"got {params['mu_states']}")
@@ -107,7 +109,7 @@ def _task_value(key: str, text: str):
 
 
 def _level(params: dict) -> dict:
-    """The Fermi-level keyword of every task: states=mu_states (range-checked on load), else mu."""
+    """The Fermi-level keyword of every task: states=mu_states, else mu (checked on load)."""
     if "mu_states" in params:
         return {"states": params["mu_states"]}
     return {"mu": params.get("mu", 0.0)}

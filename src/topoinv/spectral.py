@@ -31,6 +31,7 @@ _LU_ORDERING = "MMD_AT_PLUS_A"
 _LU_DIAG_PIVOT = 0.1
 _PIVOT_IMAG_TOL = 1e-6  # _ldl: largest |Im d| / max(1, |d|) of a pivot read as real
 _COUNT_MARGIN = 1e2  # _inertia: the shift delta as a multiple of the factor's backward error
+_ARPACK_MAXITER = 300  # _arpack: restarts before a solve is given up (converging ones take <= 46)
 
 
 @dataclass(frozen=True)
@@ -154,15 +155,17 @@ def _arpack(A: sparse.csr_array, lu, shift: float, k: int,
     """k eigenpairs of the Hermitian CSR matrix A by ARPACK shift-invert on the
     factor `lu` of A - shift, then a Rayleigh-Ritz step on their span; None on an
     ARPACK failure, for k >= n - 1 (beyond ARPACK), or unless k pairs come back,
-    each with residual within tolerance.  The start vector is fixed, so equal
-    matrices give equal bytes; without one ARPACK's start depends on the calls
-    made before it."""
+    each with residual within tolerance.  ARPACK's default tolerance is machine
+    precision, which a degenerate level may never meet: a solve not converged
+    within `_ARPACK_MAXITER` restarts is such a failure.  The start vector is
+    fixed, so equal matrices give equal bytes; without one ARPACK's start depends
+    on the calls made before it."""
     n = A.shape[0]
     if k >= n - 1:
         return None
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        _, v = eigsh(A, k=k, sigma=shift, which=which, v0=v0,
+        _, v = eigsh(A, k=k, sigma=shift, which=which, v0=v0, maxiter=_ARPACK_MAXITER,
                      OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=A.dtype))
     except (RuntimeError, ValueError):  # ARPACK failures
         return None

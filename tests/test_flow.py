@@ -32,9 +32,10 @@ from topoinv import (
 from topoinv.errors import (
     ConvergenceFailureError,
     KernelAtEndpointError,
+    NoGapError,
     SymmetryBrokenAtHalfFluxError,
 )
-from topoinv.flow import _companion_half_width, flow_trace, majorana_form
+from topoinv.flow import flow_trace, majorana_form
 from topoinv.harness import load_config
 from topoinv.invariants import _pfaffian_sign_logabs
 from topoinv.models import OPEN, SIGMA_1, flux_string
@@ -135,9 +136,8 @@ def test_windowed_flow_matches_full_decompositions(monkeypatch):
 
     monkeypatch.setattr(flow, "diagonalize", spy)
     a = spectral_flow(banded, 0.0)
-    # half-width: the companion gap's, or twice the largest step norm if smaller
-    width = min([_companion_half_width(banded, 0.0)]
-                + [2.0 * banded.step_norm(t0, t1) for t0, t1 in zip(banded.ts, banded.ts[1:])])
+    # half-width: twice the smallest step norm of the grid
+    width = min(2.0 * banded.step_norm(t0, t1) for t0, t1 in zip(banded.ts, banded.ts[1:]))
     band = (-width, width)
     sampled = [(s, window, kw["count"]) for s, window, vectors, kw in solves
                if vectors and s is not sample]
@@ -296,6 +296,34 @@ def test_flow_equals_pair_index_where_the_window_edge_was_ambiguous(seed):
     res = spectral_flow(path, 0.0)
     pi = pair_index(fermi_projection(path.base_eigen, 0.0))
     assert res.net == pi.rounded == 1
+
+
+def test_flow_reads_only_its_path(monkeypatch):
+    """The band is Weyl's bound from the path's own step norms: no torus companion
+    is built or certified, and seed 2 of `configs/qwz_laughlin.cfg` keeps its
+    crossings, grid and overlap."""
+    from topoinv import boundary
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectral_flow certified a companion gap")
+
+    monkeypatch.setattr(flow, "companion_gap", refuse)
+    monkeypatch.setattr(boundary, "certified_gap", refuse)
+    path = laughlin_path(2)
+    res = spectral_flow(path, 0.0)
+    assert (res.net, res.raw_net) == (1, 0)
+    assert [(c["t"], c["direction"], c["branch"]) for c in res.crossings] == \
+        [(0.525, 1, 15), (0.925, -1, 8)]
+    assert [c["weight"] > 0.5 for c in res.crossings] == [True, False]
+    assert [t for t, _, _ in res.branches] == path.ts
+    assert abs(res.min_overlap - 0.9915196744407626) < 1e-9
+
+
+def test_flow_needs_a_gap_of_the_base_sample_at_mu():
+    path = laughlin_path(2)
+    w = path.base_eigen.eigenvalues
+    with pytest.raises(NoGapError):
+        spectral_flow(path, float(w[np.abs(w).argmin()]))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

@@ -551,7 +551,10 @@ def test_cli_mu_states_out_of_range(tmp_path, capsys, task, text, k, top):
      "model.m must be finite, got 'inf'"),
     ("z2", QWZ_6 + "[task]\nname = z2\nmu = 0.0\n", "no time-reversal operator declared"),
     ("streda", SSH_8 + "[task]\nname = streda\n", "the field derivative needs the axes 1 and 2"),
-], ids=["veg-n_t-0", "streda-k_step-0", "winding-mu-nan", "ssh-m-inf", "z2-qwz", "streda-ssh"])
+    ("spectrum", SSH_8 + "[task]\nname = spectrum\nmu = 5.0\nmu_states = 8\n",
+     "task.mu and task.mu_states both set the Fermi level; give one"),
+], ids=["veg-n_t-0", "streda-k_step-0", "winding-mu-nan", "ssh-m-inf", "z2-qwz", "streda-ssh",
+        "spectrum-mu-and-mu_states"])
 def test_cli_invalid_config_is_an_error(tmp_path, capsys, task, text, message):
     """Configs that once ended in a traceback end in an error line and exit 1."""
     from topoinv.cli import main
@@ -690,8 +693,8 @@ def test_traced_functions_exist():
 def test_tracer_counts_each_laughlin_eigensolve(monkeypatch):
     """The tracer hashes each `diagonalize` input's dense matrix: on the laughlin
     task every solve is of a distinct matrix, one per flux value solved plus the
-    base sample and its periodic companion.  A sample whose matrix were not a
-    dense array would hash by identity, not content, and break this count."""
+    base sample.  A sample whose matrix were not a dense array would hash by
+    identity, not content, and break this count."""
     from topoinv import flow
 
     solved = []
@@ -709,7 +712,7 @@ def test_tracer_counts_each_laughlin_eigensolve(monkeypatch):
         out = harness._task_laughlin(make_named_model("qwz", sizes=10, mass=1.0), {"mu": 0.0}, 0)
     assert out["spectral_flow"] == out["pair_index"] == 1
     assert len(solved) == len(set(solved)) > 20
-    assert len(tracer.digests) == len(set(tracer.digests)) == len(solved) + 2
+    assert len(tracer.digests) == len(set(tracer.digests)) == len(solved) + 1
 
 
 # one small config for each task that no other test runs through the harness

@@ -331,3 +331,21 @@ def test_projection_needs_an_occupied_window(refused_decompositions, kind):
     if kind != "eigenvalues only":  # the whole spectrum's eigenvalues certify a gap
         with pytest.raises(ValueError, match="detect_gap"):
             detect_gap(eig, 0.0)
+
+
+def test_stalled_arpack_run_is_bounded_and_takes_the_dense_route(monkeypatch):
+    """On the clean kane_mele torus each gap edge is a degenerate level, and ARPACK
+    at its default tolerance never converges on it; the restart cap ends both edge
+    solves, and the dense route gives the same gap."""
+    sample = build_hamiltonian(make_named_model("kane_mele_qsh", sizes=12, mass=1.0))
+    applied = []
+    operator = spectral.LinearOperator
+
+    def counted(shape, matvec, dtype):
+        return operator(shape, matvec=lambda x: applied.append(1) or matvec(x), dtype=dtype)
+
+    monkeypatch.setattr(spectral, "LinearOperator", counted)
+    mu, gap = spectral.certified_gap(sample, 0.0)
+    assert (mu, gap) == (0.0, detect_gap(diagonalize(sample, vectors=False), 0.0))
+    # each restart applies the operator fewer than ncv = 20 times
+    assert 0 < len(applied) <= 2 * 20 * (spectral._ARPACK_MAXITER + 1)

@@ -6,7 +6,8 @@
 Each pair runs the unmodified `perfbench/run.py --trace 0` for the
 `run_seconds` of `BENCHMARK.json` once in a fresh clone of the parent commit
 and once in this checkout (with its uncommitted changes), alternating which
-side runs first.  The output file holds, per
+side runs first; each pair's progress line gives every end-to-end metric of
+both sides.  The output file holds, per
 workload and seed, the median and quartiles of each end-to-end metric on
 both sides, the pairs the change won, failure counts, and the provenance
 line each side's perfbench printed.  Entries already in the file for other
@@ -86,9 +87,9 @@ def main(argv=None) -> int:
                 for side in order:
                     tree = clone if side == "parent" else ROOT
                     sides[side].append(_run(tree, workload, args.seed, spec["run_seconds"]))
-                print(f"{workload} seed {args.seed} pair {i + 1}/{args.pairs}: " + ", ".join(
-                    f"{s} wall_s {sides[s][-1]['metrics']['wall_s']['value']:.3f}" for s in order),
-                    flush=True)
+                print(f"{workload} seed {args.seed} pair {i + 1}/{args.pairs}: " + "; ".join(
+                    f"{s} " + ", ".join(f"{m} {sides[s][-1]['metrics'][m]['value']:.4g}"
+                                        for m in metrics) for s in order), flush=True)
             wins = {}
             for m, decl in metrics.items():
                 sign = 1 if decl["better"] == "lower" else -1

@@ -203,7 +203,9 @@ def fermi_unitary(P: FermiProjection) -> FermiUnitary:
     plus, minus = chiral_sectors(s_ch)
     if plus.shape[1] != minus.shape[1]:
         raise NotChiralError("chiral operator sectors have unequal dimension")
-    block = 2.0 * apply_fiber(minus.conj().T, apply_fiber(plus, P.projector, "right"), "left")
+    # 2 P_{-+} = 2 V_- V_+* from the sector components of the occupied vectors V
+    V = P.occupied
+    block = 2.0 * apply_fiber(minus.conj().T, V) @ apply_fiber(plus.conj().T, V).conj().T
     uu, sv, vv = np.linalg.svd(block)
     if sv.min() < _SINGULAR_FLOOR:
         raise BlockSingularError(

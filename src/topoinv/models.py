@@ -263,27 +263,27 @@ class DisorderSpec:
             diag = np.arange(fiber)
             out[:, diag, diag] = lam * u
         else:
-            for n in range(num_sites):
-                a = rng.uniform(-1.0, 1.0, size=(fiber, fiber))
-                b = rng.uniform(-1.0, 1.0, size=(fiber, fiber))
-                h = (a + a.T) / 2 + 1j * (b - b.T) / 2
-                v = rng.uniform(-1.0, 1.0)
-                h = _symmetric_part(h, symmetry)
-                norm = np.linalg.norm(h, 2)
-                if norm > 1e-14:
-                    out[n] = lam * v * h / norm
+            # per site: a and b (L x L each), then v; one draw keeps that stream order
+            x = rng.uniform(-1.0, 1.0, size=(num_sites, 2 * fiber * fiber + 1))
+            a, b = x[:, :-1].reshape(num_sites, 2, fiber, fiber).transpose(1, 0, 2, 3)
+            h = (a + a.swapaxes(1, 2)) / 2 + 1j * (b - b.swapaxes(1, 2)) / 2
+            h = _symmetric_part(h, symmetry)
+            norm = np.linalg.norm(h, 2, axis=(1, 2))
+            keep = norm > 1e-14
+            out[keep] = (lam * x[keep, -1])[:, None, None] * h[keep] / norm[keep, None, None]
         return out
 
 
 def _symmetric_part(h: np.ndarray, sym: SymmetrySpec) -> np.ndarray:
-    """Orthogonal projection of an on-site matrix onto the symmetry-allowed subspace."""
+    """Orthogonal projection of on-site matrices, a stack (..., L, L), onto the
+    symmetry-allowed subspace."""
     if sym.s_tr is not None:
         h = (h + sym.s_tr.conj().T @ h.conj() @ sym.s_tr) / 2
     if sym.s_ph is not None:
         h = (h - sym.s_ph.conj().T @ h.conj() @ sym.s_ph) / 2
     if sym.s_ch is not None:
         h = (h - sym.s_ch.conj().T @ h @ sym.s_ch) / 2
-    return (h + h.conj().T) / 2
+    return (h + h.swapaxes(-1, -2).conj()) / 2
 
 
 def _canonical_positive(a: tuple[int, ...]) -> bool:

@@ -16,7 +16,7 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import ConvergenceFailureError, NoGapError
-from .models import HamiltonianSample
+from .models import HamiltonianSample, apply_fiber, chiral_sectors
 
 _MIN_GAP = 1e-8  # detect_gap: narrowest gap, and closest level to mu, it accepts
 _C_NORM_ORDER = 6  # SwitchFunction.c_norm: highest derivative order in the norm
@@ -127,6 +127,69 @@ def _partial_eigh(H: np.ndarray, window: tuple[float, float] | None, mu: float |
     cut = window or (-np.inf, _occupied_edge(w, mu, states))
     keep = (w > cut[0]) & (w <= cut[1])
     return w[keep], v[:, keep].copy(), cut
+
+
+def _chiral_block(sample: HamiltonianSample):
+    """(B, plus, minus) for an exactly chiral sample, else None.
+
+    The sample's model must declare s_ch with +1 and -1 sectors of equal
+    dimension (`chiral_sectors`: plus, minus), and the sample must anticommute
+    with S = 1_N (x) s_ch to rounding, max|S* H S + H| <= dim eps max(1, max|H|),
+    checked fiber block by fiber block on the BSR view of the CSR form, at
+    O(nnz).  Then H in the sector basis is [[0, B], [B*, 0]], and
+    B = (1_N (x) plus)* H (1_N (x) minus) is formed dense from the same blocks.
+    """
+    s_ch = sample.model.symmetry.s_ch
+    if s_ch is None:
+        return None
+    plus, minus = chiral_sectors(s_ch)
+    if plus.shape[1] != minus.shape[1]:
+        return None
+    blocks = sample.csr.tobsr(blocksize=s_ch.shape)  # the fiber blocks between two sites
+    X = blocks.data
+    if (np.abs(_sandwich(s_ch, X, s_ch) + X).max(initial=0.0)
+            > sample.dim * np.finfo(float).eps * _scale(sample.csr)):
+        return None
+    half = sample.dim // 2
+    B = sparse.bsr_array((_sandwich(plus, X, minus), blocks.indices, blocks.indptr),
+                         shape=(half, half))
+    return B.toarray(), plus, minus
+
+
+def _sandwich(a: np.ndarray, X: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a* X_k b for each block of the stack X (k, L, L), as two matrix products:
+    numpy's stacked products of small blocks cost far more."""
+    (k, L, _), p, q = X.shape, a.shape[1], b.shape[1]
+    Y = (X.reshape(k * L, L) @ b).reshape(k, L, q).transpose(1, 0, 2).reshape(L, k * q)
+    return (a.conj().T @ Y).reshape(p, k, q).transpose(1, 0, 2)
+
+
+def _chiral_eigh(B: np.ndarray, plus: np.ndarray, minus: np.ndarray,
+                 window: tuple[float, float] | None, mu: float | None, states: int | None,
+                 vectors: bool) -> tuple[np.ndarray, np.ndarray | None, tuple[float, float] | None]:
+    """`diagonalize`'s request on H = [[0, B], [B*, 0]] (sector basis of `_chiral_block`)
+    from one SVD B = U diag(s) W*, s descending: the ascending levels are -s, then
+    s reversed, with eigenvectors ((1_N (x) plus) u -+ (1_N (x) minus) w) / sqrt 2.
+
+    Returns (levels, eigenvectors, cut) as `_partial_eigh` does: every level
+    (svdvals) with no eigenvector for `vectors=False`; otherwise the levels in
+    the window, or in the occupied window whose edge `_occupied_edge` places,
+    or all of them, and only those eigenvectors are formed.
+    """
+    if not vectors:
+        s = linalg.svdvals(B)
+        return np.concatenate([-s, s[::-1]]), None, None
+    u, s, wh = linalg.svd(B)
+    w = np.concatenate([-s, s[::-1]])
+    if window is None and (mu is not None or states is not None):
+        window = (-np.inf, _occupied_edge(w, mu, states))
+    lo, hi = window or (-np.inf, np.inf)
+    keep = np.flatnonzero((w > lo) & (w <= hi))
+    m = len(s)
+    j = np.where(keep < m, keep, 2 * m - 1 - keep)  # the singular triple of each level
+    sign = np.where(keep < m, -1.0, 1.0)
+    v = (apply_fiber(plus, u[:, j]) + apply_fiber(minus, wh[j].conj().T * sign)) / np.sqrt(2)
+    return w[keep], v, window
 
 
 def _shift_invert(A: sparse.csr_array, window: tuple[float, float],
@@ -323,6 +386,9 @@ def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = 
     window with `count=k`, a certified number of levels inside it, is first
     solved for k eigenpairs by sparse shift-invert (`_shift_invert`); a
     solve that fails its checks falls back to `_partial_eigh` on the window.
+    An exactly chiral sample (`_chiral_block`) takes neither dense route: every
+    request it reaches is cut from one SVD of its off-diagonal block
+    (`_chiral_eigh`), an (n/2)-square matrix.
     """
     partial = (window is not None) + (mu is not None) + (states is not None)
     if partial > 1:
@@ -336,12 +402,14 @@ def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = 
     # every route checks the CSR form; only the dense routes form the dense matrix
     A = _hermitian(sample.csr)
     try:
-        if not vectors:
-            return EigenData(eigenvalues=np.linalg.eigvalsh(sample.matrix), eigenvectors=None,
-                             sample=sample)
         solved = _shift_invert(A, window, count) if count is not None else None
+        chiral = _chiral_block(sample) if solved is None else None
         if solved is not None:
             w, v = solved
+        elif chiral is not None:
+            w, v, window = _chiral_eigh(*chiral, window, mu, states, vectors)
+        elif not vectors:
+            w, v = np.linalg.eigvalsh(sample.matrix), None
         elif partial:
             w, v, window = _partial_eigh(sample.matrix, window, mu, states)
         else:

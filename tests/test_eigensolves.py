@@ -21,6 +21,10 @@ CONFIGS = {
              "[task]\nname = chern\nmu = 0.0\n",
     "winding": "[model]\nname = ssh\nm = 0.5\n[lattice]\nsizes = 64\n"
                "[task]\nname = winding\nmu = 0.0\nindex_set = 1\n",
+    # scalar disorder breaks the chain's chirality: the dense occupied solve
+    "winding-scalar-disorder": "[model]\nname = ssh\nm = 0.5\n[lattice]\nsizes = 64\n"
+                               "[disorder]\nfamily = diagonal-scalar\nstrength = 0.3\n"
+                               "[task]\nname = winding\nmu = 0.0\nindex_set = 1\n",
     "z2": "[model]\nname = kane_mele_qsh\nmass = 1.0\nrashba = 0.1\n[lattice]\nsizes = 14 14\n"
           "[task]\nname = z2\nmu = 0.0\n",
     "spin-chern": "[model]\nname = kane_mele_qsh\nmass = 1.0\nrashba = 0.1\n"
@@ -51,6 +55,6 @@ def solved(monkeypatch):
 @pytest.mark.parametrize("task", sorted(CONFIGS))
 def test_each_matrix_diagonalized_once(task, solved):
     config = ExperimentConfig.from_sections(parse_config(CONFIGS[task]))
-    harness.TASKS[task].run(config.model(), config.task_params, 0)
+    harness.TASKS[config.task].run(config.model(), config.task_params, 0)
     assert solved, "the task made no eigensolve through diagonalize"
     assert len(solved) == len(set(solved))

@@ -222,6 +222,39 @@ def test_fermi_unitary_stable_under_chiral_breaking():
     assert chern_unitary(U, (1,)).rounded == 1
 
 
+def fermi_unitary_cases():
+    from topoinv import make_named_model
+    ssh = lambda dis=None, **kw: make_named_model("ssh", sizes=48, m=0.5, disorder=dis, **kw)
+    base = make_named_model("ssh", sizes=64, m=0.9)
+    breaking = dataclasses.replace(base, onsite=base.onsite + 0.05 * SIGMA_0)
+    return {
+        "ssh-clean": ssh(),
+        "ssh-constrained-disorder": ssh(DisorderSpec("symmetry-constrained-matrix", 0.8, 2)),
+        "ssh-scalar-disorder": ssh(DisorderSpec("diagonal-scalar", 0.5, 2)),
+        "ssh-chiral-breaking": breaking,
+        "kitaev-clean": make_named_model("kitaev_chain", sizes=32, mu=0.4),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(fermi_unitary_cases()))
+@pytest.mark.parametrize("solve", ["full", "occupied"])
+def test_fermi_unitary_matches_projector_block(case, solve):
+    """The block 2 P_{-+} from the occupied vectors against the compression of
+    the dense projector, fermi_unitary's former formula."""
+    from topoinv import occupied_projection
+    from topoinv.models import apply_fiber, chiral_sectors
+    model = fermi_unitary_cases()[case]
+    sample = build_hamiltonian(model, 3)
+    P = (fermi_projection(diagonalize(sample), 0.0) if solve == "full"
+         else occupied_projection(sample, 0.0))
+    plus, minus = chiral_sectors(model.symmetry.s_ch)
+    block = 2.0 * apply_fiber(minus.conj().T, apply_fiber(plus, P.projector, "right"), "left")
+    uu, sv, vv = np.linalg.svd(block)
+    U = fermi_unitary(P)
+    assert np.abs(U.matrix - uu @ vv).max() <= 1e-12
+    assert abs(U.min_singular - sv.min()) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # momentum-space oracle
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from topoinv.models import (
     SIGMA_1,
     SIGMA_2,
     SIGMA_3,
+    _symmetric_part,
     dual_translations,
     magnetic_translations,
 )
@@ -198,6 +199,55 @@ def test_disorder_norm_bound_and_constraint():
         assert abs(m[0, 0] + m[1, 1]) < 1e-12
         assert abs(m[0, 1]) < 1e-12
         assert np.linalg.norm(m, 2) <= 0.3 + 1e-12
+
+
+def ref_constrained_site_matrices(disorder, num_sites, fiber, realization_seed, symmetry):
+    """The symmetry-constrained family as a per-site loop: draw a, b (L x L) and v,
+    project, normalize; the batched sampler must give these bytes."""
+    rng = np.random.default_rng(np.random.SeedSequence((disorder.seed, realization_seed)))
+    out = np.zeros((num_sites, fiber, fiber), dtype=complex)
+    if disorder.strength == 0.0:
+        return out
+    for n in range(num_sites):
+        a = rng.uniform(-1.0, 1.0, size=(fiber, fiber))
+        b = rng.uniform(-1.0, 1.0, size=(fiber, fiber))
+        h = (a + a.T) / 2 + 1j * (b - b.T) / 2
+        v = rng.uniform(-1.0, 1.0)
+        h = _symmetric_part(h, symmetry)
+        norm = np.linalg.norm(h, 2)
+        if norm > 1e-14:
+            out[n] = disorder.strength * v * h / norm
+    return out
+
+
+@st.composite
+def fibers_and_symmetries(draw):
+    """(fiber, symmetry): a zoo model's operators, or sign and identity operators
+    of every symmetry class on a fiber of 1 to 4 orbitals."""
+    zoo = {name: make_named_model(name).symmetry
+           for name in ("ssh", "qwz", "kane_mele_qsh", "kitaev_chain", "chiral_3d")}
+    name = draw(st.sampled_from(sorted(zoo) + ["signs"]))
+    if name != "signs":
+        sym = zoo[name]
+        return len(next(op for op in (sym.s_tr, sym.s_ch, np.eye(2)) if op is not None)), sym
+    fiber = draw(st.integers(1, 4))
+    signs = np.diag(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=fiber,
+                                  max_size=fiber)))
+    which = draw(st.sampled_from(["none", "tr", "ph", "ch", "tr+ch"]))
+    return fiber, SymmetrySpec(s_tr=np.eye(fiber) if "tr" in which else None,
+                               s_ph=np.eye(fiber) if which == "ph" else None,
+                               s_ch=signs if "ch" in which else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fs=fibers_and_symmetries(), num_sites=st.integers(1, 40),
+       strength=st.floats(0.0, 2.0), seed=st.integers(0, 2**16), realization=st.integers(0, 99))
+def test_constrained_disorder_matches_site_loop(fs, num_sites, strength, seed, realization):
+    fiber, symmetry = fs
+    dis = DisorderSpec(family="symmetry-constrained-matrix", strength=strength, seed=seed)
+    got = dis.sample_site_matrices(num_sites, fiber, realization, symmetry)
+    want = ref_constrained_site_matrices(dis, num_sites, fiber, realization, symmetry)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_named_model_symmetry_checks():

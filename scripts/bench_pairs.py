@@ -7,7 +7,9 @@ Each pair runs the unmodified `perfbench/run.py --trace 0` for the
 `run_seconds` of `BENCHMARK.json` once in a fresh clone of the parent commit
 and once in this checkout (with its uncommitted changes), alternating which
 side runs first; each pair's progress line gives every end-to-end metric of
-both sides.  The output file holds, per
+both sides, and each job's median realization seconds, read from the
+`.perfbench_out/<workload>-seed<N>-trace0/result.json` that run wrote in its
+tree.  The output file holds, per
 workload and seed, the median and quartiles of each end-to-end metric on
 both sides, the pairs the change won, failure counts, and the provenance
 line each side's perfbench printed.  Entries already in the file for other
@@ -42,7 +44,11 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                           cwd=tree, capture_output=True, text=True, check=True)
     lines = done.stdout.splitlines()
     provenance = next(line for line in lines if line.startswith("# provenance "))
-    return {**json.loads(lines[-1]), "provenance": provenance}
+    detail = json.loads((tree / ".perfbench_out" / f"{workload}-seed{seed}-trace0"
+                         / "result.json").read_text())["detail"]
+    jobs = {job: statistics.median(times)
+            for job, times in detail["realization_s"].items() if times}
+    return {**json.loads(lines[-1]), "provenance": provenance, "job_p50": jobs}
 
 
 def _summary(runs: list[dict], metric: str) -> dict:
@@ -88,8 +94,10 @@ def main(argv=None) -> int:
                     tree = clone if side == "parent" else ROOT
                     sides[side].append(_run(tree, workload, args.seed, spec["run_seconds"]))
                 print(f"{workload} seed {args.seed} pair {i + 1}/{args.pairs}: " + "; ".join(
-                    f"{s} " + ", ".join(f"{m} {sides[s][-1]['metrics'][m]['value']:.4g}"
-                                        for m in metrics) for s in order), flush=True)
+                    f"{s} " + ", ".join(
+                        [f"{m} {sides[s][-1]['metrics'][m]['value']:.4g}" for m in metrics]
+                        + [f"{job} p50 {t:.4g}" for job, t in sides[s][-1]["job_p50"].items()])
+                    for s in order), flush=True)
             wins = {}
             for m, decl in metrics.items():
                 sign = 1 if decl["better"] == "lower" else -1

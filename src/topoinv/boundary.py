@@ -34,7 +34,7 @@ from .errors import (
     ProfileNotDecayedError,
     SurfaceBandAmbiguousError,
 )
-from .invariants import InvariantResult, _make_result, _window_trace, displacement_matrix
+from .invariants import InvariantResult, _make_result, _window_trace
 from .models import (
     OPEN,
     PERIODIC,
@@ -192,18 +192,23 @@ def _edge_pairing(half: HalfSpaceSample, f: SwitchFunction, window: np.ndarray,
                   observable: np.ndarray | None = None) -> float:
     """2 pi T_w(f'(H) . i[X_1, H]) per unit boundary volume; optional extra fiber factor.
 
-    f'(H) = V diag(f'(w)) V^H over the in-gap eigenpairs, so the trace costs
-    O(dim . k . |window|) for k of them.
+    f'(H) = V diag(f'(w)) V^H over the in-gap eigenpairs, so the window's rows
+    of f'(H) cost O(dim . k . |window|) for k of them.  The current
+    i (x_m - x_n) H_mn is formed only in the window's columns, from the CSR
+    form; the window holds whole sites, so a fiber factor acts within them.
     """
     _require_switch_in_bulk_gap(half, f)
     eigen, sample = half.eigen, half.hamiltonian
     V = eigen.eigenvectors
-    current = 1j * displacement_matrix(sample, 0) * sample.matrix
+    x = sample.lattice.positions()[:, 0]
+    current = (1j * sample.lattice.minimal_image(x[:, None] - x[None, window], 0)
+               * sample.csr[:, window].toarray())
     if observable is not None:
         current = 0.5 * (apply_fiber(observable, current, "right")
                          + apply_fiber(observable, current, "left"))
+    rows = (V[window] * f.derivative(eigen.eigenvalues)) @ V.conj().T
+    pairing = np.sum(rows * current.T)
     transverse = np.prod(sample.lattice.linear_sizes[:-1])
-    pairing = _window_trace([V * f.derivative(eigen.eigenvalues), V.conj().T, current], window)
     return float(2 * np.pi * pairing.real / transverse)
 
 

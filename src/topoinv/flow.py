@@ -36,6 +36,7 @@ from .models import (
     FluxString,
     HamiltonianSample,
     ModelDefinition,
+    _scale,
     apply_fiber,
     build_hamiltonian,
     flux_string,
@@ -115,9 +116,11 @@ class FluxPath:
         return below[1] - below[0]
 
 
-def _require_symmetry(H: np.ndarray, op: np.ndarray, kind: str, rel_tol: float, where: str):
-    dev = symmetry_deviation(H, op, kind)
-    if dev > rel_tol * max(1.0, np.abs(H).max()):
+def _require_symmetry(sample: HamiltonianSample, op: np.ndarray, kind: str, rel_tol: float,
+                      where: str):
+    """Raise unless the sample keeps the symmetry to rel_tol max(1, max|H|), on its CSR form."""
+    dev = symmetry_deviation(sample.csr, op, kind)
+    if dev > rel_tol * _scale(sample.csr):
         name = "time reversal" if kind == "tr" else "particle-hole"
         raise SymmetryBrokenAtHalfFluxError(f"{name} broken {where} (dev {dev:.2e})")
 
@@ -275,8 +278,8 @@ def kramers_halfflux_probe(model: ModelDefinition, plaquette,
     sample0 = build_hamiltonian(model, realization_seed)
     _, gap = companion_gap(model, realization_seed, 0.0)
     half = insert_flux(sample0, 0.5, plaquette)
-    for tag, Ht in (("t=0", sample0.matrix), ("t=1/2", half.matrix)):
-        _require_symmetry(Ht, sym.s_tr, "tr", 1e-9, f"at {tag}")
+    for tag, sample in (("t=0", sample0), ("t=1/2", half)):
+        _require_symmetry(sample, sym.s_tr, "tr", 1e-9, f"at {tag}")
     eig = diagonalize(half, window=gap)
     w, v = eig.eigenvalues, eig.eigenvectors
     inside = np.where((w > gap[0] + 1e-12) & (w < gap[1] - 1e-12))[0]
@@ -332,9 +335,9 @@ def z2_spectral_flow(path: FluxPath) -> dict:
     touches = []
     logabs_floor = np.log(1e-300)
     for t in path.ts:
-        H = path.sample_at(t).matrix
-        _require_symmetry(H, sym.s_ph, "ph", 1e-9, f"at t={t}")
-        T = majorana_form(H, num_sites)
+        sample = path.sample_at(t)
+        _require_symmetry(sample, sym.s_ph, "ph", 1e-9, f"at t={t}")
+        T = majorana_form(sample.matrix, num_sites)
         scale = np.abs(T).max()
         smin = np.abs(np.linalg.eigvalsh(1j * T)).min()
         if smin < _PFAFFIAN_KERNEL_TOL * max(scale, 1.0):
@@ -361,7 +364,7 @@ def _halfflux_modes(open_model: ModelDefinition, realization_seed: int, plaquett
     half = insert_flux(build_hamiltonian(open_model, realization_seed), 0.5, plaquette)
     if open_model.symmetry.s_ph is None:
         raise SymmetryBrokenAtHalfFluxError("model must declare a particle-hole operator")
-    _require_symmetry(half.matrix, open_model.symmetry.s_ph, "ph", 1e-10, "at half flux")
+    _require_symmetry(half, open_model.symmetry.s_ph, "ph", 1e-10, "at half flux")
     eig = diagonalize(half)
     order = np.argsort(np.abs(eig.eigenvalues))
     window = half.lattice.window(np.add(plaquette, 0.5), _DEFECT_RADIUS_FRAC)

@@ -189,13 +189,18 @@ class FermiUnitary:
     sample: HamiltonianSample
     fiber: int           # orbitals per site in the reduced space
     min_singular: float
+    inverse: np.ndarray | None = None  # matrix^-1 when known exactly; else inverted
 
 
 def fermi_unitary(P: FermiProjection) -> FermiUnitary:
     """Polar phase U of the off-diagonal block of 2P in the eigenbasis of the model's s_ch.
 
     Accepts approximately chiral samples as long as the block stays
-    invertible; the smallest singular value is reported on the result.
+    invertible; the smallest singular value is reported on the result.  When
+    `diagonalize` took the chiral route and P holds exactly the levels -s of
+    B = U_B diag(s) W* (rank dim/2), the block is the unitary -W U_B*: it is
+    read from that solve's factors, with smallest singular value 1 and its
+    inverse -U_B W*.
     """
     sample, s_ch = P.sample, P.sample.model.symmetry.s_ch
     if s_ch is None:
@@ -203,6 +208,12 @@ def fermi_unitary(P: FermiProjection) -> FermiUnitary:
     plus, minus = chiral_sectors(s_ch)
     if plus.shape[1] != minus.shape[1]:
         raise NotChiralError("chiral operator sectors have unequal dimension")
+    svd = P.eigen.svd
+    if svd is not None and P.rank == len(svd[1]):
+        u, _, wh = svd
+        inverse = -(u @ wh)
+        return FermiUnitary(matrix=inverse.conj().T, sample=sample, fiber=plus.shape[1],
+                            min_singular=1.0, inverse=inverse)
     # 2 P_{-+} = 2 V_- V_+* from the sector components of the occupied vectors V
     V = P.occupied
     block = 2.0 * apply_fiber(minus.conj().T, V) @ apply_fiber(plus.conj().T, V).conj().T
@@ -227,12 +238,16 @@ def chern_unitary(U: FermiUnitary, I) -> InvariantResult:
     I = _validate_index_set(I, sample.lattice.dimension)
     if len(I) % 2 == 0:
         raise EvenIndexSetError("invertible pairing needs an odd index set")
-    inv = np.linalg.inv(mat)
-    dU = {i: inv @ (1j * displacement_matrix(sample, i - 1, per_site) * mat) for i in I}
+    inv = np.linalg.inv(mat) if U.inverse is None else U.inverse
+    dmat = {i: 1j * displacement_matrix(sample, i - 1, per_site) * mat for i in I}
     keep, n_sites = _site_window(sample, per_site)
-    total = sum(sgn * _window_trace([dU[i] for i in perm], keep)
-                for perm, sgn in _signed_permutations(I)) / n_sites
-    return _make_result(_odd_coeff(len(I)) * total, min_singular=U.min_singular)
+    if len(I) == 1:  # T(U^-1 D U) from the kept rows of U^-1 alone
+        total = _window_trace([inv, dmat[I[0]]], keep)
+    else:
+        dU = {i: inv @ dmat[i] for i in I}
+        total = sum(sgn * _window_trace([dU[i] for i in perm], keep)
+                    for perm, sgn in _signed_permutations(I))
+    return _make_result(_odd_coeff(len(I)) * (total / n_sites), min_singular=U.min_singular)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ Conventions fixed here and relied on everywhere else:
 * one bond table (`_bonds`) places every bond for assembly, magnetic
   translations and flux insertion; there a bond is the segment from its
   source to source + a, and the string cell p has 0 <= p_k <= N_k - 2;
-* a sample is assembled once, in CSR form (`_assemble`); its dense matrix
-  is formed only when a caller reads it.
+* a sample is assembled once, in CSR form (`build_hamiltonian`); its dense
+  matrix is formed only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class LatticeSpec:
         if self.boundary[axis] != PERIODIC:
             return dx
         n = self.linear_sizes[axis]
-        return (dx + n / 2) % n - n / 2
+        return dx - n * np.floor(dx / n + 0.5)
 
     def window(self, center, radius_frac, per_site: int | None = None) -> np.ndarray:
         """Mask per index of the box |x - center| <= radius_frac * N on every axis.
@@ -140,13 +140,31 @@ def apply_fiber(op: np.ndarray, M: np.ndarray, side: str = "left") -> np.ndarray
 _SYMMETRY_SIGN = {"tr": -1.0, "ph": 1.0, "ch": 1.0}
 
 
-def symmetry_deviation(H: np.ndarray, op: np.ndarray, kind: str) -> float:
+def _sandwich(a: np.ndarray, X: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a* X_k b for each block of the stack X (k, L, L), as two matrix products:
+    numpy's stacked products of small blocks cost far more."""
+    (k, L, _), p, q = X.shape, a.shape[1], b.shape[1]
+    Y = (X.reshape(k * L, L) @ b).reshape(k, L, q).transpose(1, 0, 2).reshape(L, k * q)
+    return (a.conj().T @ Y).reshape(p, k, q).transpose(1, 0, 2)
+
+
+def _scale(A: sparse.csr_array) -> float:
+    """max(1, max|A|) over the stored entries of a sparse A."""
+    return max(1.0, np.abs(A.data).max(initial=0.0))
+
+
+def symmetry_deviation(H, op: np.ndarray, kind: str) -> float:
     """max |S* conj(H) S - H| (kind "tr"), max |S* conj(H) S + H| ("ph") or
-    max |S* H S + H| ("ch"), where S = 1_N (x) op acts fiber by fiber."""
-    sign = _SYMMETRY_SIGN[kind]
-    X = H if kind == "ch" else H.conj()
-    X = apply_fiber(op.conj().T, apply_fiber(op, X, "right"), "left")
-    return float(np.abs(X + sign * H).max())
+    max |S* H S + H| ("ch"), where S = 1_N (x) op acts fiber by fiber.
+
+    H is dense, sparse, or already its BSR form with L x L blocks.  S is block
+    diagonal, so the check runs on the L x L blocks between two sites that H
+    stores, at O(nnz L) for a sparse H; the dim x dim lift is never formed."""
+    if not (sparse.issparse(H) and H.format == "bsr" and H.blocksize == op.shape):
+        H = sparse.bsr_array(H, blocksize=op.shape)
+    X = H.data
+    Y = X if kind == "ch" else X.conj()
+    return float(np.abs(_sandwich(op, Y, op) + _SYMMETRY_SIGN[kind] * X).max(initial=0.0))
 
 
 def chiral_sectors(s_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,38 +455,65 @@ def _bonds(lattice: LatticeSpec, B: np.ndarray,
     return (np.flatnonzero(keep), np.ravel_multi_index(moved[keep].T, sizes), phase[keep])
 
 
-def _assemble(dim: int, terms) -> sparse.csr_array:
-    """The dim x dim CSR sum over the (bonds, t) of `terms`, one term after the
-    other, of the block exp(i phase) t at (target, source) for every bond; t is
-    one L x L block or one per bond.  Entries that sum to zero are not stored."""
-    out = sparse.csr_array((dim, dim), dtype=complex)
+def _scatter(dim: int, terms) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, values) of the block exp(i phase) t at (target, source) for every bond
+    of the (bonds, t) of `terms`, term after term, the entry (i, j) as the key
+    i dim + j; t is one L x L block or one per bond."""
+    keys, values = [np.zeros(0, int)], [np.zeros(0, complex)]
     for (src, tgt, phase), t in terms:
         blocks = np.exp(1j * phase)[:, None, None] * t
         orb = np.arange(blocks.shape[-1])
-        rows, cols = np.broadcast_arrays((tgt[:, None] * len(orb) + orb)[:, :, None],
-                                         (src[:, None] * len(orb) + orb)[:, None, :], blocks)[:2]
-        out = out + sparse.coo_array((blocks.ravel(), (rows.ravel(), cols.ravel())),
-                                     shape=(dim, dim))
-    return out
+        rows, cols, blocks = np.broadcast_arrays((tgt[:, None] * len(orb) + orb)[:, :, None],
+                                                 (src[:, None] * len(orb) + orb)[:, None, :],
+                                                 blocks)
+        keys.append((rows * dim + cols).ravel())
+        values.append(blocks.ravel())
+    return np.concatenate(keys), np.concatenate(values)
+
+
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, each with the sum of its values in the order
+    given (`numpy.add.at` is unbuffered), as a dense scatter of them in turn sums."""
+    keys, at = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=complex)
+    np.add.at(sums, at, values)
+    return keys, sums
+
+
+def _csr(dim: int, keys: np.ndarray, values: np.ndarray) -> sparse.csr_array:
+    """The dim x dim CSR matrix of the `_summed` entries; those that sum to zero
+    are not stored."""
+    keys, values = _summed(keys, values)
+    keep = values != 0
+    keys = keys[keep]
+    indptr = np.searchsorted(keys // dim, np.arange(dim + 1))
+    return sparse.csr_array((values[keep], keys % dim, indptr), shape=(dim, dim))
+
+
+def _assemble(dim: int, terms) -> sparse.csr_array:
+    """The dim x dim CSR sum of `terms` (`_scatter`), term after term."""
+    return _csr(dim, *_scatter(dim, terms))
 
 
 def build_hamiltonian(model: ModelDefinition, realization_seed: int = 0) -> HamiltonianSample:
     """Assemble the finite-volume matrix of the model, in CSR form.
 
-    The hoppings are summed in their order, then the adjoint and the on-site
-    blocks, so each entry rounds as a dense scatter of the same terms does.
-    Deterministic in (model, realization_seed); raises FluxQuantizationError
-    via the model validation if the field is incompatible with the torus.
+    The hoppings are summed in their order (S), then the adjoint S* and the
+    on-site blocks are added, in one pass over the entries: each rounds as a
+    dense scatter of the same terms does.  Deterministic in (model,
+    realization_seed); raises FluxQuantizationError via the model validation
+    if the field is incompatible with the torus.
     """
     lat = model.lattice
-    N, L = lat.num_sites, lat.fiber
-    H = _assemble(lat.hilbert_dim, [(_bonds(lat, model.field.B, a), t)
-                                    for a, t in model.positive_hoppings()])
-    omega = model.disorder.sample_site_matrices(N, L, realization_seed, model.symmetry)
+    N, dim = lat.num_sites, lat.hilbert_dim
+    keys, hop = _summed(*_scatter(dim, [(_bonds(lat, model.field.B, a), t)
+                                        for a, t in model.positive_hoppings()]))
+    omega = model.disorder.sample_site_matrices(N, lat.fiber, realization_seed, model.symmetry)
     sites = np.arange(N)
-    onsite = _assemble(lat.hilbert_dim, [((sites, sites, np.zeros(N)), model.onsite + omega)])
-    return HamiltonianSample(csr=H + H.conj().T + onsite, model=model,
-                             realization_seed=realization_seed)
+    diag, onsite = _scatter(dim, [((sites, sites, np.zeros(N)), model.onsite + omega)])
+    csr = _csr(dim, np.concatenate([keys, keys % dim * dim + keys // dim, diag]),
+               np.concatenate([hop, hop.conj(), onsite]))
+    return HamiltonianSample(csr=csr, model=model, realization_seed=realization_seed)
 
 
 def _translation(lattice: LatticeSpec, bonds) -> np.ndarray:
@@ -664,8 +709,8 @@ def classify_caz(sample: HamiltonianSample) -> tuple[str, int]:
     s_ch* H s_ch = -H, reads the declared parities, and returns the class
     label together with its row index in the tenfold classification.
     """
-    H, sym = sample.matrix, sample.model.symmetry
-    scale = max(np.abs(H).max(), 1.0)
+    H, sym = sample.csr, sample.model.symmetry
+    scale = _scale(H)
 
     def holds(op, kind):
         return op is not None and symmetry_deviation(H, op, kind) <= _CAZ_TOL * scale

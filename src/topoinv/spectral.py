@@ -16,7 +16,14 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import ConvergenceFailureError, NoGapError
-from .models import HamiltonianSample, apply_fiber, chiral_sectors
+from .models import (
+    HamiltonianSample,
+    _sandwich,
+    _scale,
+    apply_fiber,
+    chiral_sectors,
+    symmetry_deviation,
+)
 
 _MIN_GAP = 1e-8  # detect_gap: narrowest gap, and closest level to mu, it accepts
 _C_NORM_ORDER = 6  # SwitchFunction.c_norm: highest derivative order in the norm
@@ -43,12 +50,16 @@ class EigenData:
     with `eigenvectors = None` every eigenvalue but no eigenvector.  An
     occupied solve (`diagonalize(..., mu=)` or `states=`) is a window
     (-inf, hi] that holds the first level above the Fermi level.
+
+    `svd` is set by the chiral route alone (`_chiral_eigh`): the factors
+    (U, s, W*) of the off-diagonal block B = U diag(s) W* it was cut from.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     sample: HamiltonianSample
     window: tuple[float, float] | None = None
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def require_full(self, use: str, vectors: bool = True, mu: float | None = None):
         """Raise ValueError unless this holds every eigenvalue (and, with vectors,
@@ -134,9 +145,9 @@ def _chiral_block(sample: HamiltonianSample):
 
     The sample's model must declare s_ch with +1 and -1 sectors of equal
     dimension (`chiral_sectors`: plus, minus), and the sample must anticommute
-    with S = 1_N (x) s_ch to rounding, max|S* H S + H| <= dim eps max(1, max|H|),
-    checked fiber block by fiber block on the BSR view of the CSR form, at
-    O(nnz).  Then H in the sector basis is [[0, B], [B*, 0]], and
+    with S = 1_N (x) s_ch to rounding, max|S* H S + H| <= dim eps max(1, max|H|)
+    (`symmetry_deviation` on the BSR view of the CSR form, at O(nnz)).  Then H
+    in the sector basis is [[0, B], [B*, 0]], and
     B = (1_N (x) plus)* H (1_N (x) minus) is formed dense from the same blocks.
     """
     s_ch = sample.model.symmetry.s_ch
@@ -146,39 +157,31 @@ def _chiral_block(sample: HamiltonianSample):
     if plus.shape[1] != minus.shape[1]:
         return None
     blocks = sample.csr.tobsr(blocksize=s_ch.shape)  # the fiber blocks between two sites
-    X = blocks.data
-    if (np.abs(_sandwich(s_ch, X, s_ch) + X).max(initial=0.0)
+    if (symmetry_deviation(blocks, s_ch, "ch")
             > sample.dim * np.finfo(float).eps * _scale(sample.csr)):
         return None
     half = sample.dim // 2
-    B = sparse.bsr_array((_sandwich(plus, X, minus), blocks.indices, blocks.indptr),
+    B = sparse.bsr_array((_sandwich(plus, blocks.data, minus), blocks.indices, blocks.indptr),
                          shape=(half, half))
     return B.toarray(), plus, minus
 
 
-def _sandwich(a: np.ndarray, X: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a* X_k b for each block of the stack X (k, L, L), as two matrix products:
-    numpy's stacked products of small blocks cost far more."""
-    (k, L, _), p, q = X.shape, a.shape[1], b.shape[1]
-    Y = (X.reshape(k * L, L) @ b).reshape(k, L, q).transpose(1, 0, 2).reshape(L, k * q)
-    return (a.conj().T @ Y).reshape(p, k, q).transpose(1, 0, 2)
-
-
 def _chiral_eigh(B: np.ndarray, plus: np.ndarray, minus: np.ndarray,
                  window: tuple[float, float] | None, mu: float | None, states: int | None,
-                 vectors: bool) -> tuple[np.ndarray, np.ndarray | None, tuple[float, float] | None]:
+                 vectors: bool) -> tuple:
     """`diagonalize`'s request on H = [[0, B], [B*, 0]] (sector basis of `_chiral_block`)
     from one SVD B = U diag(s) W*, s descending: the ascending levels are -s, then
     s reversed, with eigenvectors ((1_N (x) plus) u -+ (1_N (x) minus) w) / sqrt 2.
 
-    Returns (levels, eigenvectors, cut) as `_partial_eigh` does: every level
-    (svdvals) with no eigenvector for `vectors=False`; otherwise the levels in
-    the window, or in the occupied window whose edge `_occupied_edge` places,
-    or all of them, and only those eigenvectors are formed.
+    Returns (levels, eigenvectors, cut, (U, s, W*)), the first three as
+    `_partial_eigh` does: every level (svdvals) with no eigenvector and no
+    factors for `vectors=False`; otherwise the levels in the window, or in the
+    occupied window whose edge `_occupied_edge` places, or all of them, and
+    only those eigenvectors are formed.
     """
     if not vectors:
         s = linalg.svdvals(B)
-        return np.concatenate([-s, s[::-1]]), None, None
+        return np.concatenate([-s, s[::-1]]), None, None, None
     u, s, wh = linalg.svd(B)
     w = np.concatenate([-s, s[::-1]])
     if window is None and (mu is not None or states is not None):
@@ -189,7 +192,7 @@ def _chiral_eigh(B: np.ndarray, plus: np.ndarray, minus: np.ndarray,
     j = np.where(keep < m, keep, 2 * m - 1 - keep)  # the singular triple of each level
     sign = np.where(keep < m, -1.0, 1.0)
     v = (apply_fiber(plus, u[:, j]) + apply_fiber(minus, wh[j].conj().T * sign)) / np.sqrt(2)
-    return w[keep], v, window
+    return w[keep], v, window, (u, s, wh)
 
 
 def _shift_invert(A: sparse.csr_array, window: tuple[float, float],
@@ -240,10 +243,6 @@ def _arpack(A: sparse.csr_array, lu, shift: float, k: int,
     if len(w) != k or np.linalg.norm(A @ v - v * w, axis=0).max() > _RESIDUAL_TOL * _scale(A):
         return None
     return w, v
-
-
-def _scale(A: sparse.csr_array) -> float:
-    return max(1.0, np.abs(A.data).max(initial=0.0))
 
 
 def _ldl(A: sparse.csr_array, x: float):
@@ -364,8 +363,8 @@ def certified_gap(sample: HamiltonianSample, mu: float | None = None,
 
 def _hermitian(A: sparse.csr_array) -> sparse.csr_array:
     """The CSR matrix A after checking max|A - A*| <= 1e-10 max(1, max|A|), at O(nnz)."""
-    herm_dev = abs(A - A.conj().T).max()
-    if herm_dev > 1e-10 * max(1.0, abs(A).max()):
+    herm_dev = np.abs((A - A.conj().T).data).max(initial=0.0)
+    if herm_dev > 1e-10 * _scale(A):
         raise ConvergenceFailureError(f"matrix is not Hermitian (deviation {herm_dev:.2e})")
     return A
 
@@ -388,7 +387,8 @@ def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = 
     solve that fails its checks falls back to `_partial_eigh` on the window.
     An exactly chiral sample (`_chiral_block`) takes neither dense route: every
     request it reaches is cut from one SVD of its off-diagonal block
-    (`_chiral_eigh`), an (n/2)-square matrix.
+    (`_chiral_eigh`), an (n/2)-square matrix, whose factors the result keeps
+    (`EigenData.svd`) for the Fermi unitary.
     """
     partial = (window is not None) + (mu is not None) + (states is not None)
     if partial > 1:
@@ -401,13 +401,14 @@ def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = 
         raise ValueError(f"states must lie in [0, {sample.dim - 1}], got {states}")
     # every route checks the CSR form; only the dense routes form the dense matrix
     A = _hermitian(sample.csr)
+    svd = None
     try:
         solved = _shift_invert(A, window, count) if count is not None else None
         chiral = _chiral_block(sample) if solved is None else None
         if solved is not None:
             w, v = solved
         elif chiral is not None:
-            w, v, window = _chiral_eigh(*chiral, window, mu, states, vectors)
+            w, v, window, svd = _chiral_eigh(*chiral, window, mu, states, vectors)
         elif not vectors:
             w, v = np.linalg.eigvalsh(sample.matrix), None
         elif partial:
@@ -416,7 +417,7 @@ def diagonalize(sample: HamiltonianSample, window: tuple[float, float] | None = 
             w, v = np.linalg.eigh(sample.matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
-    return EigenData(eigenvalues=w, eigenvectors=v, sample=sample, window=window)
+    return EigenData(eigenvalues=w, eigenvectors=v, sample=sample, window=window, svd=svd)
 
 
 @dataclass(frozen=True)

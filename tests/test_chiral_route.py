@@ -7,14 +7,29 @@ dense routes (`numpy.linalg.eigh`, `eigvalsh`, `spectral._partial_eigh` on
 the dense matrix) to 1e-12: eigenvalues, window edge and the projector onto
 the kept eigenvectors.  A sample that breaks its declared chirality must
 take the dense routes, with their bytes.
+
+The Fermi unitary of an exactly chiral sample whose Fermi projection holds
+the lower half of the levels is read from the chiral solve's SVD; it must
+agree with the polar factor of the projector block to 1e-12, and every
+other projection must keep that route, with its bytes.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topoinv import build_hamiltonian, diagonalize, make_named_model
+from topoinv import (
+    build_hamiltonian,
+    chern_unitary,
+    diagonalize,
+    fermi_projection,
+    fermi_unitary,
+    make_named_model,
+    occupied_projection,
+)
 from topoinv import spectral
+from topoinv.errors import BlockSingularError
+from topoinv.invariants import FermiUnitary
 from topoinv.models import (
     PERIODIC,
     SIGMA_1,
@@ -23,6 +38,8 @@ from topoinv.models import (
     MagneticFieldSpec,
     ModelDefinition,
     SymmetrySpec,
+    apply_fiber,
+    chiral_sectors,
     insert_flux,
 )
 
@@ -160,3 +177,91 @@ def test_chiral_check_is_relative_to_rounding():
                                 base.onsite + eps * np.diag([1.0, 0.0]), base.disorder,
                                 base.symmetry)
         assert (spectral._chiral_block(build_hamiltonian(model)) is not None) == chiral
+
+
+# --- the Fermi unitary ---------------------------------------------------------
+
+def ref_fermi_unitary(P):
+    """fermi_unitary's projector route: the polar factor of 2 P_{-+} = 2 V_- V_+* and
+    its smallest singular value."""
+    plus, minus = chiral_sectors(P.sample.model.symmetry.s_ch)
+    V = P.occupied
+    block = 2.0 * apply_fiber(minus.conj().T, V) @ apply_fiber(plus.conj().T, V).conj().T
+    uu, sv, vv = np.linalg.svd(block)
+    return uu @ vv, float(sv.min())
+
+
+def projections(sample, **level):
+    """The Fermi projection from the full decomposition and from the occupied solve."""
+    full = diagonalize(sample)
+    mu = spectral.fermi_level(full.eigenvalues, level.get("mu"), level.get("states"))
+    return {"full": fermi_projection(full, mu), "occupied": occupied_projection(sample, **level)}
+
+
+def winding(matrix, U, I):
+    return chern_unitary(FermiUnitary(matrix, U.sample, U.fiber, U.min_singular), I).raw
+
+
+CHIRAL_READ = {
+    "ssh-topological": (make_named_model("ssh", sizes=48, m=0.5), (1,)),
+    "ssh-trivial": (make_named_model("ssh", sizes=32, m=1.6), (1,)),
+    "ssh-constrained-disorder": (make_named_model(
+        "ssh", sizes=40, m=-0.4, disorder=DisorderSpec("symmetry-constrained-matrix", 0.8, 2)), (1,)),
+    "kitaev-clean": (make_named_model("kitaev_chain", sizes=32, mu=0.4), (1,)),
+    "custom-sigma1": (custom_chain(24, (0.7 + 0.2j, 0.4), (0.3, -0.2)), (1,)),
+    "chiral_3d": (make_named_model("chiral_3d", sizes=3, mass=2.0, disorder=DisorderSpec(
+        "symmetry-constrained-matrix", 0.5, 4)), (1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHIRAL_READ))
+def test_fermi_unitary_read_from_the_chiral_solve(case):
+    model, I = CHIRAL_READ[case]
+    sample = build_hamiltonian(model, 3)
+    for solve, P in projections(sample, mu=0.0).items():
+        assert P.eigen.svd is not None and P.rank == sample.dim // 2, solve
+        U = fermi_unitary(P)
+        want, smallest = ref_fermi_unitary(P)
+        assert U.min_singular == 1.0
+        assert np.abs(U.inverse - np.linalg.inv(U.matrix)).max() <= TOL
+        assert abs(U.min_singular - smallest) <= TOL
+        assert np.abs(U.matrix - want).max() <= TOL
+        assert abs(chern_unitary(U, I).raw - winding(want, U, I)) <= TOL
+
+
+def fallback_samples():
+    """Chiral and broken samples whose Fermi unitary keeps the projector route: a
+    Fermi level in a gap off the centre (one level above or below it), a 1e-10
+    chirality break, scalar disorder."""
+    clean = make_named_model("ssh", sizes=8, m=0.5)
+    broken = ModelDefinition(clean.lattice, clean.field, clean.hoppings,
+                             clean.onsite + 1e-10 * np.diag([1.0, 0.0]), clean.disorder,
+                             clean.symmetry)
+    scalar = make_named_model("ssh", sizes=32, m=0.5,
+                              disorder=DisorderSpec("diagonal-scalar", 0.3, 2))
+    return {
+        "states-above-centre": (build_hamiltonian(clean), {"states": 9}),
+        "states-below-centre": (build_hamiltonian(clean), {"states": 7}),
+        "chirality-break-1e-10": (build_hamiltonian(broken), {"mu": 0.0}),
+        "scalar-disorder": (build_hamiltonian(scalar, 1), {"mu": 0.0}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(fallback_samples()))
+def test_fermi_unitary_fallbacks_keep_the_projector_route(case):
+    sample, level = fallback_samples()[case]
+    chiral = spectral._chiral_block(sample) is not None
+    assert chiral == case.startswith("states")
+    for solve, P in projections(sample, **level).items():
+        assert (P.eigen.svd is not None) == chiral, solve
+        assert P.rank != sample.dim // 2 or not chiral
+        want, smallest = ref_fermi_unitary(P)
+        if smallest < 1e-3:
+            # off the centre both levels of a pair +-s are occupied, or neither:
+            # the block is singular, and the projector route refuses it
+            with pytest.raises(BlockSingularError):
+                fermi_unitary(P)
+            continue
+        U = fermi_unitary(P)
+        assert np.array_equal(U.matrix, want) and U.min_singular == smallest
+        assert U.inverse is None

@@ -3,7 +3,9 @@
 import hashlib
 import sys
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from topoinv import harness, spectral
 from topoinv.harness import ExperimentConfig
@@ -58,3 +60,18 @@ def test_each_matrix_diagonalized_once(task, solved):
     harness.TASKS[config.task].run(config.model(), config.task_params, 0)
     assert solved, "the task made no eigensolve through diagonalize"
     assert len(solved) == len(set(solved))
+
+
+def test_chiral_winding_takes_one_svd(monkeypatch):
+    """An exactly chiral winding realization decomposes its off-diagonal block once:
+    the Fermi unitary is read from the chiral solve's SVD."""
+    calls = []
+    for module in (scipy.linalg, np.linalg):
+        def counting(*args, _inner=module.svd, **kwargs):
+            calls.append(_inner)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, "svd", counting)
+    config = ExperimentConfig.from_sections(parse_config(CONFIGS["winding"]))
+    harness.TASKS[config.task].run(config.model(), config.task_params, 0)
+    assert len(calls) == 1

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from topoinv import build_hamiltonian, make_named_model
 from topoinv.invariants import core_mask, displacement_matrix
@@ -121,6 +122,20 @@ def test_symmetry_deviation_matches_kron_lift(seed, num_sites, fiber, kind):
     op = complex_matrix(rng, fiber, fiber)
     H = complex_matrix(rng, num_sites * fiber, num_sites * fiber)
     assert abs(symmetry_deviation(H, op, kind) - ref_symmetry_deviation(H, op, kind)) < TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.integers(1, 4),
+       st.sampled_from(("tr", "ph", "ch")), st.floats(0.0, 1.0))
+def test_symmetry_deviation_on_sparse_input(seed, num_sites, fiber, kind, density):
+    # the CSR form of a matrix with zero entries and zero blocks: the dense value
+    rng = np.random.default_rng(seed)
+    op = complex_matrix(rng, fiber, fiber)
+    H = complex_matrix(rng, num_sites * fiber, num_sites * fiber)
+    H[rng.uniform(size=H.shape) > density] = 0.0
+    got = symmetry_deviation(sparse.csr_array(H), op, kind)
+    assert abs(got - ref_symmetry_deviation(H, op, kind)) < TOL
+    assert got == symmetry_deviation(H, op, kind)
 
 
 def test_symmetry_deviation_vanishes_on_symmetric_samples():

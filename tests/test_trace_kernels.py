@@ -277,6 +277,17 @@ def test_chern_unitary_matches_reference(lat, seed, data):
     assert abs(got - ref_chern_unitary(mat, I, sample, per_site, ref_region(sample))) < TOL
 
 
+@pytest.mark.parametrize("size, mass, strength", [(3, 2.0, 0.0), (3, -2.0, 0.6), (4, 2.0, 0.4),
+                                                  (4, 4.0, 0.8)])
+def test_chern_unitary_three_axes_on_chiral_tori(size, mass, strength):
+    # |I| = 3 on a torus, the Fermi unitary and its inverse read from the chiral solve
+    model = make_named_model("chiral_3d", sizes=size, mass=mass,
+                             disorder=DisorderSpec("symmetry-constrained-matrix", strength, 5))
+    U = fermi_unitary(occupied_projection(build_hamiltonian(model, 1), 0.0))
+    want = ref_chern_unitary(U.matrix, (1, 2, 3), U.sample, U.fiber, "all")
+    assert abs(chern_unitary(U, (1, 2, 3)).raw - want) < TOL
+
+
 # --- index pairings ----------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)

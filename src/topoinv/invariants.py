@@ -653,13 +653,7 @@ def pairing_range_check(model: ModelDefinition, I, J) -> tuple[float, float]:
     b12 = model.field.B[0, 1]
     P = _field_gap_projection(make_named_model("harper", sizes=model.lattice.linear_sizes, b12=b12))
     measured = float(chern_projection(P, I).raw.real)
-    setI, setJ = set(I), set(J)
-    if setI - setJ:
-        predicted = 0.0
-    elif setI == setJ:
-        predicted = 1.0
-    else:
-        rest = sorted(setJ - setI)
-        Bsub = np.array([[0.0, b12], [-b12, 0.0]])[np.ix_([r - 1 for r in rest], [r - 1 for r in rest])]
-        predicted = float(pfaffian(Bsub) / (2 * np.pi) ** (len(rest) // 2))
+    # chern_projection has refused any I but (1, 2), where the pairing is Ch_J = 1,
+    # and (), the state density Pf(B) / 2 pi
+    predicted = 1.0 if I else float(pfaffian(np.array([[0.0, b12], [-b12, 0.0]])) / (2 * np.pi))
     return measured, predicted

@@ -304,15 +304,6 @@ def _symmetric_part(h: np.ndarray, sym: SymmetrySpec) -> np.ndarray:
     return (h + h.swapaxes(-1, -2).conj()) / 2
 
 
-def _canonical_positive(a: tuple[int, ...]) -> bool:
-    for c in a:
-        if c > 0:
-            return True
-        if c < 0:
-            return False
-    return False
-
-
 @dataclass(frozen=True)
 class ModelDefinition:
     """Declarative model: lattice + field + hoppings + on-site + disorder + symmetry."""
@@ -364,13 +355,12 @@ class ModelDefinition:
                 raise NonHermitianHoppingsError(f"reverse hopping of {a} is not the adjoint")
 
     def positive_hoppings(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        return [(a, t) for a, t in self.hoppings if _canonical_positive(a)]
+        # the first nonzero component is positive; __post_init__ refuses a = 0
+        return [(a, t) for a, t in self.hoppings if a > (0,) * len(a)]
 
     @property
     def max_hop_range(self) -> int:
-        if not self.hoppings:
-            return 0
-        return max(max(abs(c) for c in a) for a, _ in self.hoppings)
+        return max((abs(c) for a, _ in self.hoppings for c in a), default=0)
 
     def fingerprint(self) -> str:
         """Stable hash of the model content, for result provenance."""

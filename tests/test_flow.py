@@ -537,3 +537,17 @@ def test_pfaffian_sign_helper_matches_eigen_structure():
     det = np.linalg.det(A)
     assert abs(np.exp(2 * logabs) - det) < 1e-8 * abs(det)
     assert sign in (-1.0, 1.0)
+
+
+def test_level_count_is_undecided_on_a_level():
+    # an interval edge on a level of H(0) (a pole) or of H(t) (a singular S) is left undecided
+    model = make_named_model("qwz", sizes=6, boundary="open")
+    path = FluxPath(base=build_hamiltonian(model), plaquette=(3, 3))
+    lam = path.base_eigen.eigenvalues
+    top = lam[-1] + 1.0
+    levels = np.linalg.eigvalsh(path.sample_at(0.5).matrix)
+    level = max(levels, key=lambda e: np.abs(lam - e).min())
+    assert np.abs(lam - level).min() > 1e-6
+    assert path.level_count(0.5, lam[3], top) is None
+    assert path.level_count(0.5, level, top) is None
+    assert path.level_count(0.5, level - 1e-6, top) == (levels > level - 1e-6).sum()

@@ -789,3 +789,65 @@ def test_laughlin_reads_mu_states():
     by_states = run(model, config.task_params, 0)
     assert by_states == run(model, {"mu": float(0.5 * (w[101] + w[102]))}, 0)
     assert by_states["pair_index_raw"] != run(model, {"mu": 0.0}, 0)["pair_index_raw"]
+
+
+SSH_SPECTRUM_CFG = SSH_CFG.replace("sizes = 64", "sizes = 8").replace("name = winding",
+                                                                      "name = spectrum")
+
+
+def test_cli_seed_replaces_the_base_seed(tmp_path, capsys):
+    from topoinv.cli import main
+
+    disordered = SSH_SPECTRUM_CFG.replace("realizations = 1", "realizations = 2") + (
+        "\n[disorder]\nfamily = diagonal-scalar\nstrength = 0.5\n")
+    runs = []
+    for text, flags in ((disordered, ["--seed", "5"]),
+                        (disordered.replace("base_seed = 0", "base_seed = 5"), [])):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["spectrum", "--config", str(cfg), *flags]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    assert [line.split(":")[0] for line in runs[0].splitlines()[:2]] == ["seed 5", "seed 6"]
+
+
+def test_cli_subcommand_overrides_the_task_and_drops_the_output_dir(tmp_path, capsys):
+    # a subcommand other than the config's [task] name runs that task; the
+    # config's [output] dir belongs to its own task, so only --out writes files
+    from topoinv.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SSH_SPECTRUM_CFG + f"\n[output]\ndir = {tmp_path / 'config_dir'}\n")
+    assert main(["winding", "--config", str(cfg)]) == 0
+    assert "rounded=1" in capsys.readouterr().out
+    assert not (tmp_path / "config_dir").exists()
+    assert main(["winding", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"winding"}
+
+
+def test_spectrum_run_writes_every_level(tmp_path):
+    records, _, _ = run_experiment(config_of(SSH_SPECTRUM_CFG, output__dir=str(tmp_path)))
+    lines = (tmp_path / "spectrum_seed0.csv").read_text().splitlines()
+    assert lines[0] == "index,eigenvalue"
+    assert [float(line.split(",")[1]) for line in lines[1:]] == records[0].values["_spectrum"]
+    assert "_spectrum" not in (tmp_path / "results.csv").read_text()
+
+
+def test_sweep_csv_leaves_out_side_values(tmp_path):
+    cfg = config_of(SSH_SPECTRUM_CFG, output__dir=str(tmp_path))
+    rows = sweep(cfg, "model.m", ["0.5", "2"], workers=1)
+    assert {key for *_, key, _ in rows} == {"e_min", "e_max", "gap_lo", "gap_hi", "gap_width"}
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(lines) == len(rows) + 1 and not any("_spectrum" in line for line in lines)
+
+
+@pytest.mark.parametrize("value, count", [(None, None), ("", None), ("3", 3)])
+def test_worker_count_reads_the_environment(monkeypatch, value, count):
+    # unset or empty: every core
+    if value is None:
+        monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(harness.WORKERS_ENV, value)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 7)
+    assert harness.worker_count() == (count or 7)

@@ -522,3 +522,7 @@ def test_quantization_pair_vs_realspace():
     assert pi.error_proxy < 0.05
     ch = chern_projection(P, (1, 2))
     assert abs(ch.value - pi.value) < 0.05
+
+
+def test_pfaffian_of_a_singular_matrix_is_zero():
+    assert pfaffian(np.zeros((4, 4))) == 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -349,3 +351,19 @@ def test_stalled_arpack_run_is_bounded_and_takes_the_dense_route(monkeypatch):
     assert (mu, gap) == (0.0, detect_gap(diagonalize(sample, vectors=False), 0.0))
     # each restart applies the operator fewer than ncv = 20 times
     assert 0 < len(applied) <= 2 * 20 * (spectral._ARPACK_MAXITER + 1)
+
+
+def test_window_with_no_certified_level_solves_nothing():
+    sample = hermitian_sample([-1.0, 0.5, 1.5], seed=0)
+    eig = diagonalize(sample, window=(-0.5, 0.0), count=0)
+    assert eig.eigenvalues.shape == (0,) and eig.eigenvectors.shape == (3, 0)
+
+
+def test_singular_shift_falls_back_to_the_dense_window():
+    # the window's midpoint is a level: the sparse LU of H - sigma fails, and the
+    # dense window solve gives the level
+    sample = hermitian_sample([-1.0, 0.5, 1.5], seed=0)
+    sample = dataclasses.replace(sample, csr=sparse.csr_array(np.diag([-1.0, 0.0, 1.0])))
+    eig = diagonalize(sample, window=(-0.5, 0.5), count=1)
+    assert eig.eigenvalues.tolist() == [0.0]
+    assert np.allclose(np.abs(eig.eigenvectors[:, 0]), [0.0, 1.0, 0.0])
